@@ -4,10 +4,10 @@ An agent visits T regions once each, training a linear-regression model on
 every region's local data. The expected final loss splits into a
 forgetting term driven by parameter dissimilarity, the travel cost of the
 route, and a route-independent noise constant. This package provides the
-instance format, the regime-specific loss objectives, an approximation
-planner with a 3/2-style travel guarantee, an exact small-instance oracle,
-forgetting-only and random baselines, and Monte Carlo verification of the
-closed-form losses.
+instance format, the route objective (one form for both learning regimes,
+with regime-specific weights), an approximation planner with a 3/2-style
+travel guarantee, an exact small-instance oracle, forgetting-only and
+random baselines, and Monte Carlo verification of the closed-form losses.
 """
 
 from .instance import (
@@ -29,12 +29,11 @@ from .instance import (
 )
 from .loss import (
     LossBreakdown,
+    Objective,
     best_final_region,
     closed_form_forgetting_over,
     closed_form_forgetting_under,
     loss_upper,
-    loss_upper_over,
-    loss_upper_under,
 )
 from .mc_verify import (
     McReport,
@@ -85,12 +84,11 @@ __all__ = [
     "validate_instance",
     "write_instance",
     "LossBreakdown",
+    "Objective",
     "best_final_region",
     "closed_form_forgetting_over",
     "closed_form_forgetting_under",
     "loss_upper",
-    "loss_upper_over",
-    "loss_upper_under",
     "McReport",
     "TaskGroundTruth",
     "delta0_vector",

@@ -82,19 +82,13 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[Row], list[str]]:
     and reruns are byte-reproducible. The exact optimum is solved once per
     instance and shared across strategies.
     """
-
-    def effective(breakdown) -> float:
-        if cfg.include_constant:
-            return breakdown.total
-        return breakdown.forgetting_part + breakdown.travel_part
-
     rows: list[Row] = []
     warnings: list[str] = []
     for idx, value in enumerate(cfg.values):
         m = value if cfg.sweep_var == "m" else cfg.m
         t = value if cfg.sweep_var == "t" else cfg.t
         try:
-            regime = classify_regime(m, cfg.n)
+            classify_regime(m, cfg.n)
         except RegimeError as exc:
             warnings.append(f"skipping {cfg.sweep_var}={value}: {exc}")
             continue
@@ -102,10 +96,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[Row], list[str]]:
         for i in range(cfg.instances):
             seed = cfg.seed + idx * cfg.instances + i
             inst = generate_instance(t, seed, m=m, n=cfg.n, sigma2=cfg.sigma2)
-            exact_total = effective(plan_exact(inst, regime).breakdown)
+            exact_total = plan_exact(inst).breakdown.effective_total(cfg.include_constant)
             for strategy in cfg.strategies:
-                result = plan(inst, regime, strategy, seed=seed)
-                ratios[strategy].append(effective(result.breakdown) / exact_total)
+                result = plan(inst, strategy, seed=seed)
+                ratios[strategy].append(
+                    result.breakdown.effective_total(cfg.include_constant) / exact_total
+                )
         for strategy in cfg.strategies:
             vals = np.array(ratios[strategy])
             rows.append(
@@ -161,9 +157,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
-    regime = inst.regime()
     strategy = Strategy(args.strategy)
-    result = plan(inst, regime, strategy, seed=args.seed, interior=args.interior)
+    result = plan(inst, strategy, seed=args.seed, interior=args.interior)
     b = result.breakdown
     if args.format == "json":
         doc = {

@@ -155,8 +155,22 @@ class ValidationReport:
         return not self.violations
 
 
-def _check_square_metric_free(name: str, mat: np.ndarray, out: list[str]) -> None:
-    """Shared symmetry / diagonal / nonnegativity checks for delta and costs."""
+def _finite(name: str, arr: np.ndarray, out: list[str]) -> bool:
+    """Report the first non-finite entry of ``arr``; True when there is none."""
+    bad = ~np.isfinite(arr)
+    if not bad.any():
+        return True
+    idx = tuple(int(i) + 1 for i in np.argwhere(bad)[0])
+    out.append(f"{name} must be finite: {name}_{{{','.join(map(str, idx))}}}={arr[bad][0]:g}")
+    return False
+
+
+def _check_square_metric_free(name: str, mat: np.ndarray, out: list[str]) -> bool:
+    """Shared finiteness / symmetry / diagonal / nonnegativity checks for delta
+    and costs. A non-finite entry skips the rest, as NaN is unequal to itself;
+    returns whether every entry is finite."""
+    if not _finite(name, mat, out):
+        return False
     if not np.array_equal(mat, mat.T):
         bad = np.argwhere(mat != mat.T)
         i, j = bad[0]
@@ -171,6 +185,25 @@ def _check_square_metric_free(name: str, mat: np.ndarray, out: list[str]) -> Non
     if np.any(mat < 0.0):
         i, j = np.argwhere(mat < 0.0)[0]
         out.append(f"{name} must be >= 0: {name}_{{{i + 1},{j + 1}}}={mat[i, j]:g}")
+    return True
+
+
+def _check_triangle(c: np.ndarray, out: list[str]) -> None:
+    """Report the first violated ordered triple of distinct regions."""
+    t = c.shape[0]
+    for i in range(t):
+        for j in range(t):
+            if i == j:
+                continue
+            for k in range(t):
+                if k == i or k == j:
+                    continue
+                if c[i, j] > c[i, k] + c[k, j] + 1e-12 * max(1.0, c[i, j]):
+                    out.append(
+                        f"triangle inequality: c_{{{i + 1},{j + 1}}}={c[i, j]:g} > "
+                        f"c_{{{i + 1},{k + 1}}}+c_{{{k + 1},{j + 1}}}={c[i, k] + c[k, j]:g}"
+                    )
+                    return
 
 
 def validate_instance(inst: ProblemInstance) -> ValidationReport:
@@ -186,33 +219,15 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
         violations.append(f"t must be >= 2, got {t}")
 
     _check_square_metric_free("delta", inst.delta, violations)
-    if np.any(inst.delta0 < 0.0):
+    if _finite("delta0", inst.delta0, violations) and np.any(inst.delta0 < 0.0):
         i = int(np.argmax(inst.delta0 < 0.0))
         violations.append(f"delta0 must be >= 0: delta0_{{{i + 1}}}={inst.delta0[i]:g}")
-    _check_square_metric_free("c", inst.costs, violations)
+    if _check_square_metric_free("c", inst.costs, violations):
+        _check_triangle(inst.costs, violations)
 
-    c = inst.costs
-    done = False
-    for i in range(t):
-        for j in range(t):
-            if i == j:
-                continue
-            for k in range(t):
-                if k == i or k == j:
-                    continue
-                if c[i, j] > c[i, k] + c[k, j] + 1e-12 * max(1.0, c[i, j]):
-                    violations.append(
-                        f"triangle inequality: c_{{{i + 1},{j + 1}}}={c[i, j]:g} > "
-                        f"c_{{{i + 1},{k + 1}}}+c_{{{k + 1},{j + 1}}}={c[i, k] + c[k, j]:g}"
-                    )
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-
-    if inst.sigma2 < 0.0:
+    if not np.isfinite(inst.sigma2):
+        violations.append(f"sigma2 must be finite, got {inst.sigma2:g}")
+    elif inst.sigma2 < 0.0:
         violations.append(f"sigma2 must be >= 0, got {inst.sigma2:g}")
 
     regime: Regime | None = None
@@ -318,9 +333,9 @@ def write_instance(inst: ProblemInstance, path: str | Path) -> None:
 def read_instance(path: str | Path) -> ProblemInstance:
     """Parse and validate an instance file.
 
-    Raises FormatError for JSON syntax problems or missing/mistyped fields
-    (naming the field), ValidationError when the parsed instance violates
-    an invariant.
+    Raises FormatError for JSON syntax problems or missing, mistyped or
+    ragged fields (naming the field), ValidationError when the parsed
+    instance violates an invariant, non-finite numbers included.
     """
     try:
         doc = json.loads(Path(path).read_text())
@@ -335,13 +350,20 @@ def read_instance(path: str | Path) -> ProblemInstance:
         if not isinstance(doc[name], typ) or isinstance(doc[name], bool):
             raise FormatError(f"{path}: field \"{name}\" has wrong type")
 
+    arrays = {}
+    for name in ("delta", "delta0", "costs"):
+        try:
+            arrays[name] = np.array(doc[name], dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise FormatError(
+                f"{path}: field \"{name}\" is not a rectangular array of numbers"
+            ) from exc
+
     t = doc["t"]
     try:
         inst = ProblemInstance(
             t_regions=t,
-            delta=np.array(doc["delta"], dtype=float),
-            delta0=np.array(doc["delta0"], dtype=float),
-            costs=np.array(doc["costs"], dtype=float),
+            **arrays,
             m_features=doc["m"],
             n_samples=doc["n"],
             sigma2=float(doc["sigma2"]),

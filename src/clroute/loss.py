@@ -1,25 +1,26 @@
-"""Closed-form expected losses and their route-dependent upper bounds.
+"""The route objective, its per-route loss breakdown, and the closed forms.
 
-Two regimes, two objectives:
+Both regimes minimize one objective; they differ only in its weights:
+
+    sum_p a_p * rowsum_delta(tau_p)  +  e(tau_T)
+    + sum_t c[tau_t, tau_{t+1}]/T  +  offset  +  noise.
 
 * Underparameterized (n >= m+2): each region's training fully determines
-  the predictor from that region's data alone, so expected forgetting
-  depends only on which region is visited last. The route objective is
-
-      sum_{i<T} delta[tau_i, tau_T]/T  +  sum_t c[tau_t, tau_{t+1}]/T
-      + m*sigma2/(n-m-1).
+  the predictor from that region's data alone, so only the final region
+  matters: a_p = 0, e(v) = rowsum_delta(v)/T, offset = 0 and
+  noise = m*sigma2/(n-m-1).
 
 * Overparameterized (m >= n+2): the minimum-distance interpolating update
   keeps a fraction r = 1 - n/m of the previous error, so earlier regions
-  are discounted geometrically. The route objective is
+  are discounted geometrically: a_p = (1-r)*r^(T-p)/T, e = 0,
+  offset = r^T/T * sum_i delta0[i] and noise = (1-r^T)*m*sigma2/(m-n-1).
 
-      sum_i (1-r)*r^(T-i)/T * rowsum_delta(tau_i)
-      + sum_t c[tau_t, tau_{t+1}]/T
-      + r^T/T * sum_i delta0[tau_i]  +  (1-r^T)*m*sigma2/(m-n-1).
-
-``closed_form_forgetting_under/over`` evaluate the same forgetting
-expressions on actual ground-truth parameter vectors; they exist for the
-Monte Carlo cross-checks and are never consulted by planners.
+:class:`Objective` derives these weights, and nothing else does. The
+planners and the exact oracle read them from the instance through
+:meth:`Objective.of`; ``closed_form_forgetting_under/over`` build the same
+objective from actual ground-truth parameter vectors and evaluate it on
+the training order, so the Monte Carlo checks test the objective the
+planners minimize.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import ProblemInstance, Regime, RegimeError, Route, classify_regime
+from .instance import ProblemInstance, RegimeError, Route, classify_regime
+from .shp import route_travel_cost
 
 
 @dataclass(frozen=True)
@@ -43,37 +45,15 @@ class LossBreakdown:
     def total(self) -> float:
         return self.forgetting_part + self.travel_part + self.constant_part
 
+    def effective_total(self, include_constant: bool) -> float:
+        """The total, or only its route-dependent part when the constant is left out."""
+        return self.total if include_constant else self.forgetting_part + self.travel_part
+
     def csv_row(self) -> str:
         return ",".join(
             f"{v:.12g}"
             for v in (self.forgetting_part, self.travel_part, self.constant_part, self.total)
         )
-
-
-def best_final_region(inst: ProblemInstance) -> int:
-    """Region minimizing the dissimilarity row sum; ties go to the lowest index.
-
-    Ending the route there minimizes the forgetting term in the
-    underparameterized objective and is also where the descending-row-sum
-    order of the overparameterized forgetting minimizer ends.
-    """
-    row_sums = inst.delta.sum(axis=1)
-    return int(np.argmin(row_sums))
-
-
-def _require(regime: Regime, want_under: bool, op: str) -> None:
-    if want_under and not regime.is_under:
-        raise RegimeError(f"{op} requires the underparameterized regime (n >= m+2)")
-    if not want_under and not regime.is_over:
-        raise RegimeError(f"{op} requires the overparameterized regime (m >= n+2)")
-
-
-def _travel_part(inst: ProblemInstance, order: tuple[int, ...]) -> float:
-    t = len(order)
-    total = 0.0
-    for a, b in zip(order[:-1], order[1:]):
-        total += float(inst.costs[a, b])
-    return total / t
 
 
 def r_powers(r: float, t: int) -> np.ndarray:
@@ -86,54 +66,106 @@ def r_powers(r: float, t: int) -> np.ndarray:
     return out
 
 
-def loss_upper_under(inst: ProblemInstance, route: Route) -> LossBreakdown:
-    """Upper bound on expected overall loss in the underparameterized regime."""
-    _require(inst.regime(), True, "loss_upper_under")
-    order = route.order
-    t = len(order)
-    if t != inst.t_regions:
-        raise ValueError(f"route length {t} != t_regions {inst.t_regions}")
-    last = order[-1]
-    # the interior visits every region except the final one exactly once,
-    # so the sum collapses to the final region's distance row; summing the
-    # row in index order keeps the value independent of interior order
-    forgetting = float(inst.delta[:, last].sum()) / t
-    m, n = inst.m_features, inst.n_samples
-    constant = m * inst.sigma2 / (n - m - 1)
-    return LossBreakdown(forgetting, _travel_part(inst, order), constant)
+@dataclass(frozen=True)
+class Objective:
+    """One regime's route objective over T regions.
 
-
-def loss_upper_over(inst: ProblemInstance, route: Route) -> LossBreakdown:
-    """Upper bound on expected overall loss in the overparameterized regime.
-
-    Position i (1-based) is weighted (1-r)*r^(T-i)/T, so early regions
-    fade geometrically; terms accumulate in ascending position order.
+    The region visited p-th (1-based) contributes
+    ``position_weights[p-1] * row_sums[region]`` and the final region adds
+    ``end_weights[region]``. The raw travel cost is divided by
+    ``travel_divisor``: the travel weight is its reciprocal, 1/T in both
+    regimes and 1 for pure travel cost, and dividing keeps the travel part
+    equal to raw/T to the last bit. ``offset``, the route-independent share
+    of forgetting, and ``noise`` are added as they are.
     """
-    regime = inst.regime()
-    _require(regime, False, "loss_upper_over")
-    order = route.order
-    t = len(order)
+
+    row_sums: tuple[float, ...]
+    position_weights: tuple[float, ...]
+    end_weights: tuple[float, ...]
+    travel_divisor: float
+    offset: float
+    noise: float
+
+    @classmethod
+    def build(
+        cls, row_sums: np.ndarray, delta0_sum: float, m: int, n: int, sigma2: float
+    ) -> "Objective":
+        """Weights of the regime of (m, n) for dissimilarity row sums and sum(delta0).
+
+        Raises RegimeError when (m, n) has no defined regime.
+        """
+        regime = classify_regime(m, n)
+        rows = tuple(float(x) for x in row_sums)
+        t = len(rows)
+        zeros = (0.0,) * t
+        if regime.is_under:
+            return cls(
+                row_sums=rows,
+                position_weights=zeros,
+                end_weights=tuple(rs / t for rs in rows),
+                travel_divisor=t,
+                offset=0.0,
+                noise=m * sigma2 / (n - m - 1),
+            )
+        r = regime.r
+        powers = r_powers(r, t)
+        r_t = float(powers[t])
+        return cls(
+            row_sums=rows,
+            position_weights=tuple((1.0 - r) * float(powers[t - p]) / t for p in range(1, t + 1)),
+            end_weights=zeros,
+            travel_divisor=t,
+            offset=r_t / t * delta0_sum,
+            noise=(1.0 - r_t) * m * sigma2 / (m - n - 1),
+        )
+
+    @classmethod
+    def of(cls, inst: ProblemInstance) -> "Objective":
+        """The objective of the instance's own regime."""
+        return cls.build(
+            inst.delta.sum(axis=1),
+            float(inst.delta0.sum()),
+            inst.m_features,
+            inst.n_samples,
+            inst.sigma2,
+        )
+
+    def forgetting(self, order: tuple[int, ...]) -> float:
+        """Forgetting part of a visiting order; terms accumulate in position order."""
+        total = 0.0
+        for weight, region in zip(self.position_weights, order):
+            total += weight * self.row_sums[region]
+        return total + self.end_weights[order[-1]] + self.offset
+
+
+def best_final_region(inst: ProblemInstance) -> int:
+    """Region minimizing the dissimilarity row sum; ties go to the lowest index.
+
+    Ending the route there minimizes the forgetting term in the
+    underparameterized objective and is also where the descending-row-sum
+    order of the overparameterized forgetting minimizer ends.
+    """
+    return int(np.argmin(inst.delta.sum(axis=1)))
+
+
+def loss_upper(inst: ProblemInstance, route: Route) -> LossBreakdown:
+    """Upper bound on the expected overall loss of a route, in the instance's regime."""
+    t = len(route.order)
     if t != inst.t_regions:
         raise ValueError(f"route length {t} != t_regions {inst.t_regions}")
-    r = regime.r
-    powers = r_powers(r, t)
-    r_t = float(powers[t])
-
-    row_sums = inst.delta.sum(axis=1)
-    forgetting = 0.0
-    for pos, region in enumerate(order, start=1):
-        forgetting += (1.0 - r) * float(powers[t - pos]) / t * float(row_sums[region])
-    forgetting += r_t / t * float(inst.delta0.sum())
-
-    m, n = inst.m_features, inst.n_samples
-    constant = (1.0 - r_t) * m * inst.sigma2 / (m - n - 1)
-    return LossBreakdown(forgetting, _travel_part(inst, order), constant)
+    objective = Objective.of(inst)
+    return LossBreakdown(
+        objective.forgetting(route.order),
+        route_travel_cost(inst, route) / objective.travel_divisor,
+        objective.noise,
+    )
 
 
-def loss_upper(inst: ProblemInstance, route: Route, regime: Regime | None = None) -> LossBreakdown:
-    """Dispatch to the regime's objective (regime derived from inst when omitted)."""
-    regime = inst.regime() if regime is None else regime
-    return loss_upper_under(inst, route) if regime.is_under else loss_upper_over(inst, route)
+def _closed_form(w: np.ndarray, delta0_sum: float, sigma2: float, m: int, n: int) -> float:
+    """Forgetting plus noise of the objective built from the vectors' distances, in their order."""
+    sq = np.sum((w[:, None, :] - w[None, :, :]) ** 2, axis=2)
+    objective = Objective.build(sq.sum(axis=1), delta0_sum, m, n, sigma2)
+    return objective.forgetting(tuple(range(w.shape[0]))) + objective.noise
 
 
 def closed_form_forgetting_under(
@@ -148,13 +180,11 @@ def closed_form_forgetting_under(
     distances to it matter; the estimation noise contributes
     m*sigma2/(n-m-1) regardless of the route.
     """
-    regime = classify_regime(m, n)
-    _require(regime, True, "closed_form_forgetting_under")
-    w = np.asarray(true_params, dtype=float)
-    t = w.shape[0]
-    last = w[-1]
-    total = sum(float(np.sum((last - w[i]) ** 2)) for i in range(t - 1)) / t
-    return total + m * sigma2 / (n - m - 1)
+    if not classify_regime(m, n).is_under:
+        raise RegimeError(
+            "closed_form_forgetting_under requires the underparameterized regime (n >= m+2)"
+        )
+    return _closed_form(np.asarray(true_params, dtype=float), 0.0, sigma2, m, n)
 
 
 def closed_form_forgetting_over(
@@ -170,17 +200,10 @@ def closed_form_forgetting_over(
     distances are discounted by recency, the distance to w0 by r^T, and
     the noise floor saturates at (1-r^T)*m*sigma2/(m-n-1).
     """
-    regime = classify_regime(m, n)
-    _require(regime, False, "closed_form_forgetting_over")
+    if not classify_regime(m, n).is_over:
+        raise RegimeError(
+            "closed_form_forgetting_over requires the overparameterized regime (m >= n+2)"
+        )
     w = np.asarray(true_params, dtype=float)
-    t = w.shape[0]
-    r = regime.r
-    powers = r_powers(r, t)
-    r_t = float(powers[t])
-
-    sq = np.sum((w[:, None, :] - w[None, :, :]) ** 2, axis=2)
-    total = 0.0
-    for pos in range(1, t + 1):
-        total += (1.0 - r) * float(powers[t - pos]) / t * float(sq[pos - 1].sum())
-    total += r_t / t * float(np.sum((w - np.asarray(w0, dtype=float)) ** 2))
-    return total + (1.0 - r_t) * m * sigma2 / (m - n - 1)
+    delta0_sum = float(np.sum((w - np.asarray(w0, dtype=float)) ** 2))
+    return _closed_form(w, delta0_sum, sigma2, m, n)

@@ -4,8 +4,11 @@ Four strategies produce a route and its loss breakdown:
 
 * ``alg1`` — the approximation pipeline: spanning tree, dummy attachment
   at the best final region, exact matching of odd-degree vertices, Euler
-  circuit, shortcut, dummy removal. Polynomial time; travel cost within
-  3/2 of the optimal Hamiltonian path.
+  circuit, shortcut, dummy removal. Travel cost within 3/2 of the optimal
+  Hamiltonian path. Every stage is polynomial except the odd-set matching,
+  an O(2^k * k) bitmask program over the k odd-degree vertices (k is about
+  T/2), so the pipeline as a whole is exponential in T; replacing that
+  matching with a polynomial one is ROADMAP item 2.
 * ``exact`` — subset dynamic programming, exact but limited to T <= 16.
 * ``forgetting`` — the travel-oblivious continual-learning baseline that
   minimizes only the forgetting term.
@@ -21,8 +24,8 @@ from enum import Enum
 import numpy as np
 
 from . import shp
-from .instance import ProblemInstance, Regime, Route
-from .loss import LossBreakdown, best_final_region, loss_upper
+from .instance import ProblemInstance, Route
+from .loss import LossBreakdown, Objective, best_final_region, loss_upper
 
 
 class Strategy(str, Enum):
@@ -40,48 +43,41 @@ class PlanResult:
     elapsed: float
 
 
-def _finish(
-    inst: ProblemInstance, regime: Regime, route: Route, strategy: Strategy, t0: float
-) -> PlanResult:
-    breakdown = loss_upper(inst, route, regime)
+def _finish(inst: ProblemInstance, route: Route, strategy: Strategy, t0: float) -> PlanResult:
+    breakdown = loss_upper(inst, route)
     return PlanResult(route, breakdown, strategy, time.perf_counter() - t0)
 
 
-def plan_algorithm1(
-    inst: ProblemInstance, regime: Regime, fast_matching: bool = False
-) -> PlanResult:
+def plan_algorithm1(inst: ProblemInstance) -> PlanResult:
     """Run the full approximation pipeline; the route always ends at the
     minimum-row-sum region.
 
-    ``fast_matching`` swaps the exact odd-set matching for the greedy one;
-    that voids the 3/2 travel guarantee and is off by default.
+    The odd-set matching is an exact O(2^k * k) bitmask program over the k
+    odd-degree vertices of the tree plus dummy, so this takes time
+    exponential in T (k is about T/2); see ROADMAP item 2.
     """
     t0 = time.perf_counter()
     v_prime = best_final_region(inst)
     mst_edges, _ = shp.minimum_spanning_tree(inst.costs)
     tree = shp.tree_with_dummy(mst_edges, v_prime, inst.costs)
     odd = shp.odd_degree_vertices(tree)
-    if fast_matching:
-        matching = shp.greedy_perfect_matching(tree, odd)
-    else:
-        matching = shp.min_weight_perfect_matching(tree, odd)
+    matching = shp.min_weight_perfect_matching(tree, odd)
     multigraph = tree.with_edges(matching.pairs)
     trace = shp.eulerian_circuit(multigraph)
     cycle = shp.shortcut_to_hamiltonian(trace, v_prime)
     route = shp.remove_dummy(cycle, v_prime)
-    return _finish(inst, regime, route, Strategy.ALGORITHM1, t0)
+    return _finish(inst, route, Strategy.ALGORITHM1, t0)
 
 
-def plan_exact(inst: ProblemInstance, regime: Regime) -> PlanResult:
-    """Exact optimum of the regime objective via the subset DP oracle."""
+def plan_exact(inst: ProblemInstance) -> PlanResult:
+    """Exact optimum of the instance's objective via the subset DP oracle."""
     t0 = time.perf_counter()
-    route, _ = shp.held_karp_min_path(inst, regime.kind.value)
-    return _finish(inst, regime, route, Strategy.EXACT, t0)
+    route, _ = shp.held_karp_min_path(inst, Objective.of(inst))
+    return _finish(inst, route, Strategy.EXACT, t0)
 
 
 def plan_forgetting_baseline(
     inst: ProblemInstance,
-    regime: Regime,
     interior: str = "ascending",
     seed: int | None = None,
 ) -> PlanResult:
@@ -97,7 +93,7 @@ def plan_forgetting_baseline(
     """
     t0 = time.perf_counter()
     t = inst.t_regions
-    if regime.is_under:
+    if inst.regime().is_under:
         last = best_final_region(inst)
         rest = [i for i in range(t) if i != last]
         if interior == "random":
@@ -110,41 +106,35 @@ def plan_forgetting_baseline(
         row_sums = inst.delta.sum(axis=1)
         order = sorted(range(t), key=lambda i: (-row_sums[i], i))
         route = Route(tuple(order))
-    return _finish(inst, regime, route, Strategy.FORGETTING, t0)
+    return _finish(inst, route, Strategy.FORGETTING, t0)
 
 
-def plan_random(inst: ProblemInstance, regime: Regime, seed: int) -> PlanResult:
+def plan_random(inst: ProblemInstance, seed: int) -> PlanResult:
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     route = Route(tuple(int(i) for i in rng.permutation(inst.t_regions)))
-    return _finish(inst, regime, route, Strategy.RANDOM, t0)
+    return _finish(inst, route, Strategy.RANDOM, t0)
 
 
 def plan(
     inst: ProblemInstance,
-    regime: Regime,
     strategy: Strategy,
     seed: int | None = None,
     interior: str = "ascending",
 ) -> PlanResult:
     if strategy is Strategy.ALGORITHM1:
-        return plan_algorithm1(inst, regime)
+        return plan_algorithm1(inst)
     if strategy is Strategy.EXACT:
-        return plan_exact(inst, regime)
+        return plan_exact(inst)
     if strategy is Strategy.FORGETTING:
-        return plan_forgetting_baseline(inst, regime, interior=interior, seed=seed)
+        return plan_forgetting_baseline(inst, interior=interior, seed=seed)
     if strategy is Strategy.RANDOM:
-        return plan_random(inst, regime, seed if seed is not None else 0)
+        return plan_random(inst, seed if seed is not None else 0)
     raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _effective_total(b: LossBreakdown, include_constant: bool) -> float:
-    return b.total if include_constant else b.forgetting_part + b.travel_part
 
 
 def ratio(
     inst: ProblemInstance,
-    regime: Regime,
     strategy: Strategy,
     seed: int | None = None,
     include_constant: bool = True,
@@ -155,6 +145,6 @@ def ratio(
     definition on the full expected overall loss; exclude it to probe
     sensitivity of the ratio to the noise floor.
     """
-    num = _effective_total(plan(inst, regime, strategy, seed=seed).breakdown, include_constant)
-    den = _effective_total(plan_exact(inst, regime).breakdown, include_constant)
+    num = plan(inst, strategy, seed=seed).breakdown.effective_total(include_constant)
+    den = plan_exact(inst).breakdown.effective_total(include_constant)
     return num / den

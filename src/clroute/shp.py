@@ -11,19 +11,22 @@ operation is deterministic: ties are broken lexicographically and the
 Euler walk consumes neighbors in ascending vertex order.
 
 ``held_karp_min_path`` is the exact oracle: a subset dynamic program over
-(visited set, last vertex) that minimizes either regime objective, or pure
-travel cost. Both objectives are position-additive, so the stage index of
-the program (the subset size) fixes each region's recency weight.
+(visited set, last vertex) that minimizes a :class:`clroute.loss.Objective`.
+The objective is position-additive, so the stage index of the program (the
+subset size) fixes each region's recency weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .instance import ProblemInstance, Route
-from .loss import r_powers
+
+if TYPE_CHECKING:
+    from .loss import Objective
 
 HELD_KARP_MAX_T = 16
 
@@ -174,30 +177,6 @@ def min_weight_perfect_matching(g: WorkGraph, odd: tuple[int, ...]) -> MatchingR
     return MatchingResult(tuple(pairs), dp[full])
 
 
-def greedy_perfect_matching(g: WorkGraph, odd: tuple[int, ...]) -> MatchingResult:
-    """Cheapest-pair-first perfect matching; fast, but NOT minimum weight.
-
-    Using this in the route pipeline voids the 3/2 travel guarantee, which
-    needs a true minimum matching. Kept behind an explicit opt-in for large
-    odd sets; ties broken by (weight, i, j) like the spanning tree.
-    """
-    if len(odd) % 2 != 0:
-        raise InvariantViolation("cannot perfectly match an odd number of vertices")
-    candidates = sorted(
-        (g.weight(a, b), a, b) for idx, a in enumerate(odd) for b in odd[idx + 1 :]
-    )
-    unmatched = set(odd)
-    pairs: list[tuple[int, int]] = []
-    weight = 0.0
-    for w, a, b in candidates:
-        if a in unmatched and b in unmatched:
-            pairs.append((a, b))
-            weight += w
-            unmatched.discard(a)
-            unmatched.discard(b)
-    return MatchingResult(tuple(pairs), weight)
-
-
 def eulerian_circuit(h: WorkGraph) -> EulerTrace:
     """Hierholzer walk over every multigraph edge, starting at the dummy.
 
@@ -292,14 +271,14 @@ def route_travel_cost(inst: ProblemInstance, route: Route) -> float:
     return sum(float(inst.costs[a, b]) for a, b in zip(route.order[:-1], route.order[1:]))
 
 
-def held_karp_min_path(inst: ProblemInstance, objective: str) -> tuple[Route, float]:
+def held_karp_min_path(inst: ProblemInstance, objective: Objective) -> tuple[Route, float]:
     """Exact minimum of a route objective by subset dynamic programming.
 
-    ``objective`` is "under", "over" or "travel". States are (visited
-    subset, last region); a region entering as the p-th visit carries the
-    position weight the objective assigns to position p. Returns the
-    optimal route and its objective value (including route-independent
-    constants for the regime objectives; "travel" is the raw path cost).
+    States are (visited subset, last region); a region entering as the p-th
+    visit gains the objective's position weight for p times its row sum.
+    Returns the optimal route and its objective value, route-independent
+    terms included. The travel-only optimum is the objective with zero
+    forgetting weights and travel divisor 1.
 
     Cost is O(2^T * T^2); refuses T > 16 — use the approximation pipeline
     in ``planner`` beyond that.
@@ -310,49 +289,24 @@ def held_karp_min_path(inst: ProblemInstance, objective: str) -> tuple[Route, fl
             f"T={t} exceeds the exact-solver limit ({HELD_KARP_MAX_T}); "
             "use the approximation algorithm instead"
         )
-    if objective not in ("under", "over", "travel"):
-        raise ValueError(f"unknown objective {objective!r}")
+    if len(objective.row_sums) != t:
+        raise ValueError(f"objective covers {len(objective.row_sums)} regions, instance has {t}")
 
-    c = inst.costs.tolist()
-    row_sums = inst.delta.sum(axis=1).tolist()
-
-    # Per-position entry gain and end-of-route bonus, both divided by T to
-    # match the averaged objectives; "travel" keeps raw edge costs.
-    scale = 1.0 / t if objective != "travel" else 1.0
-    if objective == "over":
-        regime = inst.regime()
-        r = regime.r
-        powers = r_powers(r, t)
-        gain = [0.0] + [(1.0 - r) * float(powers[t - p]) / t for p in range(1, t + 1)]
-        end_bonus = [0.0] * t
-        constant = float(powers[t]) / t * float(inst.delta0.sum()) + (
-            1.0 - float(powers[t])
-        ) * inst.m_features * inst.sigma2 / (inst.m_features - inst.n_samples - 1)
-    elif objective == "under":
-        inst.regime()  # raises RegimeError if (m, n) is not classifiable
-        gain = [0.0] * (t + 1)
-        end_bonus = [rs / t for rs in row_sums]
-        constant = inst.m_features * inst.sigma2 / (inst.n_samples - inst.m_features - 1)
-    else:
-        gain = [0.0] * (t + 1)
-        end_bonus = [0.0] * t
-        constant = 0.0
-
-    if objective == "under":
-        entry = [0.0] * t
-    else:
-        entry = [gain[1] * row_sums[v] if objective == "over" else 0.0 for v in range(t)]
+    scale = 1.0 / objective.travel_divisor
+    c = [[x * scale for x in row] for row in inst.costs.tolist()]
+    # gains[k][v]: what region v adds when it enters as visit k+1
+    gains = [[a * rs for rs in objective.row_sums] for a in objective.position_weights]
 
     full = (1 << t) - 1
     inf = float("inf")
     dp = [[inf] * t for _ in range(full + 1)]
     parent = [[-1] * t for _ in range(full + 1)]
     for v in range(t):
-        dp[1 << v][v] = entry[v]
+        dp[1 << v][v] = gains[0][v]
 
-    for mask in range(1, full + 1):
+    for mask in range(1, full):
         row = dp[mask]
-        pos = mask.bit_count() + 1
+        g = gains[mask.bit_count()]
         for last in range(t):
             base = row[last]
             if base == inf or not (mask >> last) & 1:
@@ -361,9 +315,7 @@ def held_karp_min_path(inst: ProblemInstance, objective: str) -> tuple[Route, fl
             for v in range(t):
                 if (mask >> v) & 1:
                     continue
-                cand = base + c_last[v] * scale
-                if objective == "over":
-                    cand += gain[pos] * row_sums[v]
+                cand = base + c_last[v] + g[v]
                 new_mask = mask | (1 << v)
                 if cand < dp[new_mask][v]:
                     dp[new_mask][v] = cand
@@ -372,7 +324,7 @@ def held_karp_min_path(inst: ProblemInstance, objective: str) -> tuple[Route, fl
     best_val = inf
     best_last = -1
     for last in range(t):
-        cand = dp[full][last] + end_bonus[last]
+        cand = dp[full][last] + objective.end_weights[last]
         if cand < best_val:
             best_val = cand
             best_last = last
@@ -385,4 +337,4 @@ def held_karp_min_path(inst: ProblemInstance, objective: str) -> tuple[Route, fl
         mask ^= 1 << v
         v = prev
     order.reverse()
-    return Route(tuple(order)), best_val + constant
+    return Route(tuple(order)), best_val + objective.offset + objective.noise

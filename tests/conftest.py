@@ -18,7 +18,6 @@ from clroute import (
     ProblemInstance,
     Strategy,
     best_final_region,
-    classify_regime,
     generate_instance,
     held_karp_min_path,
     plan_algorithm1,
@@ -33,6 +32,7 @@ from clroute.shp import (
     odd_degree_vertices,
     tree_with_dummy,
 )
+from helpers import travel_objective
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -76,13 +76,12 @@ def build_pipeline_ensemble(m: int) -> tuple[list[PipelineRecord], float]:
     the records and the wall-clock seconds spent.
     """
     t0 = time.perf_counter()
-    regime = classify_regime(m, 100)
     records = []
     for seed in range(1, 501):
         inst = generate_instance(ensemble_t(seed), seed, m=m, n=100)
-        approx = plan_algorithm1(inst, regime)
-        exact = plan_exact(inst, regime)
-        _, opt_travel = held_karp_min_path(inst, "travel")
+        approx = plan_algorithm1(inst)
+        exact = plan_exact(inst)
+        _, opt_travel = held_karp_min_path(inst, travel_objective(inst.t_regions))
         v_prime = best_final_region(inst)
         mst_edges, mst_weight = minimum_spanning_tree(inst.costs)
         tree = tree_with_dummy(mst_edges, v_prime, inst.costs)
@@ -120,10 +119,9 @@ def build_two_region_ensemble() -> tuple[list[tuple[float, float]], float]:
     pairs = []
     for seed in range(1, 1001):
         m = 80 if seed % 2 else 120
-        regime = classify_regime(m, 100)
         inst = generate_instance(2, seed, m=m, n=100)
-        approx = plan_algorithm1(inst, regime)
-        exact = plan_exact(inst, regime)
+        approx = plan_algorithm1(inst)
+        exact = plan_exact(inst)
         pairs.append((approx.breakdown.total, exact.breakdown.total))
     return pairs, time.perf_counter() - t0
 

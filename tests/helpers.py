@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 
-from clroute import ProblemInstance
+from clroute import Objective, ProblemInstance
 from clroute.shp import EulerTrace, WorkGraph
 
 
@@ -51,6 +51,12 @@ def over_t2() -> ProblemInstance:
         n=4,
         sigma2=0.0,
     )
+
+
+def travel_objective(t: int) -> Objective:
+    """Raw travel cost alone: zero forgetting weights, travel weight 1, no constants."""
+    zeros = (0.0,) * t
+    return Objective(zeros, zeros, zeros, 1, 0.0, 0.0)
 
 
 def scan_all_routes(inst: ProblemInstance, objective: str) -> tuple[float, tuple[int, ...]]:

@@ -210,7 +210,6 @@ def test_acceptance_08_travel_weight_chain(under_ensemble):
 def test_acceptance_09_structural_property_sweep():
     t0 = time.perf_counter()
     rng = np.random.default_rng(909)
-    regime = classify_regime(80, 100)
     cases = 0
     mismatches: Counter = Counter()
     for _ in range(2500):
@@ -229,7 +228,7 @@ def test_acceptance_09_structural_property_sweep():
         if circuit_edge_multiset(trace) != graph_edge_multiset(multigraph):
             mismatches["euler"] += 1
         cases += 1
-        route = plan_algorithm1(inst, regime).route
+        route = plan_algorithm1(inst).route
         if sorted(route.order) != list(range(t)) or route.final_region != v_prime:
             mismatches["route"] += 1
         cases += 1

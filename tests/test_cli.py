@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
-from clroute import read_instance, write_instance
+import pytest
+
+import clroute
+from clroute import generate_instance, read_instance, write_instance
 from clroute.cli import CSV_HEADER, main
 from helpers import worked_under
 
@@ -88,6 +93,60 @@ def test_plan_exact_hits_size_limit(tmp_path, capsys):
     capsys.readouterr()
     assert main(["plan", str(out), "--strategy", "exact"]) == 4
     assert "approximation" in capsys.readouterr().err
+
+
+def _put(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _case(case_id, code, message, *edits):
+    return pytest.param(edits, code, message, id=case_id)
+
+
+@pytest.mark.parametrize(
+    "edits,code,message",
+    [
+        _case("sigma2-nan", 2, "sigma2 must be finite, got nan", (("sigma2",), NAN)),
+        _case("sigma2-inf", 2, "sigma2 must be finite, got inf", (("sigma2",), INF)),
+        _case("delta0-nan", 2, "delta0 must be finite: delta0_{1}=nan", (("delta0", 0), NAN)),
+        _case(
+            "delta-inf", 2, "delta must be finite: delta_{1,2}=inf",
+            (("delta", 0, 1), INF), (("delta", 1, 0), INF),
+        ),
+        _case("delta-nan", 2, "delta must be finite: delta_{1,2}=nan", (("delta", 0, 1), NAN)),
+        _case(
+            "costs-inf", 2, "c must be finite: c_{2,3}=inf",
+            (("costs", 1, 2), INF), (("costs", 2, 1), INF),
+        ),
+        _case(
+            "delta-ragged", 3, 'field "delta" is not a rectangular array',
+            (("delta", 1), [0.0, 1.0]),
+        ),
+        _case(
+            "costs-ragged", 3, 'field "costs" is not a rectangular array',
+            (("costs", 2), [1.0, [2.0], 0.0, 3.0]),
+        ),
+    ],
+)
+def test_plan_rejects_non_finite_and_ragged_files(tmp_path, capsys, edits, code, message):
+    path = tmp_path / "mutated.json"
+    write_instance(generate_instance(4, seed=3), path)
+    doc = json.loads(path.read_text())
+    for key_path, value in edits:
+        _put(doc, key_path, value)
+    path.write_text(json.dumps(doc))  # writes NaN / Infinity, as Python's json accepts
+    for fmt in ("text", "json"):
+        assert main(["plan", str(path), "--format", fmt]) == code
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "nan != nan" not in captured.err and "inhomogeneous" not in captured.err
+        assert captured.out == ""
 
 
 def test_plan_missing_file(tmp_path, capsys):
@@ -194,10 +253,15 @@ def test_verify_rejects_tiny_trial_count(capsys):
 
 def test_module_is_runnable_as_script(tmp_path):
     out = tmp_path / "inst.json"
+    # the child imports clroute from where this process found it, whether
+    # that is an install or the pytest pythonpath setting
+    src = str(Path(clroute.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-m", "clroute.cli", "gen", "--t", "3", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "valid" in proc.stdout

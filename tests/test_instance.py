@@ -100,6 +100,21 @@ def test_validate_reports_asymmetry_and_negative_entries():
     assert "sigma2 must be >= 0" in joined
 
 
+def test_validate_reports_each_non_finite_field_once():
+    # NaN and -inf would otherwise also read as asymmetry and as a broken
+    # triangle inequality; only the finiteness violation is reported
+    nan, inf = float("nan"), float("inf")
+    delta = np.array([[0.0, nan, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    costs = np.array([[0.0, 1.0, -inf], [1.0, 0.0, 1.0], [-inf, 1.0, 0.0]])
+    inst = ProblemInstance(3, delta, np.array([1.0, inf, 1.0]), costs, 80, 100, nan)
+    assert validate_instance(inst).violations == (
+        "delta must be finite: delta_{1,2}=nan",
+        "delta0 must be finite: delta0_{2}=inf",
+        "c must be finite: c_{1,3}=-inf",
+        "sigma2 must be finite, got nan",
+    )
+
+
 def test_problem_instance_shape_checks():
     with pytest.raises(ValueError):
         ProblemInstance(3, np.zeros((2, 2)), np.zeros(3), np.zeros((3, 3)), 4, 10, 1.0)

@@ -7,15 +7,17 @@ import pytest
 
 from clroute import (
     LossBreakdown,
+    Objective,
     RegimeError,
     Route,
+    TaskGroundTruth,
     best_final_region,
     closed_form_forgetting_over,
     closed_form_forgetting_under,
+    delta0_vector,
+    delta_matrix,
     generate_instance,
     loss_upper,
-    loss_upper_over,
-    loss_upper_under,
 )
 from clroute.loss import r_powers
 from helpers import manual_instance, over_t2, worked_under
@@ -41,31 +43,26 @@ def test_best_final_region_zero_row_wins():
 
 def test_loss_upper_under_worked_routes():
     inst = worked_under()
-    b = loss_upper_under(inst, Route((2, 1, 0)))
+    b = loss_upper(inst, Route((2, 1, 0)))
     assert b.forgetting_part == pytest.approx(2.0, rel=1e-12)
     assert b.travel_part == pytest.approx(2 / 3, rel=1e-12)
     assert b.constant_part == pytest.approx(0.8, rel=1e-12)
     assert b.total == pytest.approx(8 / 3 + 0.8, rel=1e-12)
 
-    worse = loss_upper_under(inst, Route((0, 1, 2)))
+    worse = loss_upper(inst, Route((0, 1, 2)))
     assert worse.forgetting_part == pytest.approx(10 / 3, rel=1e-12)
     assert worse.total == pytest.approx(4.8, rel=1e-12)
 
 
 def test_loss_upper_under_two_regions():
     inst = manual_instance([[0, 5], [5, 0]], [0, 0], [[0, 3], [3, 0]], 4, 10)
-    b = loss_upper_under(inst, Route((0, 1)))
+    b = loss_upper(inst, Route((0, 1)))
     assert b.forgetting_part == pytest.approx(2.5)
     assert b.travel_part == pytest.approx(1.5)
 
 
-def test_loss_upper_under_rejects_over_instance():
-    with pytest.raises(RegimeError):
-        loss_upper_under(over_t2(), Route((0, 1)))
-
-
 def test_loss_upper_over_worked_example():
-    b = loss_upper_over(over_t2(), Route((0, 1)))
+    b = loss_upper(over_t2(), Route((0, 1)))
     assert b.forgetting_part == pytest.approx(1.6, rel=1e-12)
     assert b.travel_part == pytest.approx(1.0, rel=1e-12)
     assert b.constant_part == 0.0
@@ -75,26 +72,28 @@ def test_loss_upper_over_worked_example():
 def test_loss_upper_over_zero_dissimilarity():
     inst = manual_instance(np.zeros((3, 3)), np.zeros(3), [[0, 1, 2], [1, 0, 1], [2, 1, 0]], 12, 4, 0.0)
     for order in itertools.permutations(range(3)):
-        assert loss_upper_over(inst, Route(order)).forgetting_part == 0.0
+        assert loss_upper(inst, Route(order)).forgetting_part == 0.0
 
 
 def test_loss_upper_over_constant_formula():
     t = 5
     inst = manual_instance(np.zeros((t, t)), np.zeros(t), np.zeros((t, t)), 120, 100, 1.0)
-    b = loss_upper_over(inst, Route(tuple(range(t))))
+    b = loss_upper(inst, Route(tuple(range(t))))
     assert b.constant_part == pytest.approx((1 - (1 / 6) ** t) * 120 / 19, rel=1e-12)
 
 
-def test_loss_upper_over_rejects_under_instance():
-    with pytest.raises(RegimeError):
-        loss_upper_over(worked_under(), Route((0, 1, 2)))
-
-
 def test_loss_upper_dispatch():
-    inst = worked_under()
-    assert loss_upper(inst, Route((2, 1, 0))).total == loss_upper_under(inst, Route((2, 1, 0))).total
-    inst2 = over_t2()
-    assert loss_upper(inst2, Route((0, 1))).total == loss_upper_over(inst2, Route((0, 1))).total
+    # the instance's own (m, n) selects the weights: underparameterized puts
+    # all forgetting weight on the final region, overparameterized on the
+    # positions, (1-r)*r^(T-p)/T with r = 0.6
+    under = Objective.of(worked_under())
+    assert under.position_weights == (0.0, 0.0, 0.0)
+    assert under.end_weights == (6 / 3, 8 / 3, 10 / 3)
+    assert under.travel_divisor == 3
+    over = Objective.of(over_t2())
+    assert over.end_weights == (0.0, 0.0)
+    assert over.position_weights == pytest.approx((0.4 * 0.6 / 2, 0.4 / 2), rel=1e-12)
+    assert over.travel_divisor == 2
 
 
 def test_under_forgetting_ignores_interior_order():
@@ -102,23 +101,47 @@ def test_under_forgetting_ignores_interior_order():
     for _ in range(10):
         inst = generate_instance(6, seed=int(rng.integers(1 << 30)))
         orders = [(0, 1, 2, 3, 4, 5), (4, 2, 0, 3, 1, 5), (3, 0, 4, 1, 2, 5)]
-        parts = {loss_upper_under(inst, Route(o)).forgetting_part for o in orders}
+        parts = {loss_upper(inst, Route(o)).forgetting_part for o in orders}
         assert len(parts) == 1
 
 
 def test_over_reversal_asymmetry_needs_unequal_row_sums():
     # T=2: symmetric delta forces equal row sums, so reversal never matters.
-    b_fwd = loss_upper_over(over_t2(), Route((0, 1)))
-    b_rev = loss_upper_over(over_t2(), Route((1, 0)))
+    b_fwd = loss_upper(over_t2(), Route((0, 1)))
+    b_rev = loss_upper(over_t2(), Route((1, 0)))
     assert b_fwd.forgetting_part == b_rev.forgetting_part
 
     # T=3 with distinct row sums: reversal changes the loss.
     inst = manual_instance(
         [[0, 6, 4], [6, 0, 2], [4, 2, 0]], [0, 0, 0], np.zeros((3, 3)), 12, 4, 0.0
     )
-    fwd = loss_upper_over(inst, Route((0, 1, 2))).forgetting_part
-    rev = loss_upper_over(inst, Route((2, 1, 0))).forgetting_part
+    fwd = loss_upper(inst, Route((0, 1, 2))).forgetting_part
+    rev = loss_upper(inst, Route((2, 1, 0))).forgetting_part
     assert fwd != rev
+
+
+@pytest.mark.parametrize("m,n", [(4, 10), (12, 4)])
+def test_closed_form_equals_loss_upper_on_exact_distances(m, n):
+    # correlated ground truths (shared mean, mixed coordinates) and w0 != 0:
+    # the closed form is the forgetting plus constant part of the planner's
+    # objective on the instance whose delta and delta0 are the exact distances
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        t = int(rng.integers(2, 7))
+        mix = rng.normal(size=(m, m))
+        w_star = rng.normal(size=m) + rng.normal(size=(t, m)) @ mix
+        truth = TaskGroundTruth(w_star, rng.normal(size=m), float(rng.uniform(0.1, 2.0)))
+        inst = manual_instance(
+            delta_matrix(truth), delta0_vector(truth), np.zeros((t, t)), m, n, truth.sigma2
+        )
+        route = Route(tuple(int(v) for v in rng.permutation(t)))
+        ordered = truth.w_star[list(route.order)]
+        if m < n:
+            closed = closed_form_forgetting_under(ordered, truth.sigma2, m, n)
+        else:
+            closed = closed_form_forgetting_over(ordered, truth.w0, truth.sigma2, m, n)
+        b = loss_upper(inst, route)
+        assert closed == pytest.approx(b.forgetting_part + b.constant_part, rel=1e-12)
 
 
 def test_constant_part_is_route_independent():

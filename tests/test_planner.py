@@ -22,15 +22,15 @@ from clroute.planner import (
     plan_forgetting_baseline,
     plan_random,
 )
-from helpers import manual_instance, over_t2, worked_under
+from helpers import manual_instance, travel_objective, worked_under
 
 
 def test_algorithm1_worked_instance_is_optimal():
     inst = worked_under()
-    result = plan_algorithm1(inst, inst.regime())
+    result = plan_algorithm1(inst)
     assert result.route.order == (2, 1, 0)
     assert result.breakdown.total == pytest.approx(8 / 3 + 0.8, rel=1e-12)
-    exact = plan_exact(inst, inst.regime())
+    exact = plan_exact(inst)
     assert result.breakdown.total == exact.breakdown.total
 
 
@@ -40,15 +40,15 @@ def test_algorithm1_route_ends_at_best_final_region():
         for _ in range(20):
             t = int(rng.integers(2, 12))
             inst = generate_instance(t, seed=int(rng.integers(1 << 30)), m=m, n=100)
-            result = plan_algorithm1(inst, inst.regime())
+            result = plan_algorithm1(inst)
             assert result.route.final_region == best_final_region(inst)
             assert sorted(result.route.order) == list(range(t))
 
 
 def test_algorithm1_is_deterministic():
     inst = generate_instance(9, seed=77)
-    a = plan_algorithm1(inst, inst.regime())
-    b = plan_algorithm1(inst, inst.regime())
+    a = plan_algorithm1(inst)
+    b = plan_algorithm1(inst)
     assert a.route.order == b.route.order
 
 
@@ -57,8 +57,8 @@ def test_algorithm1_two_regions_matches_exact_route():
     for m in (80, 120):
         for _ in range(25):
             inst = generate_instance(2, seed=int(rng.integers(1 << 30)), m=m, n=100)
-            approx = plan_algorithm1(inst, inst.regime())
-            exact = plan_exact(inst, inst.regime())
+            approx = plan_algorithm1(inst)
+            exact = plan_exact(inst)
             assert approx.route.order == exact.route.order
             assert approx.breakdown.total == exact.breakdown.total
 
@@ -68,19 +68,9 @@ def test_algorithm1_ratio_bound_small_ensemble():
     for _ in range(200):
         t = int(rng.integers(4, 10))
         inst = generate_instance(t, seed=int(rng.integers(1 << 30)), m=80, n=100)
-        approx = plan_algorithm1(inst, inst.regime())
-        exact = plan_exact(inst, inst.regime())
+        approx = plan_algorithm1(inst)
+        exact = plan_exact(inst)
         assert approx.breakdown.total <= 1.5 * exact.breakdown.total
-
-
-def test_fast_matching_pipeline_still_valid():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        t = int(rng.integers(4, 12))
-        inst = generate_instance(t, seed=int(rng.integers(1 << 30)))
-        result = plan_algorithm1(inst, inst.regime(), fast_matching=True)
-        assert sorted(result.route.order) == list(range(t))
-        assert result.route.final_region == best_final_region(inst)
 
 
 def test_plan_exact_minimizes_travel_when_delta_zero():
@@ -88,30 +78,30 @@ def test_plan_exact_minimizes_travel_when_delta_zero():
     inst = manual_instance(
         np.zeros((6, 6)), np.zeros(6), base.costs, base.m_features, base.n_samples
     )
-    exact = plan_exact(inst, inst.regime())
-    _, best_travel = held_karp_min_path(inst, "travel")
+    exact = plan_exact(inst)
+    _, best_travel = held_karp_min_path(inst, travel_objective(6))
     assert route_travel_cost(inst, exact.route) == pytest.approx(best_travel, rel=1e-9)
 
 
 def test_plan_exact_size_limited():
     inst = generate_instance(17, seed=2)
     with pytest.raises(SizeLimitError):
-        plan_exact(inst, inst.regime())
+        plan_exact(inst)
 
 
 def test_forgetting_baseline_under_interior_orders():
     inst = worked_under()
-    result = plan_forgetting_baseline(inst, inst.regime())
+    result = plan_forgetting_baseline(inst)
     assert result.route.order == (1, 2, 0)  # ascending interior, ends at region 1 (0-based 0)
 
-    shuffled = plan_forgetting_baseline(inst, inst.regime(), interior="random", seed=4)
+    shuffled = plan_forgetting_baseline(inst, interior="random", seed=4)
     assert shuffled.route.final_region == 0
     assert sorted(shuffled.route.order) == [0, 1, 2]
-    again = plan_forgetting_baseline(inst, inst.regime(), interior="random", seed=4)
+    again = plan_forgetting_baseline(inst, interior="random", seed=4)
     assert shuffled.route.order == again.route.order
 
     with pytest.raises(ValueError):
-        plan_forgetting_baseline(inst, inst.regime(), interior="sideways")
+        plan_forgetting_baseline(inst, interior="sideways")
 
 
 def test_forgetting_baseline_over_descending_row_sums():
@@ -122,7 +112,7 @@ def test_forgetting_baseline_over_descending_row_sums():
         120,
         100,
     )
-    result = plan_forgetting_baseline(inst, inst.regime())
+    result = plan_forgetting_baseline(inst)
     assert result.route.order == (0, 1, 2)
 
 
@@ -130,15 +120,15 @@ def test_forgetting_baseline_over_tie_keeps_identity():
     delta = np.full((4, 4), 3.0)
     np.fill_diagonal(delta, 0.0)
     inst = manual_instance(delta, np.ones(4), np.zeros((4, 4)), 120, 100)
-    result = plan_forgetting_baseline(inst, inst.regime())
+    result = plan_forgetting_baseline(inst)
     assert result.route.order == (0, 1, 2, 3)
 
 
 def test_random_strategy_seeded():
     inst = generate_instance(8, seed=1)
-    a = plan_random(inst, inst.regime(), seed=5)
-    b = plan_random(inst, inst.regime(), seed=5)
-    c = plan_random(inst, inst.regime(), seed=6)
+    a = plan_random(inst, seed=5)
+    b = plan_random(inst, seed=5)
+    c = plan_random(inst, seed=6)
     assert a.route.order == b.route.order
     assert sorted(a.route.order) == list(range(8))
     assert a.route.order != c.route.order
@@ -146,9 +136,8 @@ def test_random_strategy_seeded():
 
 def test_plan_dispatch_covers_all_strategies():
     inst = generate_instance(5, seed=3)
-    regime = inst.regime()
     for strategy in Strategy:
-        result = plan(inst, regime, strategy, seed=1)
+        result = plan(inst, strategy, seed=1)
         assert isinstance(result, PlanResult)
         assert result.strategy is strategy
         assert result.breakdown.total == loss_upper(inst, result.route).total
@@ -157,12 +146,12 @@ def test_plan_dispatch_covers_all_strategies():
 
 def test_ratio_worked_instance_and_t2():
     inst = worked_under()
-    assert ratio(inst, inst.regime(), Strategy.ALGORITHM1) == 1.0
+    assert ratio(inst, Strategy.ALGORITHM1) == 1.0
 
     rng = np.random.default_rng(11)
     for m in (80, 120):
         inst2 = generate_instance(2, seed=int(rng.integers(1 << 30)), m=m, n=100)
-        assert ratio(inst2, inst2.regime(), Strategy.ALGORITHM1) == 1.0
+        assert ratio(inst2, Strategy.ALGORITHM1) == 1.0
 
 
 def test_ratio_at_least_one_for_every_strategy():
@@ -172,7 +161,7 @@ def test_ratio_at_least_one_for_every_strategy():
             t = int(rng.integers(3, 9))
             inst = generate_instance(t, seed=int(rng.integers(1 << 30)), m=m, n=100)
             for strategy in Strategy:
-                r = ratio(inst, inst.regime(), strategy, seed=2)
+                r = ratio(inst, strategy, seed=2)
                 assert r >= 1.0
 
 
@@ -183,13 +172,13 @@ def test_ratio_over_regime_bound_small_ensemble():
         t = int(rng.integers(4, 10))
         inst = generate_instance(t, seed=int(rng.integers(1 << 30)), m=120, n=100)
         bound = 1.5 + r_param ** (1 - t)
-        assert ratio(inst, inst.regime(), Strategy.ALGORITHM1) <= bound
+        assert ratio(inst, Strategy.ALGORITHM1) <= bound
 
 
 def test_ratio_exclude_constant_flag():
     inst = worked_under()
-    with_c = ratio(inst, inst.regime(), Strategy.FORGETTING, include_constant=True)
-    without_c = ratio(inst, inst.regime(), Strategy.FORGETTING, include_constant=False)
+    with_c = ratio(inst, Strategy.FORGETTING, include_constant=True)
+    without_c = ratio(inst, Strategy.FORGETTING, include_constant=False)
     assert with_c >= 1.0 and without_c >= 1.0
     # dropping the shared constant can only move the ratio away from 1
     assert without_c >= with_c
@@ -203,4 +192,4 @@ def test_over_degenerate_limit_meets_under_style_bound():
         t = int(rng.integers(4, 10))
         base = generate_instance(t, seed=int(rng.integers(1 << 30)), m=120, n=100)
         inst = manual_instance(np.zeros((t, t)), base.delta0, base.costs, 120, 100)
-        assert ratio(inst, inst.regime(), Strategy.ALGORITHM1) <= 1.5
+        assert ratio(inst, Strategy.ALGORITHM1) <= 1.5

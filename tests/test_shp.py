@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clroute import (
+    Objective,
     Route,
     generate_instance,
     held_karp_min_path,
@@ -18,7 +19,6 @@ from clroute.shp import (
     SizeLimitError,
     WorkGraph,
     eulerian_circuit,
-    greedy_perfect_matching,
     min_weight_perfect_matching,
     odd_degree_vertices,
     remove_dummy,
@@ -30,6 +30,7 @@ from helpers import (
     circuit_edge_multiset,
     graph_edge_multiset,
     scan_all_routes,
+    travel_objective,
     worked_under,
 )
 
@@ -151,19 +152,6 @@ def test_matching_dummy_prefers_lowest_region_on_ties():
     assert frozenset({4, 0}) in pairs
 
 
-def test_greedy_matching_never_beats_exact():
-    rng = np.random.default_rng(6)
-    for _ in range(30):
-        t = int(rng.integers(3, 11))
-        inst = generate_instance(t, seed=int(rng.integers(1 << 30)))
-        g = WorkGraph(t, (), inst.costs)
-        odd = tuple(range(t if t % 2 == 0 else t - 1))
-        exact = min_weight_perfect_matching(g, odd)
-        greedy = greedy_perfect_matching(g, odd)
-        assert greedy.weight >= exact.weight - 1e-12
-        assert sorted(v for p in greedy.pairs for v in p) == sorted(odd)
-
-
 def test_euler_worked_instance_circuit():
     g = WorkGraph(3, ((0, 1), (1, 2), (3, 0), (3, 2)), np.zeros((3, 3)))
     trace = eulerian_circuit(g)
@@ -246,14 +234,15 @@ def test_remove_dummy_rejects_interior_dummy():
 
 
 def test_held_karp_worked_instance():
-    route, value = held_karp_min_path(worked_under(), "under")
+    inst = worked_under()
+    route, value = held_karp_min_path(inst, Objective.of(inst))
     assert route.order == (2, 1, 0)
     assert value == pytest.approx(8 / 3 + 0.8, rel=1e-12)
 
 
 def test_held_karp_two_regions_picks_better_route():
     inst = generate_instance(2, seed=5)
-    route, value = held_karp_min_path(inst, "under")
+    route, value = held_karp_min_path(inst, Objective.of(inst))
     candidates = [loss_upper(inst, Route(o)).total for o in [(0, 1), (1, 0)]]
     assert value == pytest.approx(min(candidates), rel=1e-12)
     assert loss_upper(inst, route).total == pytest.approx(value, rel=1e-12)
@@ -264,7 +253,7 @@ def test_held_karp_matches_permutation_scan(objective, m):
     rng = np.random.default_rng(12)
     for _ in range(50):
         inst = generate_instance(7, seed=int(rng.integers(1 << 30)), m=m, n=100)
-        route, value = held_karp_min_path(inst, objective)
+        route, value = held_karp_min_path(inst, Objective.of(inst))
         scan_value, _ = scan_all_routes(inst, objective)
         assert value == pytest.approx(scan_value, rel=1e-9)
         assert loss_upper(inst, route).total == pytest.approx(scan_value, rel=1e-9)
@@ -275,7 +264,7 @@ def test_held_karp_travel_objective_matches_scan():
     for _ in range(20):
         t = int(rng.integers(2, 8))
         inst = generate_instance(t, seed=int(rng.integers(1 << 30)))
-        route, value = held_karp_min_path(inst, "travel")
+        route, value = held_karp_min_path(inst, travel_objective(t))
         scan_value, _ = scan_all_routes(inst, "travel")
         assert value == pytest.approx(scan_value, rel=1e-9)
         assert route_travel_cost(inst, route) == pytest.approx(value, rel=1e-12)
@@ -284,9 +273,9 @@ def test_held_karp_travel_objective_matches_scan():
 def test_held_karp_size_guard():
     inst = generate_instance(HELD_KARP_MAX_T + 1, seed=1)
     with pytest.raises(SizeLimitError, match="approximation"):
-        held_karp_min_path(inst, "under")
+        held_karp_min_path(inst, Objective.of(inst))
 
 
-def test_held_karp_unknown_objective():
-    with pytest.raises(ValueError):
-        held_karp_min_path(worked_under(), "fastest")
+def test_held_karp_rejects_objective_of_another_size():
+    with pytest.raises(ValueError, match="regions"):
+        held_karp_min_path(worked_under(), travel_objective(4))
