@@ -8,6 +8,8 @@ instance format, the route objective (one form for both learning regimes,
 with regime-specific weights), an approximation planner with a 3/2-style
 travel guarantee, an exact small-instance oracle, forgetting-only and
 random baselines, and Monte Carlo verification of the closed-form losses.
+The planners and the verifier alike read the regime from (m, n); no
+function takes it as an argument.
 """
 
 from .instance import (
@@ -40,10 +42,7 @@ from .mc_verify import (
     TaskGroundTruth,
     delta0_vector,
     delta_matrix,
-    forgetting_loss,
     simplex_ground_truth,
-    simulate_sequence_over,
-    simulate_task_under,
     verify_closed_form,
 )
 from .planner import (
@@ -93,10 +92,7 @@ __all__ = [
     "TaskGroundTruth",
     "delta0_vector",
     "delta_matrix",
-    "forgetting_loss",
     "simplex_ground_truth",
-    "simulate_sequence_over",
-    "simulate_task_under",
     "verify_closed_form",
     "PlanResult",
     "Strategy",

@@ -9,7 +9,8 @@ Four subcommands:
   compute loss ratios R = strategy total / exact total, and emit a CSV
   of mean/min/max R per (point, strategy).
 * ``verify`` — Monte Carlo check of both closed-form forgetting losses;
-  exits 5 when any z-score exceeds the threshold.
+  each slot's (m, n) must classify as that slot's regime. Exits 5 when
+  any z-score exceeds the threshold.
 
 Exit codes: 0 success, 2 usage (bad parameters, undefined regime),
 3 I/O or file-format failure, 4 exact-solver size limit, 5 verification
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -29,6 +31,7 @@ from .instance import (
     FormatError,
     ParameterError,
     RegimeError,
+    RegimeKind,
     ValidationError,
     Route,
     classify_regime,
@@ -210,33 +213,29 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.threshold):
+        raise ParameterError(f"threshold must be finite, got {args.threshold}")
+    slots = (("under", args.under_m, args.under_n), ("over", args.over_m, args.over_n))
+    for name, m, n in slots:
+        kind = classify_regime(m, n).kind
+        if kind is not RegimeKind(name):
+            raise ParameterError(
+                f"--{name}-m={m}, --{name}-n={n} is {kind.value}parameterized, "
+                f"not {name}parameterized"
+            )
+
     rng = np.random.default_rng(args.seed)
-    t = args.t
-    route = Route(tuple(range(t)))
+    route = Route(tuple(range(args.t)))
+    reports = {}
+    for name, m, n in slots:
+        truth = simplex_ground_truth(
+            args.t, m, scales=rng.uniform(1.0, 3.0, args.t), sigma2=args.sigma2
+        )
+        reports[name] = verify_closed_form(truth, route, n, args.trials, rng)
 
-    truth_under = simplex_ground_truth(
-        t, args.under_m, scales=rng.uniform(1.0, 3.0, t), sigma2=args.sigma2
-    )
-    report_under = verify_closed_form(
-        truth_under, route, classify_regime(args.under_m, args.under_n),
-        args.under_n, args.trials, rng,
-    )
-
-    truth_over = simplex_ground_truth(
-        t, args.over_m, scales=rng.uniform(1.0, 3.0, t), sigma2=args.sigma2
-    )
-    report_over = verify_closed_form(
-        truth_over, route, classify_regime(args.over_m, args.over_n),
-        args.over_n, args.trials, rng,
-    )
-
-    ok = report_under.z <= args.threshold and report_over.z <= args.threshold
-    doc = {
-        "under": report_under.to_json(),
-        "over": report_over.to_json(),
-        "threshold": args.threshold,
-        "ok": ok,
-    }
+    ok = all(report.z <= args.threshold for report in reports.values())
+    doc = {name: report.to_json() for name, report in reports.items()}
+    doc.update(threshold=args.threshold, ok=ok)
     _write_text(json.dumps(doc, indent=2) + "\n", args.out)
     return 0 if ok else 5
 

@@ -5,12 +5,14 @@ actual learning process: sample features and noisy labels, fit (under) or
 minimum-distance interpolate (over), move to the next region. This module
 runs that process many times and compares the empirical average forgetting
 loss of the final predictor against the closed form, summarized as a
-z-score.
+z-score. ``verify_closed_form`` reads the regime from (m, n); each regime's
+process has one implementation, batched over chunks of trials.
 
-Ground truths are constructed, never estimated: ``simplex_ground_truth``
-places region parameters on scaled coordinate axes so every pairwise
-squared distance (and the distance to the initial predictor) is known
-exactly and can be fed to the closed forms as-is.
+Ground truths are constructed, never estimated: region parameters and the
+initial predictor are given as vectors, so ``delta_matrix`` and
+``delta0_vector`` give the exact squared distances the closed forms take.
+``simplex_ground_truth`` places region parameters on scaled coordinate
+axes, where those distances also have a simple form.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import ParameterError, Regime, RegimeError, Route, classify_regime
+from .instance import ParameterError, Route, classify_regime
 from .loss import closed_form_forgetting_over, closed_form_forgetting_under
 
 _log = logging.getLogger(__name__)
@@ -48,8 +50,8 @@ class TaskGroundTruth:
             raise ValueError(f"w_star must be 2-D (regions x features), got shape {w_star.shape}")
         if w0.shape != (w_star.shape[1],):
             raise ValueError(f"w0 must have length {w_star.shape[1]}, got shape {w0.shape}")
-        if self.sigma2 < 0.0:
-            raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
+        if not (math.isfinite(self.sigma2) and self.sigma2 >= 0.0):
+            raise ParameterError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
         for arr in (w_star, w0):
             arr.flags.writeable = False
         object.__setattr__(self, "w_star", w_star)
@@ -130,72 +132,8 @@ def delta0_vector(truth: TaskGroundTruth) -> np.ndarray:
     return np.sum(d * d, axis=1)
 
 
-def forgetting_loss(truth: TaskGroundTruth, w: np.ndarray) -> float:
-    """Average squared distance from a predictor to every region's parameters."""
-    d = truth.w_star - np.asarray(w, dtype=float)[None, :]
-    return float(np.mean(np.sum(d * d, axis=1)))
-
-
-def simulate_task_under(
-    w_star_t: np.ndarray, m: int, n: int, sigma2: float, rng: np.random.Generator
-) -> np.ndarray:
-    """One underparameterized training run: fresh data, least-squares fit.
-
-    Draws an n x m standard-normal design, labels y = X w* + noise with
-    noise variance sigma2, and solves the normal equations by
-    factorization (no explicit inverse). A singular Gram matrix — a
-    probability-zero event under continuous sampling — is logged and the
-    task data redrawn.
-    """
-    if not classify_regime(m, n).is_under:
-        raise RegimeError(f"simulate_task_under needs n >= m+2, got m={m}, n={n}")
-    w_star_t = np.asarray(w_star_t, dtype=float)
-    if w_star_t.shape != (m,):
-        raise ValueError(f"w_star_t must have length {m}, got shape {w_star_t.shape}")
-    sig = math.sqrt(sigma2)
-    while True:
-        x = rng.standard_normal((n, m))
-        z = sig * rng.standard_normal(n)
-        y = x @ w_star_t + z
-        try:
-            return np.linalg.solve(x.T @ x, x.T @ y)
-        except np.linalg.LinAlgError:
-            _log.warning("singular Gram matrix; redrawing task data")
-
-
-def simulate_sequence_over(
-    truth: TaskGroundTruth, route: Route, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Minimum-distance interpolating updates along a route; returns w_T.
-
-    Every task draws a fresh n x m design and moves the predictor to the
-    nearest point interpolating that task's labels, so the current-task
-    residual is zero after each update (up to solver precision). Singular
-    n x n Gram matrices are logged and the task data redrawn.
-    """
-    m = truth.m_features
-    if not classify_regime(m, n).is_over:
-        raise RegimeError(f"simulate_sequence_over needs m >= n+2, got m={m}, n={n}")
-    if len(route) != truth.t_regions:
-        raise ValueError(f"route length {len(route)} != regions {truth.t_regions}")
-    sig = math.sqrt(truth.sigma2)
-    w = np.array(truth.w0)
-    for region in route.order:
-        while True:
-            x = rng.standard_normal((n, m))
-            z = sig * rng.standard_normal(n)
-            y = x @ truth.w_star[region] + z
-            try:
-                sol = np.linalg.solve(x @ x.T, y - x @ w)
-                break
-            except np.linalg.LinAlgError:
-                _log.warning("singular Gram matrix; redrawing task data")
-        w = w + x.T @ sol
-    return w
-
-
 def _under_losses(
-    truth: TaskGroundTruth, route: Route, n: int, trials: int, rng: np.random.Generator, chunk: int
+    truth: TaskGroundTruth, route: Route, n: int, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Per-trial forgetting losses, underparameterized.
 
@@ -209,7 +147,7 @@ def _under_losses(
     out = np.empty(trials)
     done = 0
     while done < trials:
-        b = min(chunk, trials - done)
+        b = min(_CHUNK, trials - done)
         while True:
             x = rng.standard_normal((b, n, m))
             z = sig * rng.standard_normal((b, n))
@@ -227,7 +165,7 @@ def _under_losses(
 
 
 def _over_losses(
-    truth: TaskGroundTruth, route: Route, n: int, trials: int, rng: np.random.Generator, chunk: int
+    truth: TaskGroundTruth, route: Route, n: int, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Per-trial forgetting losses, overparameterized; full sequence per trial."""
     m = truth.m_features
@@ -235,7 +173,7 @@ def _over_losses(
     out = np.empty(trials)
     done = 0
     while done < trials:
-        b = min(chunk, trials - done)
+        b = min(_CHUNK, trials - done)
         w = np.tile(truth.w0, (b, 1))
         for region in route.order:
             while True:
@@ -260,39 +198,33 @@ def _over_losses(
 def verify_closed_form(
     truth: TaskGroundTruth,
     route: Route,
-    regime: Regime,
     n_samples: int,
     trials: int,
     rng: np.random.Generator,
-    chunk: int = _CHUNK,
 ) -> McReport:
-    """Empirical mean forgetting loss versus the regime's closed form.
+    """Empirical mean forgetting loss versus the closed form of (m, n)'s regime.
 
-    Simulates the learning process ``trials`` times along ``route``,
-    evaluates the forgetting loss of each final predictor, and reports the
-    sample mean, the closed form on the exact ground-truth distances, and
-    the standard error (sample stdev / sqrt(trials)). Per-trial losses are
-    collected into one array and reduced with numpy's pairwise summation,
-    so the report is a pure function of the RNG state, trial count and
-    chunk size.
+    The regime is ``classify_regime(truth.m_features, n_samples)``, which
+    raises RegimeError in the undefined band. Simulates the learning
+    process ``trials`` times along ``route``, evaluates the forgetting loss
+    of each final predictor, and reports the sample mean, the closed form on
+    the exact ground-truth distances, and the standard error (sample stdev /
+    sqrt(trials)). Per-trial losses are collected into one array and reduced
+    with numpy's pairwise summation, so the report is a pure function of the
+    RNG state and the trial count.
     """
     if trials < 100:
         raise ParameterError(f"trials must be >= 100, got {trials}")
-    actual = classify_regime(truth.m_features, n_samples)
-    if actual.kind is not regime.kind:
-        raise RegimeError(
-            f"requested {regime.kind.value} regime but m={truth.m_features}, "
-            f"n={n_samples} is {actual.kind.value}parameterized"
-        )
+    regime = classify_regime(truth.m_features, n_samples)
     if len(route) != truth.t_regions:
         raise ValueError(f"route length {len(route)} != regions {truth.t_regions}")
 
     ordered = truth.w_star[list(route.order)]
     if regime.is_under:
-        losses = _under_losses(truth, route, n_samples, trials, rng, chunk)
+        losses = _under_losses(truth, route, n_samples, trials, rng)
         closed = closed_form_forgetting_under(ordered, truth.sigma2, truth.m_features, n_samples)
     else:
-        losses = _over_losses(truth, route, n_samples, trials, rng, chunk)
+        losses = _over_losses(truth, route, n_samples, trials, rng)
         closed = closed_form_forgetting_over(
             ordered, truth.w0, truth.sigma2, truth.m_features, n_samples
         )

@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 
-from clroute import Objective, ProblemInstance
+from clroute import Objective, ProblemInstance, TaskGroundTruth
 from clroute.shp import EulerTrace, WorkGraph
 
 
@@ -51,6 +51,17 @@ def over_t2() -> ProblemInstance:
         n=4,
         sigma2=0.0,
     )
+
+
+def correlated_ground_truth(rng: np.random.Generator, t: int, m: int) -> TaskGroundTruth:
+    """Region parameters around a shared random mean, mixed across coordinates.
+
+    The initial predictor is random too (w0 != 0) and sigma2 is drawn from
+    [0.1, 2), so no distance in the closed forms is zero or axis-aligned.
+    """
+    mix = rng.normal(size=(m, m))
+    w_star = rng.normal(size=m) + rng.normal(size=(t, m)) @ mix
+    return TaskGroundTruth(w_star, rng.normal(size=m), float(rng.uniform(0.1, 2.0)))
 
 
 def travel_objective(t: int) -> Objective:

@@ -35,10 +35,12 @@ from clroute.shp import (
     odd_degree_vertices,
     tree_with_dummy,
 )
-from helpers import brute_min_matching_weight, circuit_edge_multiset, graph_edge_multiset
-
-UNDER = classify_regime(4, 10)
-OVER = classify_regime(12, 4)
+from helpers import (
+    brute_min_matching_weight,
+    circuit_edge_multiset,
+    correlated_ground_truth,
+    graph_edge_multiset,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -146,19 +148,25 @@ def test_acceptance_06_under_closed_form_monte_carlo():
     for seed, sigma2 in ((601, 0.25), (602, 1.0)):
         truth = simplex_ground_truth(3, 4, scales=np.array([1.0, 1.5, 2.0]), sigma2=sigma2)
         report = verify_closed_form(
-            truth, Route((1, 2, 0)), UNDER, 10, 20_000, np.random.default_rng(seed)
+            truth, Route((1, 2, 0)), 10, 20_000, np.random.default_rng(seed)
         )
         zs[sigma2] = report.z
     # identical region parameters isolate the noise constant m*sigma2/(n-m-1)
     noise_truth = TaskGroundTruth(np.zeros((3, 4)), np.zeros(4), 1.0)
     noise_report = verify_closed_form(
-        noise_truth, Route((0, 1, 2)), UNDER, 10, 20_000, np.random.default_rng(603)
+        noise_truth, Route((0, 1, 2)), 10, 20_000, np.random.default_rng(603)
+    )
+    # correlated region parameters and w0 != 0: distances off the coordinate axes
+    rng = np.random.default_rng(604)
+    corr_report = verify_closed_form(
+        correlated_ground_truth(rng, 3, 4), Route((2, 0, 1)), 10, 20_000, rng
     )
     elapsed = time.perf_counter() - t0
     ok = (
         all(z <= 3.0 for z in zs.values())
         and noise_report.closed_form == 0.8
         and noise_report.z <= 3.0
+        and corr_report.z <= 3.0
         and elapsed < 60.0
     )
     _report(
@@ -166,7 +174,8 @@ def test_acceptance_06_under_closed_form_monte_carlo():
         "underparameterized closed form vs simulation",
         ok,
         f"20000 trials each: z={zs[0.25]:.2f} (sigma2=0.25), z={zs[1.0]:.2f} (1.0), "
-        f"noise constant 0.8 at z={noise_report.z:.2f}, {elapsed:.1f}s",
+        f"noise constant 0.8 at z={noise_report.z:.2f}, correlated w* with w0 != 0 at "
+        f"z={corr_report.z:.2f}, {elapsed:.1f}s",
     )
 
 
@@ -176,17 +185,23 @@ def test_acceptance_07_over_closed_form_monte_carlo():
     for seed, sigma2 in ((701, 0.25), (702, 1.0)):
         truth = simplex_ground_truth(3, 12, scales=np.array([1.0, 1.5, 2.0]), sigma2=sigma2)
         report = verify_closed_form(
-            truth, Route((2, 0, 1)), OVER, 4, 20_000, np.random.default_rng(seed)
+            truth, Route((2, 0, 1)), 4, 20_000, np.random.default_rng(seed)
         )
         zs[sigma2] = report.z
+    # correlated region parameters and w0 != 0: distances off the coordinate axes
+    rng = np.random.default_rng(703)
+    corr_report = verify_closed_form(
+        correlated_ground_truth(rng, 3, 12), Route((1, 2, 0)), 4, 20_000, rng
+    )
     elapsed = time.perf_counter() - t0
-    ok = all(z <= 3.0 for z in zs.values()) and elapsed < 60.0
+    ok = all(z <= 3.0 for z in zs.values()) and corr_report.z <= 3.0 and elapsed < 60.0
     _report(
         7,
         "overparameterized closed form vs simulation",
         ok,
         f"20000 trials each, initial predictor at known distances: "
-        f"z={zs[0.25]:.2f} (sigma2=0.25), z={zs[1.0]:.2f} (1.0), {elapsed:.1f}s",
+        f"z={zs[0.25]:.2f} (sigma2=0.25), z={zs[1.0]:.2f} (1.0), "
+        f"correlated w* with w0 != 0 at z={corr_report.z:.2f}, {elapsed:.1f}s",
     )
 
 

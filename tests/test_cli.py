@@ -251,6 +251,39 @@ def test_verify_rejects_tiny_trial_count(capsys):
     assert "trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--under-m", "12", "--under-n", "4"], "--under-m=12, --under-n=4 is overparameterized"),
+        (["--over-m", "4", "--over-n", "10"], "--over-m=4, --over-n=10 is underparameterized"),
+    ],
+    ids=["under-slot", "over-slot"],
+)
+def test_verify_rejects_slot_dims_of_the_other_regime(capsys, flags, message):
+    assert main(["verify", "--trials", "200", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--sigma2", "-1", "sigma2 must be finite and >= 0, got -1.0"),
+        ("--sigma2", "nan", "sigma2 must be finite and >= 0, got nan"),
+        ("--sigma2", "inf", "sigma2 must be finite and >= 0, got inf"),
+        ("--threshold", "nan", "threshold must be finite, got nan"),
+    ],
+    ids=["sigma2-negative", "sigma2-nan", "sigma2-inf", "threshold-nan"],
+)
+def test_verify_rejects_negative_and_non_finite_inputs(capsys, flag, value, message):
+    assert main(["verify", "--trials", "200", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_module_is_runnable_as_script(tmp_path):
     out = tmp_path / "inst.json"
     # the child imports clroute from where this process found it, whether

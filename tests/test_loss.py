@@ -10,7 +10,6 @@ from clroute import (
     Objective,
     RegimeError,
     Route,
-    TaskGroundTruth,
     best_final_region,
     closed_form_forgetting_over,
     closed_form_forgetting_under,
@@ -20,7 +19,7 @@ from clroute import (
     loss_upper,
 )
 from clroute.loss import r_powers
-from helpers import manual_instance, over_t2, worked_under
+from helpers import correlated_ground_truth, manual_instance, over_t2, worked_under
 
 
 def test_best_final_region_by_row_sums():
@@ -127,10 +126,8 @@ def test_closed_form_equals_loss_upper_on_exact_distances(m, n):
     # objective on the instance whose delta and delta0 are the exact distances
     rng = np.random.default_rng(31)
     for _ in range(20):
-        t = int(rng.integers(2, 7))
-        mix = rng.normal(size=(m, m))
-        w_star = rng.normal(size=m) + rng.normal(size=(t, m)) @ mix
-        truth = TaskGroundTruth(w_star, rng.normal(size=m), float(rng.uniform(0.1, 2.0)))
+        truth = correlated_ground_truth(rng, int(rng.integers(2, 7)), m)
+        t = truth.t_regions
         inst = manual_instance(
             delta_matrix(truth), delta0_vector(truth), np.zeros((t, t)), m, n, truth.sigma2
         )
