@@ -158,6 +158,28 @@ def test_verify_parameter_guards():
         verify_closed_form(simplex_ground_truth(3, 4), Route((0, 1)), 10, 500, rng)
 
 
+def test_simulate_task_under_regime_guard():
+    # the under process starts at n = m + 2; n = m + 1 is the undefined band
+    truth = simplex_ground_truth(2, 4)
+    rng = np.random.default_rng(1)
+    with pytest.raises(RegimeError):
+        verify_closed_form(truth, Route((0, 1)), 5, 500, rng)
+    report = verify_closed_form(truth, Route((0, 1)), 6, 500, rng)
+    assert report.closed_form == closed_form_forgetting_under(truth.w_star, 1.0, 4, 6)
+
+
+def test_simulate_sequence_over_regime_guard():
+    # the over process ends at n = m - 2; n = m - 1 is the undefined band
+    truth = simplex_ground_truth(2, 4)
+    rng = np.random.default_rng(1)
+    with pytest.raises(RegimeError):
+        verify_closed_form(truth, Route((0, 1)), 3, 500, rng)
+    report = verify_closed_form(truth, Route((0, 1)), 2, 500, rng)
+    assert report.closed_form == closed_form_forgetting_over(
+        truth.w_star, truth.w0, 1.0, 4, 2
+    )
+
+
 def test_under_mean_invariant_to_interior_order():
     scales = np.array([1.0, 2.5, 0.5, 1.5])
     truth = simplex_ground_truth(4, 4, scales=scales, sigma2=0.5)
