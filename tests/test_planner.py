@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,23 @@ def test_algorithm1_worked_instance_is_optimal():
     assert result.breakdown.total == pytest.approx(8 / 3 + 0.8, rel=1e-12)
     exact = plan_exact(inst)
     assert result.breakdown.total == exact.breakdown.total
+
+
+# sha256 of the JSON list of (route order, repr of the total) over GOLDEN_CASES
+ALG1_GOLDEN_SHA256 = "571c8540371b324c45d661e814bdf21772f43d9f43e720fcdbe09950fa4c0df7"
+GOLDEN_CASES = 300
+
+
+def test_algorithm1_routes_and_totals_are_pinned():
+    # T runs 2..20 and m cycles over both regimes; any change to a route or
+    # to the last bit of a total changes the digest
+    out = []
+    for i in range(GOLDEN_CASES):
+        inst = generate_instance(2 + i % 19, seed=i, m=(60, 120, 80, 180)[i % 4], n=100)
+        result = plan_algorithm1(inst)
+        out.append((result.route.order, repr(result.breakdown.total)))
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == ALG1_GOLDEN_SHA256
 
 
 def test_algorithm1_route_ends_at_best_final_region():
