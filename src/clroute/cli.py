@@ -9,8 +9,8 @@ Four subcommands:
   compute loss ratios R = strategy total / exact total, and emit a CSV
   of mean/min/max R per (point, strategy).
 * ``verify`` — Monte Carlo check of both closed-form forgetting losses;
-  each slot's (m, n) must classify as that slot's regime. Exits 5 when
-  any z-score exceeds the threshold.
+  each slot's (m, n) must classify as that slot's regime, with
+  |n − m| >= 4. Exits 5 when any z-score exceeds the threshold.
 
 Exit codes: 0 success, 2 usage (bad parameters, undefined regime),
 3 I/O or file-format failure, 4 exact-solver size limit, 5 verification
@@ -222,6 +222,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ParameterError(
                 f"--{name}-m={m}, --{name}-n={n} is {kind.value}parameterized, "
                 f"not {name}parameterized"
+            )
+        if abs(n - m) <= 3:
+            raise ParameterError(
+                f"--{name}-m={m}, --{name}-n={n}: the per-trial loss has no finite "
+                "variance unless |n − m| >= 4, so its z-score means nothing"
             )
 
     rng = np.random.default_rng(args.seed)

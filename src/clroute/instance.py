@@ -97,9 +97,6 @@ class Route:
     def final_region(self) -> int:
         return self.order[-1]
 
-    def reversed(self) -> "Route":
-        return Route(tuple(reversed(self.order)))
-
     def one_based(self) -> tuple[int, ...]:
         return tuple(i + 1 for i in self.order)
 
@@ -233,12 +230,8 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
     regime: Regime | None = None
     try:
         regime = classify_regime(inst.m_features, inst.n_samples)
-    except RegimeError:
-        m, n = inst.m_features, inst.n_samples
-        if m >= 1 and n >= 1:
-            violations.append(f"regime undefined for m ∈ {{n−1,n,n+1}} (m={m}, n={n})")
-        else:
-            violations.append(f"m and n must be >= 1, got m={m}, n={n}")
+    except RegimeError as exc:
+        violations.append(str(exc))
 
     return ValidationReport(tuple(violations), regime)
 

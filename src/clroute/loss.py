@@ -49,12 +49,6 @@ class LossBreakdown:
         """The total, or only its route-dependent part when the constant is left out."""
         return self.total if include_constant else self.forgetting_part + self.travel_part
 
-    def csv_row(self) -> str:
-        return ",".join(
-            f"{v:.12g}"
-            for v in (self.forgetting_part, self.travel_part, self.constant_part, self.total)
-        )
-
 
 def r_powers(r: float, t: int) -> np.ndarray:
     """[r^0, r^1, ..., r^t] by iterated multiplication (no pow), low to high."""
@@ -142,8 +136,10 @@ def best_final_region(inst: ProblemInstance) -> int:
     """Region minimizing the dissimilarity row sum; ties go to the lowest index.
 
     Ending the route there minimizes the forgetting term in the
-    underparameterized objective and is also where the descending-row-sum
-    order of the overparameterized forgetting minimizer ends.
+    underparameterized objective. The descending-row-sum order of the
+    overparameterized forgetting baseline also ends at a minimal row sum,
+    but on ties at the highest tied index (its sort keeps index order
+    within ties), not at the region returned here.
     """
     return int(np.argmin(inst.delta.sum(axis=1)))
 

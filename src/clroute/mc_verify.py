@@ -212,6 +212,11 @@ def verify_closed_form(
     sqrt(trials)). Per-trial losses are collected into one array and reduced
     with numpy's pairwise summation, so the report is a pure function of the
     RNG state and the trial count.
+
+    The z-score needs a finite per-trial variance, which by the
+    inverse-Wishart second moments holds only for |n − m| >= 4. At the
+    regime edge, |n − m| in {2, 3}, the mean is finite but the standard
+    error and z mean nothing; ``cl-route verify`` rejects such dimensions.
     """
     if trials < 100:
         raise ParameterError(f"trials must be >= 100, got {trials}")

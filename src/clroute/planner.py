@@ -2,9 +2,10 @@
 
 Four strategies produce a route and its loss breakdown:
 
-* ``alg1`` — the approximation pipeline: spanning tree, dummy attachment
-  at the best final region, exact matching of odd-degree vertices, Euler
-  circuit, shortcut, dummy removal. Travel cost within 3/2 of the optimal
+* ``alg1`` — the approximation pipeline: spanning tree, a zero-weight
+  dummy (the padded last row and column of the cost matrix) attached at
+  the best final region, exact matching of odd-degree vertices, Euler
+  circuit, shortcut with dummy removal. Travel cost within 3/2 of the optimal
   Hamiltonian path. Every stage is polynomial except the odd-set matching,
   an O(2^k * k) bitmask program over the k odd-degree vertices (k is about
   T/2), so the pipeline as a whole is exponential in T; replacing that
@@ -58,14 +59,13 @@ def plan_algorithm1(inst: ProblemInstance) -> PlanResult:
     """
     t0 = time.perf_counter()
     v_prime = best_final_region(inst)
+    dummy = inst.t_regions
     mst_edges, _ = shp.minimum_spanning_tree(inst.costs)
-    tree = shp.tree_with_dummy(mst_edges, v_prime, inst.costs)
+    tree = mst_edges + ((v_prime, dummy),)
     odd = shp.odd_degree_vertices(tree)
-    matching = shp.min_weight_perfect_matching(tree, odd)
-    multigraph = tree.with_edges(matching.pairs)
-    trace = shp.eulerian_circuit(multigraph)
-    cycle = shp.shortcut_to_hamiltonian(trace, v_prime)
-    route = shp.remove_dummy(cycle, v_prime)
+    pairs, _ = shp.min_weight_perfect_matching(np.pad(inst.costs, (0, 1)), odd)
+    circuit = shp.eulerian_circuit(tree + pairs, dummy)
+    route = shp.shortcut_to_hamiltonian(circuit, v_prime)
     return _finish(inst, route, Strategy.ALGORITHM1, t0)
 
 

@@ -2,11 +2,13 @@
 
 The route builder works on an augmented complete graph: the T regions with
 their metric travel costs, plus one dummy vertex connected to every region
-at weight zero. Anchoring the dummy next to a chosen final region turns the
-classic tree + matching + Euler-circuit cycle construction into a path
-construction with a fixed endpoint.
+at weight zero. The graph is data, not a class: its weights are the cost
+matrix padded with one zero row and column, ``np.pad(costs, (0, 1))``, and
+a multigraph is a tuple of (u, v) edges. Anchoring the dummy next to a
+chosen final region turns the classic tree + matching + Euler-circuit cycle
+construction into a path construction with a fixed endpoint.
 
-Internally regions are 0..T-1 and the dummy vertex is index T. Every
+Regions are 0..T-1 and the dummy is the padded last vertex, T. Every
 operation is deterministic: ties are broken lexicographically and the
 Euler walk consumes neighbors in ascending vertex order.
 
@@ -18,7 +20,7 @@ subset size) fixes each region's recency weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,52 +39,6 @@ class SizeLimitError(ValueError):
 
 class InvariantViolation(RuntimeError):
     """A structural guarantee of the construction failed; indicates a bug."""
-
-
-@dataclass(frozen=True)
-class WorkGraph:
-    """Multigraph over regions 0..n_real-1 plus the dummy vertex n_real.
-
-    ``edges`` is the multi-edge list (parallel edges allowed); ``costs``
-    supplies real-edge weights, and any edge touching the dummy weighs zero.
-    """
-
-    n_real: int
-    edges: tuple[tuple[int, int], ...]
-    costs: np.ndarray
-
-    @property
-    def dummy(self) -> int:
-        return self.n_real
-
-    def weight(self, u: int, v: int) -> float:
-        if u == self.dummy or v == self.dummy:
-            return 0.0
-        return float(self.costs[u, v])
-
-    def total_weight(self) -> float:
-        return sum(self.weight(u, v) for u, v in self.edges)
-
-    def with_edges(self, extra: tuple[tuple[int, int], ...]) -> "WorkGraph":
-        return WorkGraph(self.n_real, self.edges + extra, self.costs)
-
-
-@dataclass(frozen=True)
-class MatchingResult:
-    """Disjoint vertex pairs covering a vertex set, with total weight."""
-
-    pairs: tuple[tuple[int, int], ...]
-    weight: float
-
-
-@dataclass(frozen=True)
-class EulerTrace:
-    """Closed walk as a vertex sequence; consecutive entries are the edges."""
-
-    circuit: tuple[int, ...]
-
-    def edge_count(self) -> int:
-        return len(self.circuit) - 1
 
 
 def minimum_spanning_tree(costs: np.ndarray) -> tuple[tuple[tuple[int, int], ...], float]:
@@ -112,42 +68,31 @@ def minimum_spanning_tree(costs: np.ndarray) -> tuple[tuple[tuple[int, int], ...
     return tuple(chosen), weight
 
 
-def tree_with_dummy(
-    mst_edges: tuple[tuple[int, int], ...], v_prime: int, costs: np.ndarray
-) -> WorkGraph:
-    """Attach the zero-weight dummy vertex to the chosen final region."""
-    n = costs.shape[0]
-    return WorkGraph(n, mst_edges + ((v_prime, n),), costs)
+def odd_degree_vertices(edges: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """Vertices of odd degree in the multigraph given by its edge list, ascending."""
+    degree = Counter(v for edge in edges for v in edge)
+    return tuple(sorted(v for v, d in degree.items() if d % 2 == 1))
 
 
-def odd_degree_vertices(g: WorkGraph) -> tuple[int, ...]:
-    """Vertices of odd degree in the multigraph, ascending (dummy last)."""
-    degree = [0] * (g.n_real + 1)
-    for u, v in g.edges:
-        degree[u] += 1
-        degree[v] += 1
-    odd = tuple(v for v in range(g.n_real + 1) if degree[v] % 2 == 1)
-    if len(odd) % 2 != 0:
-        raise InvariantViolation("odd-degree vertex count must be even")
-    return odd
-
-
-def min_weight_perfect_matching(g: WorkGraph, odd: tuple[int, ...]) -> MatchingResult:
+def min_weight_perfect_matching(
+    w: np.ndarray, odd: tuple[int, ...]
+) -> tuple[tuple[tuple[int, int], ...], float]:
     """Exact minimum-weight perfect matching on the vertices in ``odd``.
 
-    Bitmask dynamic program, O(2^k * k) for k odd vertices: each state pairs
-    its lowest-order unmatched vertex with every alternative. The dummy is
-    placed first in the bit order so that, among equally cheap optima, it
-    pairs with the lowest region index.
+    ``w`` is the padded weight matrix, whose last vertex is the dummy.
+    Returns the pairs and their total weight. Bitmask dynamic program,
+    O(2^k * k) for k odd vertices: each state pairs its lowest-order
+    unmatched vertex with every alternative. The dummy is placed first in
+    the bit order so that, among equally cheap optima, it pairs with the
+    lowest region index.
     """
     if len(odd) % 2 != 0:
         raise InvariantViolation("cannot perfectly match an odd number of vertices")
-    if not odd:
-        return MatchingResult((), 0.0)
 
-    verts = sorted(odd, key=lambda v: (v != g.dummy, v))
+    dummy = w.shape[0] - 1
+    verts = sorted(odd, key=lambda v: (v != dummy, v))
     k = len(verts)
-    w = [[g.weight(a, b) for b in verts] for a in verts]
+    sub = w[np.ix_(verts, verts)].tolist()
 
     full = (1 << k) - 1
     inf = float("inf")
@@ -163,7 +108,7 @@ def min_weight_perfect_matching(g: WorkGraph, odd: tuple[int, ...]) -> MatchingR
         while j_bits:
             j = (j_bits & -j_bits).bit_length() - 1
             j_bits &= j_bits - 1
-            cand = dp[rest ^ (1 << j)] + w[i][j]
+            cand = dp[rest ^ (1 << j)] + sub[i][j]
             if cand < dp[mask]:
                 dp[mask] = cand
                 choice[mask] = (i, j)
@@ -174,30 +119,28 @@ def min_weight_perfect_matching(g: WorkGraph, odd: tuple[int, ...]) -> MatchingR
         i, j = choice[mask]
         pairs.append((verts[i], verts[j]))
         mask ^= (1 << i) | (1 << j)
-    return MatchingResult(tuple(pairs), dp[full])
+    return tuple(pairs), dp[full]
 
 
-def eulerian_circuit(h: WorkGraph) -> EulerTrace:
-    """Hierholzer walk over every multigraph edge, starting at the dummy.
+def eulerian_circuit(edges: tuple[tuple[int, int], ...], start: int) -> tuple[int, ...]:
+    """Hierholzer walk over every multigraph edge, from ``start`` back to it.
 
     Neighbors are consumed in ascending vertex order (parallel edges in
     insertion order), so the circuit is reproducible.
     """
-    n = h.n_real + 1
+    n = 1 + max([start, *map(max, edges)])
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(h.edges):
+    for eid, (u, v) in enumerate(edges):
         adj[u].append((v, eid))
         adj[v].append((u, eid))
     for v in range(n):
-        if adj[v] and len(adj[v]) % 2 != 0:
+        if len(adj[v]) % 2 != 0:
             raise InvariantViolation(f"vertex {v} has odd degree {len(adj[v])}")
         adj[v].sort()
-
-    start = h.dummy
     if not adj[start]:
-        raise InvariantViolation("dummy vertex has no incident edges")
+        raise InvariantViolation(f"start vertex {start} has no incident edges")
 
-    used = [False] * len(h.edges)
+    used = [False] * len(edges)
     ptr = [0] * n
     stack = [start]
     walked: list[int] = []
@@ -220,50 +163,32 @@ def eulerian_circuit(h: WorkGraph) -> EulerTrace:
     if not all(used):
         raise InvariantViolation("multigraph is not connected; no Eulerian circuit")
     walked.reverse()
-    return EulerTrace(tuple(walked))
+    return tuple(walked)
 
 
-def shortcut_to_hamiltonian(trace: EulerTrace, v_prime: int) -> tuple[int, ...]:
-    """Skip repeat visits in the circuit, keeping the final region next to the dummy.
+def shortcut_to_hamiltonian(circuit: tuple[int, ...], v_prime: int) -> Route:
+    """Skip repeat visits in a circuit through the dummy; the route ends at v_prime.
 
-    The walk direction is re-anchored (reversed) if needed so that v_prime
-    is the first vertex after the dummy; its kept occurrence is therefore
-    always the one adjacent to the dummy. Under metric costs the shortcut
-    never increases total weight.
+    The circuit starts and ends at the dummy, which must not appear in
+    between. Its direction is re-anchored (reversed) if needed so that
+    v_prime is the first vertex after the dummy; the kept occurrence of
+    v_prime is therefore the one adjacent to the dummy. Dropping the dummy
+    and its two zero-weight edges leaves a path, returned oriented to end
+    at v_prime. Under metric costs the shortcut never increases weight.
     """
-    seq = list(trace.circuit)
+    seq = list(circuit)
     if len(seq) < 3 or seq[0] != seq[-1]:
-        raise InvariantViolation("trace is not a closed circuit")
+        raise InvariantViolation("not a closed circuit")
     if seq[1] != v_prime:
         if seq[-2] == v_prime:
             seq.reverse()
         else:
             raise InvariantViolation("circuit does not keep the dummy next to the final region")
-
-    dummy = seq[0]
-    cycle = [dummy]
-    seen = {dummy}
-    for v in seq[1:-1]:
-        if v not in seen:
-            cycle.append(v)
-            seen.add(v)
-    cycle.append(dummy)
-    return tuple(cycle)
-
-
-def remove_dummy(cycle: tuple[int, ...], v_prime: int) -> Route:
-    """Drop the dummy and its two zero-weight edges; orient to end at v_prime."""
-    if len(cycle) < 3 or cycle[0] != cycle[-1]:
-        raise InvariantViolation("not a closed cycle")
-    dummy = cycle[0]
-    path = list(cycle[1:-1])
-    if dummy in path:
-        raise InvariantViolation("dummy vertex appears inside the cycle")
-    if path[0] == v_prime:
-        path.reverse()
-    elif path[-1] != v_prime:
-        raise InvariantViolation("dummy vertex is not adjacent to the final region")
-    return Route(tuple(path))
+    inner = seq[1:-1]
+    if seq[0] in inner:
+        raise InvariantViolation("dummy vertex appears inside the circuit")
+    first_visits = dict.fromkeys(inner)  # each vertex once, in walk order
+    return Route(tuple(reversed(first_visits)))
 
 
 def route_travel_cost(inst: ProblemInstance, route: Route) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from clroute import (
@@ -30,7 +31,6 @@ from clroute.shp import (
     min_weight_perfect_matching,
     minimum_spanning_tree,
     odd_degree_vertices,
-    tree_with_dummy,
 )
 from helpers import travel_objective
 
@@ -84,8 +84,10 @@ def build_pipeline_ensemble(m: int) -> tuple[list[PipelineRecord], float]:
         _, opt_travel = held_karp_min_path(inst, travel_objective(inst.t_regions))
         v_prime = best_final_region(inst)
         mst_edges, mst_weight = minimum_spanning_tree(inst.costs)
-        tree = tree_with_dummy(mst_edges, v_prime, inst.costs)
-        matching = min_weight_perfect_matching(tree, odd_degree_vertices(tree))
+        tree = mst_edges + ((v_prime, inst.t_regions),)
+        _, matching_weight = min_weight_perfect_matching(
+            np.pad(inst.costs, (0, 1)), odd_degree_vertices(tree)
+        )
         records.append(
             PipelineRecord(
                 seed,
@@ -94,7 +96,7 @@ def build_pipeline_ensemble(m: int) -> tuple[list[PipelineRecord], float]:
                 exact,
                 opt_travel,
                 mst_weight,
-                matching.weight,
+                matching_weight,
                 route_travel_cost(inst, approx.route),
             )
         )

@@ -13,7 +13,6 @@ from collections import Counter
 import numpy as np
 
 from clroute import Objective, ProblemInstance, TaskGroundTruth
-from clroute.shp import EulerTrace, WorkGraph
 
 
 def manual_instance(delta, delta0, costs, m, n, sigma2=1.0) -> ProblemInstance:
@@ -106,9 +105,9 @@ def all_perfect_matchings(verts: tuple[int, ...]):
             yield ((a, b),) + sub
 
 
-def brute_min_matching_weight(g: WorkGraph, odd: tuple[int, ...]) -> float:
+def brute_min_matching_weight(w: np.ndarray, odd: tuple[int, ...]) -> float:
     return min(
-        sum(g.weight(a, b) for a, b in pairing) for pairing in all_perfect_matchings(odd)
+        sum(float(w[a, b]) for a, b in pairing) for pairing in all_perfect_matchings(odd)
     )
 
 
@@ -116,10 +115,9 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
-def graph_edge_multiset(g: WorkGraph) -> Counter:
-    return Counter(edge_key(u, v) for u, v in g.edges)
+def graph_edge_multiset(edges: tuple[tuple[int, int], ...]) -> Counter:
+    return Counter(edge_key(u, v) for u, v in edges)
 
 
-def circuit_edge_multiset(trace: EulerTrace) -> Counter:
-    seq = trace.circuit
-    return Counter(edge_key(a, b) for a, b in zip(seq[:-1], seq[1:]))
+def circuit_edge_multiset(circuit: tuple[int, ...]) -> Counter:
+    return Counter(edge_key(a, b) for a, b in zip(circuit[:-1], circuit[1:]))

@@ -33,7 +33,6 @@ from clroute.shp import (
     min_weight_perfect_matching,
     minimum_spanning_tree,
     odd_degree_vertices,
-    tree_with_dummy,
 )
 from helpers import (
     brute_min_matching_weight,
@@ -232,15 +231,16 @@ def test_acceptance_09_structural_property_sweep():
         inst = generate_instance(t, int(rng.integers(1 << 30)), m=80, n=100)
         v_prime = best_final_region(inst)
         mst_edges, _ = minimum_spanning_tree(inst.costs)
-        tree = tree_with_dummy(mst_edges, v_prime, inst.costs)
+        tree = mst_edges + ((v_prime, t),)
         odd = odd_degree_vertices(tree)
-        matching = min_weight_perfect_matching(tree, odd)
-        if abs(matching.weight - brute_min_matching_weight(tree, odd)) > 1e-9:
+        w = np.pad(inst.costs, (0, 1))
+        pairs, weight = min_weight_perfect_matching(w, odd)
+        if abs(weight - brute_min_matching_weight(w, odd)) > 1e-9:
             mismatches["matching"] += 1
         cases += 1
-        multigraph = tree.with_edges(matching.pairs)
-        trace = eulerian_circuit(multigraph)
-        if circuit_edge_multiset(trace) != graph_edge_multiset(multigraph):
+        multigraph = tree + pairs
+        circuit = eulerian_circuit(multigraph, t)
+        if circuit_edge_multiset(circuit) != graph_edge_multiset(multigraph):
             mismatches["euler"] += 1
         cases += 1
         route = plan_algorithm1(inst).route

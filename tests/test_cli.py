@@ -267,6 +267,26 @@ def test_verify_rejects_slot_dims_of_the_other_regime(capsys, flags, message):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [
+        ["--under-m", "4", "--under-n", "6"],
+        ["--under-m", "4", "--under-n", "7"],
+        ["--over-m", "6", "--over-n", "4"],
+        ["--over-m", "7", "--over-n", "4"],
+    ],
+    ids=["under-4-6", "under-4-7", "over-6-4", "over-7-4"],
+)
+def test_verify_rejects_slot_dims_at_the_regime_edge(capsys, flags):
+    # at |n - m| in {2, 3} the per-trial loss has a finite mean but no finite variance
+    assert main(["verify", "--trials", "200", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1
+    assert f"{flags[0]}={flags[1]}, {flags[2]}={flags[3]}" in captured.err
+    assert "|n − m| >= 4" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "flag,value,message",
     [
         ("--sigma2", "-1", "sigma2 must be finite and >= 0, got -1.0"),

@@ -55,7 +55,6 @@ def test_route_accessors():
     route = Route((2, 0, 1))
     assert len(route) == 3
     assert route.final_region == 1
-    assert route.reversed().order == (1, 0, 2)
     assert route.one_based() == (3, 1, 2)
 
 

@@ -14,16 +14,12 @@ from clroute import (
 )
 from clroute.shp import (
     HELD_KARP_MAX_T,
-    EulerTrace,
     InvariantViolation,
     SizeLimitError,
-    WorkGraph,
     eulerian_circuit,
     min_weight_perfect_matching,
     odd_degree_vertices,
-    remove_dummy,
     shortcut_to_hamiltonian,
-    tree_with_dummy,
 )
 from helpers import (
     brute_min_matching_weight,
@@ -72,32 +68,27 @@ def test_mst_weight_matches_reference_on_random_instances():
 def test_dummy_attachment_and_degrees_worked_instance():
     inst = worked_under()
     edges, _ = minimum_spanning_tree(inst.costs)
-    tree = tree_with_dummy(edges, 0, inst.costs)
-    assert tree.dummy == 3
-    assert (0, 3) in tree.edges
-    assert tree.weight(0, 3) == 0.0
+    w = np.pad(inst.costs, (0, 1))
+    assert w.shape == (4, 4)
+    assert w[0, 3] == w[3, 0] == 0.0
+    tree = edges + ((0, 3),)
     # degrees v0:1, region1:2, region2:2, region3:1 -> O = {region3, v0}
     assert odd_degree_vertices(tree) == (2, 3)
 
 
 def test_odd_vertices_path_tree_with_dummy_at_endpoint():
-    costs = np.zeros((4, 4))
-    tree = WorkGraph(4, ((0, 1), (1, 2), (2, 3), (0, 4)), costs)
-    assert odd_degree_vertices(tree) == (3, 4)
+    assert odd_degree_vertices(((0, 1), (1, 2), (2, 3), (0, 4))) == (3, 4)
 
 
 def test_odd_vertices_star_tree():
-    costs = np.zeros((4, 4))
-    tree = WorkGraph(4, ((0, 1), (0, 2), (0, 3), (0, 4)), costs)
-    assert odd_degree_vertices(tree) == (1, 2, 3, 4)
+    assert odd_degree_vertices(((0, 1), (0, 2), (0, 3), (0, 4))) == (1, 2, 3, 4)
 
 
 def test_matching_dummy_pair_is_free():
-    inst = worked_under()
-    g = WorkGraph(3, (), inst.costs)
-    result = min_weight_perfect_matching(g, (2, 3))
-    assert result.weight == 0.0
-    assert {frozenset(p) for p in result.pairs} == {frozenset({2, 3})}
+    w = np.pad(worked_under().costs, (0, 1))
+    pairs, weight = min_weight_perfect_matching(w, (2, 3))
+    assert weight == 0.0
+    assert {frozenset(p) for p in pairs} == {frozenset({2, 3})}
 
 
 def test_matching_four_vertices_hand_checked():
@@ -110,22 +101,18 @@ def test_matching_four_vertices_hand_checked():
         ],
         float,
     )
-    g = WorkGraph(4, (), costs)
-    result = min_weight_perfect_matching(g, (0, 1, 2, 3))
-    assert result.weight == 2.0
-    assert {frozenset(p) for p in result.pairs} == {frozenset({0, 1}), frozenset({2, 3})}
+    pairs, weight = min_weight_perfect_matching(np.pad(costs, (0, 1)), (0, 1, 2, 3))
+    assert weight == 2.0
+    assert {frozenset(p) for p in pairs} == {frozenset({0, 1}), frozenset({2, 3})}
 
 
 def test_matching_empty_set():
-    g = WorkGraph(3, (), np.zeros((3, 3)))
-    assert min_weight_perfect_matching(g, ()).pairs == ()
-    assert min_weight_perfect_matching(g, ()).weight == 0.0
+    assert min_weight_perfect_matching(np.zeros((4, 4)), ()) == ((), 0.0)
 
 
 def test_matching_odd_count_is_invariant_violation():
-    g = WorkGraph(3, (), np.zeros((3, 3)))
     with pytest.raises(InvariantViolation):
-        min_weight_perfect_matching(g, (0, 1, 2))
+        min_weight_perfect_matching(np.zeros((4, 4)), (0, 1, 2))
 
 
 def test_matching_equals_brute_force_on_random_graphs():
@@ -133,85 +120,91 @@ def test_matching_equals_brute_force_on_random_graphs():
     for _ in range(60):
         t = int(rng.integers(2, 10))
         inst = generate_instance(t, seed=int(rng.integers(1 << 30)))
-        g = WorkGraph(t, (), inst.costs)
+        w = np.pad(inst.costs, (0, 1))
         verts = list(range(t + 1))  # include the dummy
         rng.shuffle(verts)
         k = 2 * int(rng.integers(1, (t + 1) // 2 + 1))
         odd = tuple(sorted(verts[:k]))
-        result = min_weight_perfect_matching(g, odd)
-        assert result.weight == pytest.approx(brute_min_matching_weight(g, odd), rel=1e-12)
-        matched = sorted(v for pair in result.pairs for v in pair)
+        pairs, weight = min_weight_perfect_matching(w, odd)
+        assert weight == pytest.approx(brute_min_matching_weight(w, odd), rel=1e-12)
+        matched = sorted(v for pair in pairs for v in pair)
         assert matched == sorted(odd)
 
 
 def test_matching_dummy_prefers_lowest_region_on_ties():
     # all-zero costs: every matching weighs 0; dummy must pair with region 0
-    g = WorkGraph(4, (), np.zeros((4, 4)))
-    result = min_weight_perfect_matching(g, (0, 1, 2, 4))
-    pairs = {frozenset(p) for p in result.pairs}
-    assert frozenset({4, 0}) in pairs
+    pairs, _ = min_weight_perfect_matching(np.zeros((5, 5)), (0, 1, 2, 4))
+    assert frozenset({4, 0}) in {frozenset(p) for p in pairs}
 
 
 def test_euler_worked_instance_circuit():
-    g = WorkGraph(3, ((0, 1), (1, 2), (3, 0), (3, 2)), np.zeros((3, 3)))
-    trace = eulerian_circuit(g)
-    assert trace.circuit == (3, 0, 1, 2, 3)
+    assert eulerian_circuit(((0, 1), (1, 2), (3, 0), (3, 2)), 3) == (3, 0, 1, 2, 3)
 
 
 def test_euler_doubled_dummy_edge():
-    g = WorkGraph(1, ((0, 1), (0, 1)), np.zeros((1, 1)))
-    assert eulerian_circuit(g).circuit == (1, 0, 1)
+    assert eulerian_circuit(((0, 1), (0, 1)), 1) == (1, 0, 1)
 
 
 def test_euler_triangle_plus_doubled_dummy():
-    g = WorkGraph(3, ((0, 1), (1, 2), (0, 2), (3, 0), (3, 0)), np.zeros((3, 3)))
-    trace = eulerian_circuit(g)
-    assert trace.edge_count() == 5
-    assert trace.circuit[0] == trace.circuit[-1] == 3
-    assert circuit_edge_multiset(trace) == graph_edge_multiset(g)
+    edges = ((0, 1), (1, 2), (0, 2), (3, 0), (3, 0))
+    circuit = eulerian_circuit(edges, 3)
+    assert len(circuit) - 1 == 5
+    assert circuit[0] == circuit[-1] == 3
+    assert circuit_edge_multiset(circuit) == graph_edge_multiset(edges)
 
 
 def test_euler_rejects_odd_degree():
-    g = WorkGraph(2, ((0, 1), (1, 2), (0, 2), (0, 1)), np.zeros((2, 2)))
-    with pytest.raises(InvariantViolation):
-        eulerian_circuit(g)
+    with pytest.raises(InvariantViolation, match="odd degree"):
+        eulerian_circuit(((0, 1), (1, 2), (0, 2), (0, 1)), 2)
 
 
 def test_euler_rejects_disconnected_multigraph():
-    g = WorkGraph(4, ((4, 0), (4, 0), (1, 2), (2, 3), (1, 3)), np.zeros((4, 4)))
-    with pytest.raises(InvariantViolation):
-        eulerian_circuit(g)
+    with pytest.raises(InvariantViolation, match="not connected"):
+        eulerian_circuit(((4, 0), (4, 0), (1, 2), (2, 3), (1, 3)), 4)
+
+
+def test_euler_rejects_start_without_edges():
+    with pytest.raises(InvariantViolation, match="no incident edges"):
+        eulerian_circuit(((0, 1), (0, 1)), 2)
 
 
 def test_shortcut_no_repeats_unchanged():
-    trace = EulerTrace((3, 0, 1, 2, 3))
-    assert shortcut_to_hamiltonian(trace, 0) == (3, 0, 1, 2, 3)
+    # the route is the circuit's interior, reversed so that it ends at v'
+    assert shortcut_to_hamiltonian((4, 0, 2, 1, 3, 4), 0).order == (3, 1, 2, 0)
 
 
 def test_shortcut_skips_second_visit():
-    trace = EulerTrace((3, 0, 1, 0, 2, 3))
-    assert shortcut_to_hamiltonian(trace, 0) == (3, 0, 1, 2, 3)
+    assert shortcut_to_hamiltonian((3, 0, 1, 0, 2, 3), 0).order == (2, 1, 0)
 
 
 def test_shortcut_keeps_v_prime_next_to_dummy_by_reversing():
     # v' = 0 repeats; only the occurrence adjacent to the dummy survives
-    trace = EulerTrace((3, 1, 0, 2, 0, 3))
-    cycle = shortcut_to_hamiltonian(trace, 0)
-    assert cycle == (3, 0, 2, 1, 3)
-    assert cycle[1] == 0
+    route = shortcut_to_hamiltonian((3, 1, 0, 2, 0, 3), 0)
+    assert route.order == (1, 2, 0)
+    assert route.final_region == 0
 
 
 def test_shortcut_rejects_broken_anchor():
-    with pytest.raises(InvariantViolation):
-        shortcut_to_hamiltonian(EulerTrace((3, 1, 0, 2, 3)), 0)
+    with pytest.raises(InvariantViolation, match="final region"):
+        shortcut_to_hamiltonian((3, 1, 0, 2, 3), 0)
+
+
+# Dropping the dummy and its two zero-weight edges is the last step of
+# shortcut_to_hamiltonian.
 
 
 def test_remove_dummy_worked_cycle():
-    assert remove_dummy((3, 0, 1, 2, 3), 0).order == (2, 1, 0)
+    inst = worked_under()
+    edges, _ = minimum_spanning_tree(inst.costs)
+    tree = edges + ((0, 3),)
+    pairs, _ = min_weight_perfect_matching(np.pad(inst.costs, (0, 1)), odd_degree_vertices(tree))
+    circuit = eulerian_circuit(tree + pairs, 3)
+    assert circuit == (3, 0, 1, 2, 3)
+    assert shortcut_to_hamiltonian(circuit, 0).order == (2, 1, 0)
 
 
 def test_remove_dummy_two_regions():
-    assert remove_dummy((2, 1, 0, 2), 0).order == (1, 0)
+    assert shortcut_to_hamiltonian((2, 1, 0, 2), 0).order == (1, 0)
 
 
 def test_remove_dummy_weight_preserved():
@@ -219,18 +212,19 @@ def test_remove_dummy_weight_preserved():
     for _ in range(20):
         t = int(rng.integers(2, 9))
         inst = generate_instance(t, seed=int(rng.integers(1 << 30)))
+        w = np.pad(inst.costs, (0, 1))
         perm = [int(v) for v in rng.permutation(t)]
         v_prime = perm[0]
         cycle = tuple([t] + perm + [t])
-        route = remove_dummy(cycle, v_prime)
-        g = WorkGraph(t, tuple(zip(cycle[:-1], cycle[1:])), inst.costs)
-        assert route_travel_cost(inst, route) == pytest.approx(g.total_weight(), rel=1e-12)
+        route = shortcut_to_hamiltonian(cycle, v_prime)
+        cycle_weight = sum(float(w[a, b]) for a, b in zip(cycle[:-1], cycle[1:]))
+        assert route_travel_cost(inst, route) == pytest.approx(cycle_weight, rel=1e-12)
         assert route.final_region == v_prime
 
 
 def test_remove_dummy_rejects_interior_dummy():
-    with pytest.raises(InvariantViolation):
-        remove_dummy((3, 0, 3, 1, 3), 0)
+    with pytest.raises(InvariantViolation, match="inside"):
+        shortcut_to_hamiltonian((3, 0, 3, 1, 3), 0)
 
 
 def test_held_karp_worked_instance():
