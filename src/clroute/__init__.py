@@ -7,9 +7,10 @@ route, and a route-independent noise constant. This package provides the
 instance format, the route objective (one form for both learning regimes,
 with regime-specific weights), an approximation planner with a 3/2-style
 travel guarantee, an exact small-instance oracle, forgetting-only and
-random baselines, and Monte Carlo verification of the closed-form losses.
-The planners and the verifier alike read the regime from (m, n); no
-function takes it as an argument.
+random baselines, and Monte Carlo verification of the closed-form loss.
+The planners, the one closed form and the verifier alike read the regime
+from (m, n); no function takes it as an argument, and no public name is
+split by regime.
 """
 
 from .instance import (
@@ -33,8 +34,7 @@ from .loss import (
     LossBreakdown,
     Objective,
     best_final_region,
-    closed_form_forgetting_over,
-    closed_form_forgetting_under,
+    closed_form_forgetting,
     loss_upper,
 )
 from .mc_verify import (
@@ -53,7 +53,6 @@ from .planner import (
     plan_exact,
     plan_forgetting_baseline,
     plan_random,
-    ratio,
 )
 from .shp import (
     HELD_KARP_MAX_T,
@@ -85,8 +84,7 @@ __all__ = [
     "LossBreakdown",
     "Objective",
     "best_final_region",
-    "closed_form_forgetting_over",
-    "closed_form_forgetting_under",
+    "closed_form_forgetting",
     "loss_upper",
     "McReport",
     "TaskGroundTruth",
@@ -101,7 +99,6 @@ __all__ = [
     "plan_exact",
     "plan_forgetting_baseline",
     "plan_random",
-    "ratio",
     "HELD_KARP_MAX_T",
     "InvariantViolation",
     "SizeLimitError",

@@ -12,9 +12,10 @@ Four subcommands:
   each slot's (m, n) must classify as that slot's regime, with
   |n − m| >= 4. Exits 5 when any z-score exceeds the threshold.
 
-Exit codes: 0 success, 2 usage (bad parameters, undefined regime),
-3 I/O or file-format failure, 4 exact-solver size limit, 5 verification
-failure.
+Exit codes: 0 success, 2 usage (bad parameters such as a negative
+``--seed``, undefined regime, an invalid instance or one whose loss does
+not fit a float), 3 I/O or file-format failure (undecodable bytes
+included), 4 exact-solver size limit, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_plan(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
     strategy = Strategy(args.strategy)
-    result = plan(inst, strategy, seed=args.seed, interior=args.interior)
+    result = plan(inst, strategy, seed=args.seed)
     b = result.breakdown
     if args.format == "json":
         doc = {
@@ -270,12 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", choices=[s.value for s in Strategy], default=Strategy.ALGORITHM1.value
     )
     p.add_argument("--seed", type=int, default=0, help="seed for randomized strategies")
-    p.add_argument(
-        "--interior",
-        choices=["ascending", "random"],
-        default="ascending",
-        help="interior order of the underparameterized forgetting baseline",
-    )
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_plan)
 
@@ -318,6 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:  # every subcommand has --seed
+            raise ParameterError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ParameterError, RegimeError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

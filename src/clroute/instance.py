@@ -59,10 +59,6 @@ class Regime:
     def is_under(self) -> bool:
         return self.kind is RegimeKind.UNDER
 
-    @property
-    def is_over(self) -> bool:
-        return self.kind is RegimeKind.OVER
-
 
 def classify_regime(m: int, n: int) -> Regime:
     """Classify (m, n) as under- or overparameterized.
@@ -326,14 +322,16 @@ def write_instance(inst: ProblemInstance, path: str | Path) -> None:
 def read_instance(path: str | Path) -> ProblemInstance:
     """Parse and validate an instance file.
 
-    Raises FormatError for JSON syntax problems or missing, mistyped or
-    ragged fields (naming the field), ValidationError when the parsed
-    instance violates an invariant, non-finite numbers included.
+    Raises FormatError for undecodable bytes, JSON syntax problems or
+    missing, mistyped or ragged fields (naming the field), ValidationError
+    when the parsed instance violates an invariant, non-finite numbers too.
     """
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top-level value must be an object")

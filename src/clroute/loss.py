@@ -15,21 +15,23 @@ Both regimes minimize one objective; they differ only in its weights:
   are discounted geometrically: a_p = (1-r)*r^(T-p)/T, e = 0,
   offset = r^T/T * sum_i delta0[i] and noise = (1-r^T)*m*sigma2/(m-n-1).
 
-:class:`Objective` derives these weights, and nothing else does. The
+:class:`Objective` derives these weights, and nothing else does; it
+raises ValidationError when one of them does not fit a float. The
 planners and the exact oracle read them from the instance through
-:meth:`Objective.of`; ``closed_form_forgetting_under/over`` build the same
-objective from actual ground-truth parameter vectors and evaluate it on
-the training order, so the Monte Carlo checks test the objective the
-planners minimize.
+:meth:`Objective.of`; ``closed_form_forgetting`` builds the same objective
+from actual ground-truth parameter vectors, in the regime of their (m, n),
+and evaluates it on the training order, so the Monte Carlo checks test
+the objective the planners minimize.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import ProblemInstance, RegimeError, Route, classify_regime
+from .instance import ProblemInstance, Route, ValidationError, classify_regime
 from .shp import route_travel_cost
 
 
@@ -60,6 +62,13 @@ def r_powers(r: float, t: int) -> np.ndarray:
     return out
 
 
+def _finite(name: str, value: float) -> float:
+    """``value``, or ValidationError when that part of the loss overflows a float."""
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} does not fit a float: {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class Objective:
     """One regime's route objective over T regions.
@@ -86,43 +95,49 @@ class Objective:
     ) -> "Objective":
         """Weights of the regime of (m, n) for dissimilarity row sums and sum(delta0).
 
-        Raises RegimeError when (m, n) has no defined regime.
+        Raises RegimeError when (m, n) has no defined regime, and
+        ValidationError when a row sum, the offset or the noise constant
+        is not finite or cannot be converted to a float.
         """
         regime = classify_regime(m, n)
-        rows = tuple(float(x) for x in row_sums)
+        rows = tuple(
+            _finite(f"row sum of region {i + 1}", float(x)) for i, x in enumerate(row_sums)
+        )
         t = len(rows)
         zeros = (0.0,) * t
-        if regime.is_under:
-            return cls(
-                row_sums=rows,
-                position_weights=zeros,
-                end_weights=tuple(rs / t for rs in rows),
-                travel_divisor=t,
-                offset=0.0,
-                noise=m * sigma2 / (n - m - 1),
-            )
-        r = regime.r
-        powers = r_powers(r, t)
-        r_t = float(powers[t])
+        try:
+            if regime.is_under:
+                position, end = zeros, tuple(rs / t for rs in rows)
+                offset, noise = 0.0, m * sigma2 / (n - m - 1)
+            else:
+                r = regime.r
+                powers = r_powers(r, t)
+                r_t = float(powers[t])
+                position = tuple((1.0 - r) * float(powers[t - p]) / t for p in range(1, t + 1))
+                end = zeros
+                offset, noise = r_t / t * delta0_sum, (1.0 - r_t) * m * sigma2 / (m - n - 1)
+        except OverflowError as exc:
+            raise ValidationError(f"noise constant does not fit a float: {exc}") from exc
         return cls(
             row_sums=rows,
-            position_weights=tuple((1.0 - r) * float(powers[t - p]) / t for p in range(1, t + 1)),
-            end_weights=zeros,
+            position_weights=position,
+            end_weights=end,
             travel_divisor=t,
-            offset=r_t / t * delta0_sum,
-            noise=(1.0 - r_t) * m * sigma2 / (m - n - 1),
+            offset=_finite("forgetting offset", offset),
+            noise=_finite("noise constant", noise),
         )
 
     @classmethod
     def of(cls, inst: ProblemInstance) -> "Objective":
         """The objective of the instance's own regime."""
-        return cls.build(
-            inst.delta.sum(axis=1),
-            float(inst.delta0.sum()),
-            inst.m_features,
-            inst.n_samples,
-            inst.sigma2,
-        )
+        with np.errstate(over="ignore"):  # build reports a sum that overflows
+            return cls.build(
+                inst.delta.sum(axis=1),
+                float(inst.delta0.sum()),
+                inst.m_features,
+                inst.n_samples,
+                inst.sigma2,
+            )
 
     def forgetting(self, order: tuple[int, ...]) -> float:
         """Forgetting part of a visiting order; terms accumulate in position order."""
@@ -139,9 +154,10 @@ def best_final_region(inst: ProblemInstance) -> int:
     underparameterized objective. The descending-row-sum order of the
     overparameterized forgetting baseline also ends at a minimal row sum,
     but on ties at the highest tied index (its sort keeps index order
-    within ties), not at the region returned here.
+    within ties), not at the region returned here. Raises what
+    :meth:`Objective.of` raises, whose row sums it reads.
     """
-    return int(np.argmin(inst.delta.sum(axis=1)))
+    return int(np.argmin(Objective.of(inst).row_sums))
 
 
 def loss_upper(inst: ProblemInstance, route: Route) -> LossBreakdown:
@@ -157,49 +173,21 @@ def loss_upper(inst: ProblemInstance, route: Route) -> LossBreakdown:
     )
 
 
-def _closed_form(w: np.ndarray, delta0_sum: float, sigma2: float, m: int, n: int) -> float:
-    """Forgetting plus noise of the objective built from the vectors' distances, in their order."""
-    sq = np.sum((w[:, None, :] - w[None, :, :]) ** 2, axis=2)
-    objective = Objective.build(sq.sum(axis=1), delta0_sum, m, n, sigma2)
-    return objective.forgetting(tuple(range(w.shape[0]))) + objective.noise
-
-
-def closed_form_forgetting_under(
-    true_params: list[np.ndarray] | np.ndarray,
-    sigma2: float,
-    m: int,
-    n: int,
-) -> float:
-    """Expected forgetting loss given the actual ground truths, in route order.
-
-    The final entry of ``true_params`` is the last-trained region. Only the
-    distances to it matter; the estimation noise contributes
-    m*sigma2/(n-m-1) regardless of the route.
-    """
-    if not classify_regime(m, n).is_under:
-        raise RegimeError(
-            "closed_form_forgetting_under requires the underparameterized regime (n >= m+2)"
-        )
-    return _closed_form(np.asarray(true_params, dtype=float), 0.0, sigma2, m, n)
-
-
-def closed_form_forgetting_over(
+def closed_form_forgetting(
     true_params: list[np.ndarray] | np.ndarray,
     w0: np.ndarray,
     sigma2: float,
     m: int,
     n: int,
 ) -> float:
-    """Expected forgetting loss of the sequential interpolating learner.
+    """Expected forgetting loss, noise included, of (m, n)'s learning process.
 
-    ``true_params`` in route order; w0 is the starting predictor. Pairwise
-    distances are discounted by recency, the distance to w0 by r^T, and
-    the noise floor saturates at (1-r^T)*m*sigma2/(m-n-1).
+    ``true_params`` are the actual ground truths in route order; w0 is the
+    starting predictor, which only the overparameterized objective reads.
+    Raises RegimeError in the undefined band, via :meth:`Objective.build`.
     """
-    if not classify_regime(m, n).is_over:
-        raise RegimeError(
-            "closed_form_forgetting_over requires the overparameterized regime (m >= n+2)"
-        )
     w = np.asarray(true_params, dtype=float)
+    sq = np.sum((w[:, None, :] - w[None, :, :]) ** 2, axis=2)
     delta0_sum = float(np.sum((w - np.asarray(w0, dtype=float)) ** 2))
-    return _closed_form(w, delta0_sum, sigma2, m, n)
+    objective = Objective.build(sq.sum(axis=1), delta0_sum, m, n, sigma2)
+    return objective.forgetting(tuple(range(w.shape[0]))) + objective.noise

@@ -5,8 +5,9 @@ actual learning process: sample features and noisy labels, fit (under) or
 minimum-distance interpolate (over), move to the next region. This module
 runs that process many times and compares the empirical average forgetting
 loss of the final predictor against the closed form, summarized as a
-z-score. ``verify_closed_form`` reads the regime from (m, n); each regime's
-process has one implementation, batched over chunks of trials.
+z-score. ``verify_closed_form`` reads the regime from (m, n) only to pick
+the process to simulate; each process has one implementation, batched
+over chunks of trials, and one closed form serves both.
 
 Ground truths are constructed, never estimated: region parameters and the
 initial predictor are given as vectors, so ``delta_matrix`` and
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import ParameterError, Route, classify_regime
-from .loss import closed_form_forgetting_over, closed_form_forgetting_under
+from .loss import closed_form_forgetting
 
 _log = logging.getLogger(__name__)
 
@@ -205,13 +206,13 @@ def verify_closed_form(
     """Empirical mean forgetting loss versus the closed form of (m, n)'s regime.
 
     The regime is ``classify_regime(truth.m_features, n_samples)``, which
-    raises RegimeError in the undefined band. Simulates the learning
-    process ``trials`` times along ``route``, evaluates the forgetting loss
-    of each final predictor, and reports the sample mean, the closed form on
-    the exact ground-truth distances, and the standard error (sample stdev /
-    sqrt(trials)). Per-trial losses are collected into one array and reduced
-    with numpy's pairwise summation, so the report is a pure function of the
-    RNG state and the trial count.
+    raises RegimeError in the undefined band; it selects the learning
+    process, simulated ``trials`` times along ``route``. Evaluates the
+    forgetting loss of each final predictor and reports the sample mean,
+    the closed form on the exact ground-truth distances, and the standard
+    error (sample stdev / sqrt(trials)). Per-trial losses are collected into
+    one array and reduced with numpy's pairwise summation, so the report is
+    a pure function of the RNG state and the trial count.
 
     The z-score needs a finite per-trial variance, which by the
     inverse-Wishart second moments holds only for |n − m| >= 4. At the
@@ -224,15 +225,11 @@ def verify_closed_form(
     if len(route) != truth.t_regions:
         raise ValueError(f"route length {len(route)} != regions {truth.t_regions}")
 
-    ordered = truth.w_star[list(route.order)]
-    if regime.is_under:
-        losses = _under_losses(truth, route, n_samples, trials, rng)
-        closed = closed_form_forgetting_under(ordered, truth.sigma2, truth.m_features, n_samples)
-    else:
-        losses = _over_losses(truth, route, n_samples, trials, rng)
-        closed = closed_form_forgetting_over(
-            ordered, truth.w0, truth.sigma2, truth.m_features, n_samples
-        )
+    simulate = _under_losses if regime.is_under else _over_losses
+    losses = simulate(truth, route, n_samples, trials, rng)
+    closed = closed_form_forgetting(
+        truth.w_star[list(route.order)], truth.w0, truth.sigma2, truth.m_features, n_samples
+    )
     mean = float(losses.mean())
     std_error = float(losses.std(ddof=1) / math.sqrt(trials))
     return McReport(mean, closed, std_error, trials)

@@ -1,4 +1,4 @@
-"""Planning strategies and ratio evaluation against the exact optimum.
+"""Planning strategies: an approximation, the exact optimum, two baselines.
 
 Four strategies produce a route and its loss breakdown:
 
@@ -14,6 +14,9 @@ Four strategies produce a route and its loss breakdown:
 * ``forgetting`` — the travel-oblivious continual-learning baseline that
   minimizes only the forgetting term.
 * ``random`` — a seeded uniformly random route, for calibration.
+
+The ratio R of a strategy's total to the exact optimum's is computed once,
+in ``clroute.cli.run_experiment``, which shares the optimum across strategies.
 """
 
 from __future__ import annotations
@@ -76,16 +79,12 @@ def plan_exact(inst: ProblemInstance) -> PlanResult:
     return _finish(inst, route, Strategy.EXACT, t0)
 
 
-def plan_forgetting_baseline(
-    inst: ProblemInstance,
-    interior: str = "ascending",
-    seed: int | None = None,
-) -> PlanResult:
+def plan_forgetting_baseline(inst: ProblemInstance) -> PlanResult:
     """Travel-oblivious baseline minimizing only the forgetting term.
 
     Underparameterized: only the final region matters, so any order ending
-    at the minimum-row-sum region is forgetting-optimal; the interior is
-    either ascending region index (default) or a seeded shuffle.
+    at the minimum-row-sum region is forgetting-optimal; the interior is in
+    ascending region index.
 
     Overparameterized: regions sorted by descending dissimilarity row sum
     (stable, index-ascending within ties), so the most dissimilar region
@@ -95,15 +94,9 @@ def plan_forgetting_baseline(
     t = inst.t_regions
     if inst.regime().is_under:
         last = best_final_region(inst)
-        rest = [i for i in range(t) if i != last]
-        if interior == "random":
-            rng = np.random.default_rng(seed)
-            rest = [rest[i] for i in rng.permutation(len(rest))]
-        elif interior != "ascending":
-            raise ValueError(f"unknown interior rule {interior!r}")
-        route = Route(tuple(rest) + (last,))
+        route = Route(tuple(i for i in range(t) if i != last) + (last,))
     else:
-        row_sums = inst.delta.sum(axis=1)
+        row_sums = Objective.of(inst).row_sums
         order = sorted(range(t), key=lambda i: (-row_sums[i], i))
         route = Route(tuple(order))
     return _finish(inst, route, Strategy.FORGETTING, t0)
@@ -116,35 +109,14 @@ def plan_random(inst: ProblemInstance, seed: int) -> PlanResult:
     return _finish(inst, route, Strategy.RANDOM, t0)
 
 
-def plan(
-    inst: ProblemInstance,
-    strategy: Strategy,
-    seed: int | None = None,
-    interior: str = "ascending",
-) -> PlanResult:
+def plan(inst: ProblemInstance, strategy: Strategy, seed: int | None = None) -> PlanResult:
     if strategy is Strategy.ALGORITHM1:
         return plan_algorithm1(inst)
     if strategy is Strategy.EXACT:
         return plan_exact(inst)
     if strategy is Strategy.FORGETTING:
-        return plan_forgetting_baseline(inst, interior=interior, seed=seed)
+        return plan_forgetting_baseline(inst)
     if strategy is Strategy.RANDOM:
         return plan_random(inst, seed if seed is not None else 0)
     raise ValueError(f"unknown strategy {strategy!r}")
 
-
-def ratio(
-    inst: ProblemInstance,
-    strategy: Strategy,
-    seed: int | None = None,
-    include_constant: bool = True,
-) -> float:
-    """Strategy total divided by the exact-optimum total (>= 1).
-
-    By default the route-independent constant is included, mirroring the
-    definition on the full expected overall loss; exclude it to probe
-    sensitivity of the ratio to the noise floor.
-    """
-    num = plan(inst, strategy, seed=seed).breakdown.effective_total(include_constant)
-    den = plan_exact(inst).breakdown.effective_total(include_constant)
-    return num / den

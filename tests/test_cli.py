@@ -81,10 +81,11 @@ def test_plan_forgetting_baseline_route(tmp_path, capsys):
     path = _worked_file(tmp_path)
     assert main(["plan", path, "--strategy", "forgetting"]) == 0
     assert "route: 2 3 1" in capsys.readouterr().out
-    # randomized interior still ends at the min-row-sum region
-    assert main(["plan", path, "--strategy", "forgetting", "--interior", "random", "--seed", "3"]) == 0
-    route_line = capsys.readouterr().out.splitlines()[0]
-    assert route_line.startswith("route: ") and route_line.endswith(" 1")
+    # the interior is always ascending; there is no option to shuffle it
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", path, "--strategy", "forgetting", "--interior", "random"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --interior" in capsys.readouterr().err
 
 
 def test_plan_exact_hits_size_limit(tmp_path, capsys):
@@ -105,12 +106,12 @@ def _put(doc, path, value):
 NAN, INF = float("nan"), float("inf")
 
 
-def _case(case_id, code, message, *edits):
-    return pytest.param(edits, code, message, id=case_id)
+def _case(case_id, code, message, *edits, flags=()):
+    return pytest.param(edits, flags, code, message, id=case_id)
 
 
 @pytest.mark.parametrize(
-    "edits,code,message",
+    "edits,flags,code,message",
     [
         _case("sigma2-nan", 2, "sigma2 must be finite, got nan", (("sigma2",), NAN)),
         _case("sigma2-inf", 2, "sigma2 must be finite, got inf", (("sigma2",), INF)),
@@ -132,9 +133,21 @@ def _case(case_id, code, message, *edits):
             "costs-ragged", 3, 'field "costs" is not a rectangular array',
             (("costs", 2), [1.0, [2.0], 0.0, 3.0]),
         ),
+        # finite inputs whose loss does not fit a float
+        _case(
+            "delta-overflow", 2, "row sum of region 1 does not fit a float: inf",
+            *((("delta", i, j), 1e308) for i in range(4) for j in range(4) if i != j),
+        ),
+        _case(
+            "sigma2-overflow", 2, "noise constant does not fit a float: inf",
+            (("sigma2",), 1e308),
+        ),
+        _case("m-overflow", 2, "noise constant does not fit a float", (("m",), 10**400)),
+        _case("seed-negative", 2, "--seed must be >= 0, got -3", flags=("--seed", "-3")),
     ],
 )
-def test_plan_rejects_non_finite_and_ragged_files(tmp_path, capsys, edits, code, message):
+@pytest.mark.filterwarnings("error")  # no numpy overflow warning leaks either
+def test_plan_rejects_non_finite_and_ragged_files(tmp_path, capsys, edits, flags, code, message):
     path = tmp_path / "mutated.json"
     write_instance(generate_instance(4, seed=3), path)
     doc = json.loads(path.read_text())
@@ -142,11 +155,31 @@ def test_plan_rejects_non_finite_and_ragged_files(tmp_path, capsys, edits, code,
         _put(doc, key_path, value)
     path.write_text(json.dumps(doc))  # writes NaN / Infinity, as Python's json accepts
     for fmt in ("text", "json"):
-        assert main(["plan", str(path), "--format", fmt]) == code
-        captured = capsys.readouterr()
-        assert message in captured.err
-        assert "nan != nan" not in captured.err and "inhomogeneous" not in captured.err
-        assert captured.out == ""
+        for strategy in ("alg1", "exact", "forgetting", "random"):
+            argv = ["plan", str(path), "--format", fmt, "--strategy", strategy, *flags]
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            assert captured.err.count("error:") == 1 and message in captured.err
+            assert "nan != nan" not in captured.err and "inhomogeneous" not in captured.err
+            assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "to_bytes",
+    [
+        lambda text: b"\xff\xfe" + text.encode("utf-16-le"),
+        lambda text: b'{"r\xe9gion": 1, ' + text[1:].encode(),
+    ],
+    ids=["utf16-bom", "latin1-byte"],
+)
+def test_plan_rejects_undecodable_files(tmp_path, capsys, to_bytes):
+    path = tmp_path / "encoded.json"
+    path.write_bytes(to_bytes(Path(_worked_file(tmp_path)).read_text()))
+    assert main(["plan", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1
+    assert f"{path}: not UTF-8 text" in captured.err
+    assert captured.out == ""
 
 
 def test_plan_missing_file(tmp_path, capsys):
@@ -286,18 +319,33 @@ def test_verify_rejects_slot_dims_at_the_regime_edge(capsys, flags):
     assert captured.out == ""
 
 
+VERIFY = ["verify", "--trials", "200"]
+SWEEP = ["experiment", "--sweep", "t", "--values", "3", "--instances", "1"]
+
+
 @pytest.mark.parametrize(
-    "flag,value,message",
+    "argv,message",
     [
-        ("--sigma2", "-1", "sigma2 must be finite and >= 0, got -1.0"),
-        ("--sigma2", "nan", "sigma2 must be finite and >= 0, got nan"),
-        ("--sigma2", "inf", "sigma2 must be finite and >= 0, got inf"),
-        ("--threshold", "nan", "threshold must be finite, got nan"),
+        (VERIFY + ["--sigma2", "-1"], "sigma2 must be finite and >= 0, got -1.0"),
+        (VERIFY + ["--sigma2", "nan"], "sigma2 must be finite and >= 0, got nan"),
+        (VERIFY + ["--sigma2", "inf"], "sigma2 must be finite and >= 0, got inf"),
+        (VERIFY + ["--threshold", "nan"], "threshold must be finite, got nan"),
+        (VERIFY + ["--seed", "-2"], "--seed must be >= 0, got -2"),
+        (["gen", "--t", "3", "--seed", "-1", "--out", "x.json"], "--seed must be >= 0, got -1"),
+        (SWEEP + ["--seed", "-7"], "--seed must be >= 0, got -7"),
+        (SWEEP + ["--sigma2", "1e308"], "noise constant does not fit a float: inf"),
     ],
-    ids=["sigma2-negative", "sigma2-nan", "sigma2-inf", "threshold-nan"],
+    ids=[
+        "sigma2-negative", "sigma2-nan", "sigma2-inf", "threshold-nan",
+        "seed-negative", "gen-seed-negative", "experiment-seed-negative",
+        "experiment-sigma2-overflow",
+    ],
 )
-def test_verify_rejects_negative_and_non_finite_inputs(capsys, flag, value, message):
-    assert main(["verify", "--trials", "200", flag, value]) == 2
+def test_verify_rejects_negative_and_non_finite_inputs(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    monkeypatch.chdir(tmp_path)  # where gen would write
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.count("error:") == 1 and message in captured.err
     assert "Traceback" not in captured.err

@@ -37,7 +37,7 @@ def test_classify_regime_boundaries():
 
 def test_regime_r_value():
     reg = classify_regime(120, 100)
-    assert reg.is_over and not reg.is_under
+    assert reg.kind is RegimeKind.OVER and not reg.is_under
     assert reg.r == pytest.approx(1.0 - 100 / 120)
     assert 0.0 < reg.r < 1.0
     assert classify_regime(80, 100).r is None

@@ -1,18 +1,19 @@
 from __future__ import annotations
 
+import inspect
 import itertools
 
 import numpy as np
 import pytest
 
+import clroute
 from clroute import (
     LossBreakdown,
     Objective,
     RegimeError,
     Route,
     best_final_region,
-    closed_form_forgetting_over,
-    closed_form_forgetting_under,
+    closed_form_forgetting,
     delta0_vector,
     delta_matrix,
     generate_instance,
@@ -133,10 +134,7 @@ def test_closed_form_equals_loss_upper_on_exact_distances(m, n):
         )
         route = Route(tuple(int(v) for v in rng.permutation(t)))
         ordered = truth.w_star[list(route.order)]
-        if m < n:
-            closed = closed_form_forgetting_under(ordered, truth.sigma2, m, n)
-        else:
-            closed = closed_form_forgetting_over(ordered, truth.w0, truth.sigma2, m, n)
+        closed = closed_form_forgetting(ordered, truth.w0, truth.sigma2, m, n)
         b = loss_upper(inst, route)
         assert closed == pytest.approx(b.forgetting_part + b.constant_part, rel=1e-12)
 
@@ -189,42 +187,70 @@ def test_parts_nonnegative_on_valid_instances():
 
 def test_closed_form_under_single_task():
     w = np.zeros((1, 4))
-    assert closed_form_forgetting_under(w, 1.0, 4, 10) == pytest.approx(0.8, rel=1e-12)
+    assert closed_form_forgetting(w, np.zeros(4), 1.0, 4, 10) == pytest.approx(0.8, rel=1e-12)
 
 
 def test_closed_form_under_identical_params():
     w = np.ones((5, 4))
-    assert closed_form_forgetting_under(w, 2.0, 4, 10) == pytest.approx(2 * 0.8, rel=1e-12)
+    val = closed_form_forgetting(w, np.zeros(4), 2.0, 4, 10)  # w0 plays no part
+    assert val == pytest.approx(2 * 0.8, rel=1e-12)
 
 
 def test_closed_form_under_single_pair():
     w = np.array([[0.0, 0.0], [2.0, 0.0]])  # squared distance 4
-    assert closed_form_forgetting_under(w, 0.0, 2, 10) == pytest.approx(2.0, rel=1e-12)
+    assert closed_form_forgetting(w, np.zeros(2), 0.0, 2, 10) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_closed_form_under_regime_check():
-    with pytest.raises(RegimeError):
-        closed_form_forgetting_under(np.zeros((2, 10)), 1.0, 10, 4)
+    # n = m + 2 is the first underparameterized n; m = 10, n in {9, 10, 11} is undefined
+    w = np.zeros((2, 10))
+    assert closed_form_forgetting(w, np.zeros(10), 1.0, 10, 12) == pytest.approx(10.0)
+    for n in (9, 10, 11):
+        with pytest.raises(RegimeError):
+            closed_form_forgetting(w, np.zeros(10), 1.0, 10, n)
 
 
 def test_closed_form_over_single_task_noise_only():
     w = np.zeros((1, 10))
-    val = closed_form_forgetting_over(w, np.zeros(10), 1.0, 10, 4)
+    val = closed_form_forgetting(w, np.zeros(10), 1.0, 10, 4)
     assert val == pytest.approx(0.8, rel=1e-12)  # (1-r) * m sigma2/(m-n-1) = 0.4*10/5
 
 
 def test_closed_form_over_everything_coincides():
     w = np.ones((4, 12))
-    assert closed_form_forgetting_over(w, np.ones(12), 0.0, 12, 4) == 0.0
+    assert closed_form_forgetting(w, np.ones(12), 0.0, 12, 4) == 0.0
 
 
 def test_closed_form_over_only_initial_distance():
     w = np.zeros((1, 10))
     w0 = np.zeros(10)
     w0[0] = 1.0  # squared distance 1, r = 0.6
-    assert closed_form_forgetting_over(w, w0, 0.0, 10, 4) == pytest.approx(0.6, rel=1e-12)
+    assert closed_form_forgetting(w, w0, 0.0, 10, 4) == pytest.approx(0.6, rel=1e-12)
 
 
 def test_closed_form_over_regime_check():
-    with pytest.raises(RegimeError):
-        closed_form_forgetting_over(np.zeros((2, 4)), np.zeros(4), 1.0, 4, 10)
+    # n = m - 2 is the last overparameterized n: (1 - 0.2^2) * 10/(10-8-1) = 9.6
+    w = np.zeros((2, 10))
+    assert closed_form_forgetting(w, np.zeros(10), 1.0, 10, 8) == pytest.approx(9.6)
+    for n in (9, 10, 11):
+        with pytest.raises(RegimeError):
+            closed_form_forgetting(w, np.zeros(10), 1.0, 10, n)
+
+
+def _python_routine(obj) -> bool:
+    return inspect.isfunction(obj) or inspect.ismethod(obj)
+
+
+def test_no_public_name_takes_or_names_a_regime():
+    # the regime is read from (m, n): no public function or method takes it
+    # as a parameter, and no public name is split into _under / _over
+    # variants (a dataclass field such as ValidationReport.regime is a result)
+    for name in clroute.__all__:
+        assert not name.endswith(("_under", "_over")), name
+        obj = getattr(clroute, name)
+        routines = [(name, obj)] if _python_routine(obj) else []
+        if inspect.isclass(obj):
+            routines = inspect.getmembers(obj, _python_routine)
+        for attr, routine in routines:
+            if not attr.startswith("_"):
+                assert "regime" not in inspect.signature(routine).parameters, (name, attr)

@@ -10,8 +10,7 @@ from clroute import (
     RegimeError,
     Route,
     classify_regime,
-    closed_form_forgetting_over,
-    closed_form_forgetting_under,
+    closed_form_forgetting,
 )
 from clroute.mc_verify import (
     McReport,
@@ -121,7 +120,7 @@ def test_verify_under_statistical_agreement():
     rng = np.random.default_rng(11)
     truth = simplex_ground_truth(3, 4, scales=rng.uniform(1.0, 2.0, 3), sigma2=0.5)
     report = verify_closed_form(truth, Route((1, 2, 0)), 10, 20_000, rng)
-    expected = closed_form_forgetting_under(truth.w_star[[1, 2, 0]], 0.5, 4, 10)
+    expected = closed_form_forgetting(truth.w_star[[1, 2, 0]], truth.w0, 0.5, 4, 10)
     assert report.closed_form == pytest.approx(expected, rel=1e-12)
     assert report.trials == 20_000
     assert report.std_error > 0
@@ -132,7 +131,7 @@ def test_verify_over_statistical_agreement():
     rng = np.random.default_rng(13)
     truth = simplex_ground_truth(3, 12, scales=rng.uniform(1.0, 2.0, 3), sigma2=0.5)
     report = verify_closed_form(truth, Route((0, 2, 1)), 4, 20_000, rng)
-    expected = closed_form_forgetting_over(truth.w_star[[0, 2, 1]], truth.w0, 0.5, 12, 4)
+    expected = closed_form_forgetting(truth.w_star[[0, 2, 1]], truth.w0, 0.5, 12, 4)
     assert report.closed_form == pytest.approx(expected, rel=1e-12)
     assert report.z <= 3.0
 
@@ -165,7 +164,7 @@ def test_simulate_task_under_regime_guard():
     with pytest.raises(RegimeError):
         verify_closed_form(truth, Route((0, 1)), 5, 500, rng)
     report = verify_closed_form(truth, Route((0, 1)), 6, 500, rng)
-    assert report.closed_form == closed_form_forgetting_under(truth.w_star, 1.0, 4, 6)
+    assert report.closed_form == closed_form_forgetting(truth.w_star, truth.w0, 1.0, 4, 6)
 
 
 def test_simulate_sequence_over_regime_guard():
@@ -175,9 +174,7 @@ def test_simulate_sequence_over_regime_guard():
     with pytest.raises(RegimeError):
         verify_closed_form(truth, Route((0, 1)), 3, 500, rng)
     report = verify_closed_form(truth, Route((0, 1)), 2, 500, rng)
-    assert report.closed_form == closed_form_forgetting_over(
-        truth.w_star, truth.w0, 1.0, 4, 2
-    )
+    assert report.closed_form == closed_form_forgetting(truth.w_star, truth.w0, 1.0, 4, 2)
 
 
 def test_under_mean_invariant_to_interior_order():
