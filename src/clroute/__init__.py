@@ -5,9 +5,10 @@ every region's local data. The expected final loss splits into a
 forgetting term driven by parameter dissimilarity, the travel cost of the
 route, and a route-independent noise constant. This package provides the
 instance format, the route objective (one form for both learning regimes,
-with regime-specific weights), an approximation planner with a 3/2-style
-travel guarantee, an exact small-instance oracle, forgetting-only and
-random baselines, and Monte Carlo verification of the closed-form loss.
+with one regime-specific weight per position), an approximation planner
+with a 3/2-style travel guarantee, an exact small-instance oracle,
+forgetting-only and random baselines, and Monte Carlo verification of the
+closed-form loss.
 The planners, the one closed form and the verifier alike read the regime
 from (m, n); no function takes it as an argument, and no public name is
 split by regime.

@@ -40,6 +40,7 @@ from .instance import (
     read_instance,
     write_instance,
 )
+from .loss import Objective
 from .mc_verify import simplex_ground_truth, verify_closed_form
 from .planner import Strategy, plan, plan_exact
 from .shp import SizeLimitError
@@ -150,6 +151,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         n=args.n,
         sigma2=args.sigma2,
     )
+    Objective.of(inst)  # refuse a file whose loss no plan could evaluate
     write_instance(inst, args.out)
     regime = inst.regime()
     print(

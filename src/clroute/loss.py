@@ -1,27 +1,30 @@
 """The route objective, its per-route loss breakdown, and the closed forms.
 
-Both regimes minimize one objective; they differ only in its weights:
+Both regimes minimize one objective; they differ only in its weights, one
+per visiting position:
 
-    sum_p a_p * rowsum_delta(tau_p)  +  e(tau_T)
+    sum_p a_p * rowsum_delta(tau_p) / d
     + sum_t c[tau_t, tau_{t+1}]/T  +  offset  +  noise.
 
 * Underparameterized (n >= m+2): each region's training fully determines
   the predictor from that region's data alone, so only the final region
-  matters: a_p = 0, e(v) = rowsum_delta(v)/T, offset = 0 and
+  matters: a = (0, ..., 0, 1), d = T, offset = 0 and
   noise = m*sigma2/(n-m-1).
 
 * Overparameterized (m >= n+2): the minimum-distance interpolating update
   keeps a fraction r = 1 - n/m of the previous error, so earlier regions
-  are discounted geometrically: a_p = (1-r)*r^(T-p)/T, e = 0,
+  are discounted geometrically: a_p = (1-r)*r^(T-p)/T, d = 1,
   offset = r^T/T * sum_i delta0[i] and noise = (1-r^T)*m*sigma2/(m-n-1).
 
-:class:`Objective` derives these weights, and nothing else does; it
-raises ValidationError when one of them does not fit a float. The
-planners and the exact oracle read them from the instance through
-:meth:`Objective.of`; ``closed_form_forgetting`` builds the same objective
-from actual ground-truth parameter vectors, in the regime of their (m, n),
-and evaluates it on the training order, so the Monte Carlo checks test
-the objective the planners minimize.
+The weights are nondecreasing in p, so by the rearrangement inequality
+descending row sums minimize the forgetting part. :class:`Objective`
+derives these weights, and nothing else does; it raises ValidationError
+when one of them does not fit a float. The planners and the exact oracle
+read them from the instance through :meth:`Objective.of`;
+``closed_form_forgetting`` builds the same objective from actual
+ground-truth parameter vectors, in the regime of their (m, n), and
+evaluates it on the training order, so the Monte Carlo checks test the
+objective the planners minimize.
 """
 
 from __future__ import annotations
@@ -74,17 +77,18 @@ class Objective:
     """One regime's route objective over T regions.
 
     The region visited p-th (1-based) contributes
-    ``position_weights[p-1] * row_sums[region]`` and the final region adds
-    ``end_weights[region]``. The raw travel cost is divided by
-    ``travel_divisor``: the travel weight is its reciprocal, 1/T in both
-    regimes and 1 for pure travel cost, and dividing keeps the travel part
-    equal to raw/T to the last bit. ``offset``, the route-independent share
-    of forgetting, and ``noise`` are added as they are.
+    ``position_weights[p-1] * row_sums[region] / forgetting_divisor``, the
+    weights nondecreasing in p; the raw travel cost is divided by
+    ``travel_divisor``. The divisors are T or 1: the weight 1/T of the
+    underparameterized last position and of travel is held as a divisor,
+    since x/T is exact to the last bit where x times a stored 1/T is not.
+    ``offset``, the route-independent share of forgetting, and ``noise``
+    are added as they are.
     """
 
     row_sums: tuple[float, ...]
     position_weights: tuple[float, ...]
-    end_weights: tuple[float, ...]
+    forgetting_divisor: float
     travel_divisor: float
     offset: float
     noise: float
@@ -104,24 +108,23 @@ class Objective:
             _finite(f"row sum of region {i + 1}", float(x)) for i, x in enumerate(row_sums)
         )
         t = len(rows)
-        zeros = (0.0,) * t
         try:
             if regime.is_under:
-                position, end = zeros, tuple(rs / t for rs in rows)
+                position, divisor = (0.0,) * (t - 1) + (1.0,), t
                 offset, noise = 0.0, m * sigma2 / (n - m - 1)
             else:
                 r = regime.r
                 powers = r_powers(r, t)
                 r_t = float(powers[t])
                 position = tuple((1.0 - r) * float(powers[t - p]) / t for p in range(1, t + 1))
-                end = zeros
+                divisor = 1
                 offset, noise = r_t / t * delta0_sum, (1.0 - r_t) * m * sigma2 / (m - n - 1)
         except OverflowError as exc:
             raise ValidationError(f"noise constant does not fit a float: {exc}") from exc
         return cls(
             row_sums=rows,
             position_weights=position,
-            end_weights=end,
+            forgetting_divisor=divisor,
             travel_divisor=t,
             offset=_finite("forgetting offset", offset),
             noise=_finite("noise constant", noise),
@@ -143,19 +146,17 @@ class Objective:
         """Forgetting part of a visiting order; terms accumulate in position order."""
         total = 0.0
         for weight, region in zip(self.position_weights, order):
-            total += weight * self.row_sums[region]
-        return total + self.end_weights[order[-1]] + self.offset
+            total += weight * self.row_sums[region] / self.forgetting_divisor
+        return total + self.offset
 
 
 def best_final_region(inst: ProblemInstance) -> int:
     """Region minimizing the dissimilarity row sum; ties go to the lowest index.
 
-    Ending the route there minimizes the forgetting term in the
-    underparameterized objective. The descending-row-sum order of the
-    overparameterized forgetting baseline also ends at a minimal row sum,
-    but on ties at the highest tied index (its sort keeps index order
-    within ties), not at the region returned here. Raises what
-    :meth:`Objective.of` raises, whose row sums it reads.
+    The last position carries the largest forgetting weight, so a
+    forgetting-optimal route ends at a minimal row sum; the forgetting
+    baseline ends here in both regimes. Raises what :meth:`Objective.of`
+    raises, whose row sums it reads.
     """
     return int(np.argmin(Objective.of(inst).row_sums))
 

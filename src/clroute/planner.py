@@ -12,7 +12,8 @@ Four strategies produce a route and its loss breakdown:
   matching with a polynomial one is ROADMAP item 2.
 * ``exact`` — subset dynamic programming, exact but limited to T <= 16.
 * ``forgetting`` — the travel-oblivious continual-learning baseline that
-  minimizes only the forgetting term.
+  minimizes only the forgetting term, by rearrangement: descending row
+  sums on the nondecreasing position weights.
 * ``random`` — a seeded uniformly random route, for calibration.
 
 The ratio R of a strategy's total to the exact optimum's is computed once,
@@ -82,23 +83,18 @@ def plan_exact(inst: ProblemInstance) -> PlanResult:
 def plan_forgetting_baseline(inst: ProblemInstance) -> PlanResult:
     """Travel-oblivious baseline minimizing only the forgetting term.
 
-    Underparameterized: only the final region matters, so any order ending
-    at the minimum-row-sum region is forgetting-optimal; the interior is in
-    ascending region index.
-
-    Overparameterized: regions sorted by descending dissimilarity row sum
-    (stable, index-ascending within ties), so the most dissimilar region
-    is visited first and the least dissimilar last.
+    By the rearrangement inequality, the regions in descending row sum take
+    the ascending position weights; among equal row sums the lower index
+    goes later. The route lists the regions by (assigned weight, index), so
+    it ends at :func:`clroute.loss.best_final_region`, and regions sharing
+    a weight (the underparameterized interior) are in ascending index.
     """
     t0 = time.perf_counter()
-    t = inst.t_regions
-    if inst.regime().is_under:
-        last = best_final_region(inst)
-        route = Route(tuple(i for i in range(t) if i != last) + (last,))
-    else:
-        row_sums = Objective.of(inst).row_sums
-        order = sorted(range(t), key=lambda i: (-row_sums[i], i))
-        route = Route(tuple(order))
+    objective = Objective.of(inst)
+    rows = objective.row_sums
+    ranked = sorted(range(inst.t_regions), key=lambda i: (rows[i], i), reverse=True)
+    weight = dict(zip(ranked, objective.position_weights))
+    route = Route(tuple(sorted(ranked, key=lambda i: (weight[i], i))))
     return _finish(inst, route, Strategy.FORGETTING, t0)
 
 

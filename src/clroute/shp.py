@@ -14,8 +14,9 @@ Euler walk consumes neighbors in ascending vertex order.
 
 ``held_karp_min_path`` is the exact oracle: a subset dynamic program over
 (visited set, last vertex) that minimizes a :class:`clroute.loss.Objective`.
-The objective is position-additive, so the stage index of the program (the
-subset size) fixes each region's recency weight.
+The objective has one forgetting weight per position, so the stage index
+of the program (the subset size) fixes each region's weight, the final
+region's included.
 """
 
 from __future__ import annotations
@@ -200,10 +201,11 @@ def held_karp_min_path(inst: ProblemInstance, objective: Objective) -> tuple[Rou
     """Exact minimum of a route objective by subset dynamic programming.
 
     States are (visited subset, last region); a region entering as the p-th
-    visit gains the objective's position weight for p times its row sum.
-    Returns the optimal route and its objective value, route-independent
-    terms included. The travel-only optimum is the objective with zero
-    forgetting weights and travel divisor 1.
+    visit gains the objective's weight for position p times its row sum;
+    the cheapest predecessor (lowest index on ties) is chosen before the
+    gain is added. Returns the optimal route and its objective value,
+    route-independent terms included. The travel-only optimum is the
+    objective with zero forgetting weights and travel divisor 1.
 
     Cost is O(2^T * T^2); refuses T > 16 — use the approximation pipeline
     in ``planner`` beyond that.
@@ -219,40 +221,31 @@ def held_karp_min_path(inst: ProblemInstance, objective: Objective) -> tuple[Rou
 
     scale = 1.0 / objective.travel_divisor
     c = [[x * scale for x in row] for row in inst.costs.tolist()]
+    d = objective.forgetting_divisor
     # gains[k][v]: what region v adds when it enters as visit k+1
-    gains = [[a * rs for rs in objective.row_sums] for a in objective.position_weights]
+    gains = [[a * rs / d for rs in objective.row_sums] for a in objective.position_weights]
 
     full = (1 << t) - 1
     inf = float("inf")
     dp = [[inf] * t for _ in range(full + 1)]
     parent = [[-1] * t for _ in range(full + 1)]
-    for v in range(t):
-        dp[1 << v][v] = gains[0][v]
+    for mask in range(1, full + 1):
+        regions = [v for v in range(t) if (mask >> v) & 1]
+        g = gains[len(regions) - 1]
+        start = 0.0 if len(regions) == 1 else inf  # a first visit has no predecessor
+        row, par = dp[mask], parent[mask]
+        for v in regions:
+            rest = dp[mask ^ (1 << v)]
+            best, arg = start, -1
+            for u in regions:
+                if u != v:
+                    cand = rest[u] + c[u][v]
+                    if cand < best:
+                        best, arg = cand, u
+            row[v] = best + g[v]
+            par[v] = arg
 
-    for mask in range(1, full):
-        row = dp[mask]
-        g = gains[mask.bit_count()]
-        for last in range(t):
-            base = row[last]
-            if base == inf or not (mask >> last) & 1:
-                continue
-            c_last = c[last]
-            for v in range(t):
-                if (mask >> v) & 1:
-                    continue
-                cand = base + c_last[v] + g[v]
-                new_mask = mask | (1 << v)
-                if cand < dp[new_mask][v]:
-                    dp[new_mask][v] = cand
-                    parent[new_mask][v] = last
-
-    best_val = inf
-    best_last = -1
-    for last in range(t):
-        cand = dp[full][last] + objective.end_weights[last]
-        if cand < best_val:
-            best_val = cand
-            best_last = last
+    best_last = min(range(t), key=dp[full].__getitem__)
 
     order: list[int] = []
     mask, v = full, best_last
@@ -262,4 +255,4 @@ def held_karp_min_path(inst: ProblemInstance, objective: Objective) -> tuple[Rou
         mask ^= 1 << v
         v = prev
     order.reverse()
-    return Route(tuple(order)), best_val + objective.offset + objective.noise
+    return Route(tuple(order)), dp[full][best_last] + objective.offset + objective.noise

@@ -66,7 +66,7 @@ def correlated_ground_truth(rng: np.random.Generator, t: int, m: int) -> TaskGro
 def travel_objective(t: int) -> Objective:
     """Raw travel cost alone: zero forgetting weights, travel weight 1, no constants."""
     zeros = (0.0,) * t
-    return Objective(zeros, zeros, zeros, 1, 0.0, 0.0)
+    return Objective(zeros, zeros, 1, 1, 0.0, 0.0)
 
 
 def scan_all_routes(inst: ProblemInstance, objective: str) -> tuple[float, tuple[int, ...]]:

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import clroute
 from clroute import generate_instance, read_instance, write_instance
@@ -142,6 +149,10 @@ def _case(case_id, code, message, *edits, flags=()):
             "sigma2-overflow", 2, "noise constant does not fit a float: inf",
             (("sigma2",), 1e308),
         ),
+        _case(
+            "costs-overflow", 2, "c too large: (T-1)*max c = 3*1e+308 does not fit a float",
+            *((("costs", i, j), 1e308) for i in range(4) for j in range(4) if i != j),
+        ),
         _case("m-overflow", 2, "noise constant does not fit a float", (("m",), 10**400)),
         _case("seed-negative", 2, "--seed must be >= 0, got -3", flags=("--seed", "-3")),
     ],
@@ -162,6 +173,64 @@ def test_plan_rejects_non_finite_and_ragged_files(tmp_path, capsys, edits, flags
             assert captured.err.count("error:") == 1 and message in captured.err
             assert "nan != nan" not in captured.err and "inhomogeneous" not in captured.err
             assert captured.out == ""
+
+
+BAD_VALUES = [NAN, INF, -INF, -1.0, 1e300, 1e308]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(
+    t=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    m=st.sampled_from([60, 80, 120, 180]),
+    sigma2=st.floats(0.0, 1e3),
+    field=st.sampled_from(["delta", "delta0", "costs", "sigma2"]),
+    index=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    value=st.sampled_from(BAD_VALUES),
+    every_entry=st.booleans(),
+)
+# travel that overflows: a numpy warning, then a traceback from alg1 or an infinite travel
+@example(t=5, seed=0, m=80, sigma2=1.0, field="costs", index=(0, 1), value=1e308, every_entry=True)
+def test_file_round_trips_and_a_bad_edit_never_crashes_plan(
+    t, seed, m, sigma2, field, index, value, every_entry
+):
+    # write then read is bit-exact; after a symmetric edit of one entry of a
+    # field, or of all its off-diagonal entries, plan exits 0, 2 or 3 with
+    # every strategy, and exit 0 prints only finite numbers
+    inst = generate_instance(t, seed, m=m, n=100, sigma2=sigma2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        write_instance(inst, path)
+        back = read_instance(path)
+        assert (back.t_regions, back.m_features, back.n_samples) == (t, m, 100)
+        assert repr(back.sigma2) == repr(inst.sigma2)
+        for name in ("delta", "delta0", "costs"):
+            assert getattr(back, name).tobytes() == getattr(inst, name).tobytes()
+
+        doc = json.loads(path.read_text())
+        pairs = [(i, j) for i in range(t) for j in range(t) if i != j]
+        if not every_entry:
+            pairs = [(index[0] % t, index[1] % t)]
+        for i, j in pairs:
+            if field == "sigma2":
+                doc["sigma2"] = value
+            elif field == "delta0":
+                doc["delta0"][i] = value
+            else:
+                doc[field][i][j] = doc[field][j][i] = value
+        path.write_text(json.dumps(doc))
+        for strategy in ("alg1", "exact", "forgetting", "random"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error")  # no numpy warning leaks either
+                code = main(["plan", str(path), "--strategy", strategy, "--format", "json"])
+            assert code in (0, 2, 3), err.getvalue()
+            if code == 0:
+                doc = json.loads(out.getvalue())
+                for key in ("forgetting", "travel", "constant", "total", "elapsed"):
+                    assert math.isfinite(doc[key]), (key, doc)
+            else:
+                assert out.getvalue() == "" and err.getvalue().count("error:") == 1
 
 
 @pytest.mark.parametrize(
@@ -334,11 +403,15 @@ SWEEP = ["experiment", "--sweep", "t", "--values", "3", "--instances", "1"]
         (["gen", "--t", "3", "--seed", "-1", "--out", "x.json"], "--seed must be >= 0, got -1"),
         (SWEEP + ["--seed", "-7"], "--seed must be >= 0, got -7"),
         (SWEEP + ["--sigma2", "1e308"], "noise constant does not fit a float: inf"),
+        (
+            ["gen", "--t", "3", "--sigma2", "1e308", "--out", "x.json"],
+            "noise constant does not fit a float: inf",
+        ),
     ],
     ids=[
         "sigma2-negative", "sigma2-nan", "sigma2-inf", "threshold-nan",
         "seed-negative", "gen-seed-negative", "experiment-seed-negative",
-        "experiment-sigma2-overflow",
+        "experiment-sigma2-overflow", "gen-sigma2-overflow",
     ],
 )
 def test_verify_rejects_negative_and_non_finite_inputs(
@@ -350,6 +423,7 @@ def test_verify_rejects_negative_and_non_finite_inputs(
     assert captured.err.count("error:") == 1 and message in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_module_is_runnable_as_script(tmp_path):

@@ -83,16 +83,18 @@ def test_loss_upper_over_constant_formula():
 
 
 def test_loss_upper_dispatch():
-    # the instance's own (m, n) selects the weights: underparameterized puts
-    # all forgetting weight on the final region, overparameterized on the
-    # positions, (1-r)*r^(T-p)/T with r = 0.6
+    # the instance's own (m, n) selects one weight per position:
+    # underparameterized puts all forgetting weight on the last position,
+    # divided by T; overparameterized weighs position p by (1-r)*r^(T-p)/T
+    # with r = 0.6, divided by 1
     under = Objective.of(worked_under())
-    assert under.position_weights == (0.0, 0.0, 0.0)
-    assert under.end_weights == (6 / 3, 8 / 3, 10 / 3)
+    assert under.position_weights == (0.0, 0.0, 1.0)
+    assert under.forgetting_divisor == 3
     assert under.travel_divisor == 3
+    assert under.forgetting((1, 2, 0)) == 6 / 3  # row sum 6 / T to the last bit
     over = Objective.of(over_t2())
-    assert over.end_weights == (0.0, 0.0)
     assert over.position_weights == pytest.approx((0.4 * 0.6 / 2, 0.4 / 2), rel=1e-12)
+    assert over.forgetting_divisor == 1
     assert over.travel_divisor == 2
 
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from clroute import (
+    Route,
     SizeLimitError,
     best_final_region,
     classify_regime,
@@ -126,12 +128,39 @@ def test_forgetting_baseline_over_descending_row_sums():
     assert result.route.order == (0, 1, 2)
 
 
-def test_forgetting_baseline_over_tie_keeps_identity():
-    delta = np.full((4, 4), 3.0)
+def _tied(t, m, value=3.0):
+    delta = np.full((t, t), value)
     np.fill_diagonal(delta, 0.0)
-    inst = manual_instance(delta, np.ones(4), np.zeros((4, 4)), 120, 100)
-    result = plan_forgetting_baseline(inst)
-    assert result.route.order == (0, 1, 2, 3)
+    return manual_instance(delta, np.ones(t), np.zeros((t, t)), m, 100)
+
+
+def test_forgetting_baseline_over_tie_puts_lower_index_later():
+    # among equal row sums the lower index takes the larger weight
+    result = plan_forgetting_baseline(_tied(4, 120))
+    assert result.route.order == (3, 2, 1, 0)
+
+
+def _integer_delta(t, m, seed):
+    """Small integer dissimilarities, so some row sums tie and some do not."""
+    upper = np.triu(np.random.default_rng(seed).integers(0, 3, (t, t)), 1)
+    return manual_instance(upper + upper.T, np.ones(t), np.zeros((t, t)), m, 100)
+
+
+@pytest.mark.parametrize("m", [80, 120], ids=["under", "over"])
+def test_forgetting_baseline_is_forgetting_optimal(m):
+    # rearrangement: the baseline's forgetting is the minimum over all T!
+    # orders, and it ends where alg1 does, ties included
+    cases = [generate_instance(t, seed=40 + t, m=m, n=100) for t in range(2, 8)]
+    cases += [_tied(t, m) for t in (3, 7)] + [_tied(5, m, value=0.0)]
+    cases += [_integer_delta(t, m, seed=t) for t in (5, 6)]
+    for inst in cases:
+        result = plan_forgetting_baseline(inst)
+        best = min(
+            loss_upper(inst, Route(order)).forgetting_part
+            for order in itertools.permutations(range(inst.t_regions))
+        )
+        assert result.breakdown.forgetting_part == pytest.approx(best, rel=1e-12)
+        assert result.route.final_region == best_final_region(inst)
 
 
 def test_random_strategy_seeded():
