@@ -101,9 +101,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[Row], list[str]]:
         for i in range(cfg.instances):
             seed = cfg.seed + idx * cfg.instances + i
             inst = generate_instance(t, seed, m=m, n=cfg.n, sigma2=cfg.sigma2)
-            exact_total = plan_exact(inst).breakdown.effective_total(cfg.include_constant)
+            exact = plan_exact(inst)
+            exact_total = exact.breakdown.effective_total(cfg.include_constant)
             for strategy in cfg.strategies:
-                result = plan(inst, strategy, seed=seed)
+                result = exact if strategy is Strategy.EXACT else plan(inst, strategy, seed=seed)
                 ratios[strategy].append(
                     result.breakdown.effective_total(cfg.include_constant) / exact_total
                 )

@@ -19,12 +19,12 @@ per visiting position:
 The weights are nondecreasing in p, so by the rearrangement inequality
 descending row sums minimize the forgetting part. :class:`Objective`
 derives these weights, and nothing else does; it raises ValidationError
-when one of them does not fit a float. The planners and the exact oracle
-read them from the instance through :meth:`Objective.of`;
-``closed_form_forgetting`` builds the same objective from actual
-ground-truth parameter vectors, in the regime of their (m, n), and
-evaluates it on the training order, so the Monte Carlo checks test the
-objective the planners minimize.
+when one of them, or a bound on a route's total, does not fit a float.
+The planners and the exact oracle read them from the instance through
+:meth:`Objective.of`; ``closed_form_forgetting`` builds the same objective
+from actual ground-truth parameter vectors, in the regime of their (m, n),
+and evaluates it on the training order, so the Monte Carlo checks test
+the objective the planners minimize.
 """
 
 from __future__ import annotations
@@ -132,15 +132,29 @@ class Objective:
 
     @classmethod
     def of(cls, inst: ProblemInstance) -> "Objective":
-        """The objective of the instance's own regime."""
+        """The objective of the instance's own regime.
+
+        Also raises ValidationError when (T−1)·max c, or a bound on every
+        route total and Held–Karp state, max row sum · Σa/d + offset +
+        (T−1)·max c/T + noise, does not fit a float.
+        """
+        t, top = inst.t_regions, float(inst.costs.max(initial=0.0))
+        if not math.isfinite((t - 1) * top):
+            raise ValidationError(
+                f"c too large: (T-1)*max c = {t - 1}*{top:g} does not fit a float"
+            )
         with np.errstate(over="ignore"):  # build reports a sum that overflows
-            return cls.build(
+            obj = cls.build(
                 inst.delta.sum(axis=1),
                 float(inst.delta0.sum()),
                 inst.m_features,
                 inst.n_samples,
                 inst.sigma2,
             )
+        top_row = max(obj.row_sums, default=0.0)
+        bound = top_row * sum(obj.position_weights) / obj.forgetting_divisor + obj.offset
+        _finite("bound on the route total", bound + (t - 1) * top / obj.travel_divisor + obj.noise)
+        return obj
 
     def forgetting(self, order: tuple[int, ...]) -> float:
         """Forgetting part of a visiting order; terms accumulate in position order."""

@@ -1,13 +1,17 @@
 """Monte Carlo cross-checks of the closed-form expected forgetting losses.
 
 The closed forms in :mod:`clroute.loss` promise expectations over the
-actual learning process: sample features and noisy labels, fit (under) or
-minimum-distance interpolate (over), move to the next region. This module
-runs that process many times and compares the empirical average forgetting
-loss of the final predictor against the closed form, summarized as a
-z-score. ``verify_closed_form`` reads the regime from (m, n) only to pick
-the process to simulate; each process has one implementation, batched
-over chunks of trials, and one closed form serves both.
+learning process: per region, sample features X and noisy labels y and
+take the least-norm correction w ← w + X⁺(y − Xw), which is the
+least-squares fit when n > m and the minimum-distance interpolation when
+m > n. This module runs that process many times and compares the mean
+forgetting loss of the final predictor with the closed form as a z-score.
+
+The process has one batched implementation and two entry points, picked
+by the regime of (m, n): ``_under_losses`` simulates only the final
+region, as a least-squares fit does not depend on where it starts, and
+``_over_losses`` the whole route. ``perfbench/tracing.py`` times each
+regime per 1k trials through the two names, reading ``trials`` at args[3].
 
 Ground truths are constructed, never estimated: region parameters and the
 initial predictor are given as vectors, so ``delta_matrix`` and
@@ -133,67 +137,55 @@ def delta0_vector(truth: TaskGroundTruth) -> np.ndarray:
     return np.sum(d * d, axis=1)
 
 
+def _losses(
+    truth: TaskGroundTruth, regions: tuple[int, ...], n: int, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Per-trial forgetting losses after training on ``regions`` in order.
+
+    Each task draws X, then the noise z, and applies w += X⁺(X(w* − w) + z),
+    with X⁺ taken through the Gram matrix of X's smaller side, XᵀX when
+    n > m and XXᵀ when m > n. A batch whose Gram matrix is singular is redrawn.
+    """
+    m = truth.m_features
+    sig = math.sqrt(truth.sigma2)
+    out = np.empty(trials)
+    for lo in range(0, trials, _CHUNK):
+        b = min(_CHUNK, trials - lo)
+        w = np.tile(truth.w0, (b, 1))
+        for region in regions:
+            while True:
+                x = rng.standard_normal((b, n, m))
+                z = sig * rng.standard_normal((b, n))
+                xt = x.transpose(0, 2, 1)
+                # y - X w written as X (w* - w) + z, so it is exactly z when w matches the region
+                resid = np.einsum("bnm,bm->bn", x, truth.w_star[region] - w) + z
+                try:
+                    if n > m:
+                        step = np.linalg.solve(xt @ x, xt @ resid[..., None])[..., 0]
+                    else:
+                        sol = np.linalg.solve(x @ xt, resid[..., None])[..., 0]
+                        step = np.einsum("bnm,bn->bm", x, sol)
+                    break
+                except np.linalg.LinAlgError:
+                    _log.warning("singular Gram matrix in a batch; redrawing the batch")
+            w += step
+        diff = w[:, None, :] - truth.w_star[None, :, :]
+        out[lo : lo + b] = np.mean(np.sum(diff * diff, axis=2), axis=1)
+    return out
+
+
 def _under_losses(
     truth: TaskGroundTruth, route: Route, n: int, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Per-trial forgetting losses, underparameterized.
-
-    The final predictor is determined by the final region's data alone, so
-    only that task is simulated; batched over chunks of trials with one
-    stacked Gram solve per chunk (X drawn before the noise in each chunk).
-    """
-    m = truth.m_features
-    w_last = truth.w_star[route.final_region]
-    sig = math.sqrt(truth.sigma2)
-    out = np.empty(trials)
-    done = 0
-    while done < trials:
-        b = min(_CHUNK, trials - done)
-        while True:
-            x = rng.standard_normal((b, n, m))
-            z = sig * rng.standard_normal((b, n))
-            y = x @ w_last + z
-            xt = x.transpose(0, 2, 1)
-            try:
-                w = np.linalg.solve(xt @ x, xt @ y[..., None])[..., 0]
-                break
-            except np.linalg.LinAlgError:
-                _log.warning("singular Gram matrix in a batch; redrawing the batch")
-        diff = w[:, None, :] - truth.w_star[None, :, :]
-        out[done : done + b] = np.mean(np.sum(diff * diff, axis=2), axis=1)
-        done += b
-    return out
+    """Per-trial forgetting losses, underparameterized; only the final region's task runs."""
+    return _losses(truth, route.order[-1:], n, trials, rng)
 
 
 def _over_losses(
     truth: TaskGroundTruth, route: Route, n: int, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Per-trial forgetting losses, overparameterized; full sequence per trial."""
-    m = truth.m_features
-    sig = math.sqrt(truth.sigma2)
-    out = np.empty(trials)
-    done = 0
-    while done < trials:
-        b = min(_CHUNK, trials - done)
-        w = np.tile(truth.w0, (b, 1))
-        for region in route.order:
-            while True:
-                x = rng.standard_normal((b, n, m))
-                z = sig * rng.standard_normal((b, n))
-                # residual of the labels y = X w* + z against the current
-                # predictor, written as X (w* - w) + z so it is exactly zero
-                # when the predictor already matches the region
-                resid = np.einsum("bnm,bm->bn", x, truth.w_star[region] - w) + z
-                try:
-                    sol = np.linalg.solve(x @ x.transpose(0, 2, 1), resid[..., None])[..., 0]
-                    break
-                except np.linalg.LinAlgError:
-                    _log.warning("singular Gram matrix in a batch; redrawing the batch")
-            w += np.einsum("bnm,bn->bm", x, sol)
-        diff = w[:, None, :] - truth.w_star[None, :, :]
-        out[done : done + b] = np.mean(np.sum(diff * diff, axis=2), axis=1)
-        done += b
-    return out
+    """Per-trial forgetting losses, overparameterized; the whole route per trial."""
+    return _losses(truth, route.order, n, trials, rng)
 
 
 def verify_closed_form(

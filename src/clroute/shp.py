@@ -126,42 +126,35 @@ def min_weight_perfect_matching(
 def eulerian_circuit(edges: tuple[tuple[int, int], ...], start: int) -> tuple[int, ...]:
     """Hierholzer walk over every multigraph edge, from ``start`` back to it.
 
-    Neighbors are consumed in ascending vertex order (parallel edges in
-    insertion order), so the circuit is reproducible.
+    Tie rule: neighbor lists are sorted high to low, and the walk leaves
+    each vertex by its lowest remaining neighbor, deleting one copy of the
+    reverse entry; parallel edges are interchangeable, so the circuit is
+    reproducible.
     """
     n = 1 + max([start, *map(max, edges)])
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(edges):
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    for v in range(n):
-        if len(adj[v]) % 2 != 0:
-            raise InvariantViolation(f"vertex {v} has odd degree {len(adj[v])}")
-        adj[v].sort()
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for v, nbrs in enumerate(adj):
+        if len(nbrs) % 2 != 0:
+            raise InvariantViolation(f"vertex {v} has odd degree {len(nbrs)}")
+        nbrs.sort(reverse=True)
     if not adj[start]:
         raise InvariantViolation(f"start vertex {start} has no incident edges")
 
-    used = [False] * len(edges)
-    ptr = [0] * n
     stack = [start]
     walked: list[int] = []
     while stack:
         v = stack[-1]
-        moved = False
-        while ptr[v] < len(adj[v]):
-            nxt, eid = adj[v][ptr[v]]
-            if used[eid]:
-                ptr[v] += 1
-                continue
-            used[eid] = True
-            ptr[v] += 1
+        if adj[v]:
+            nxt = adj[v].pop()
+            adj[nxt].remove(v)
             stack.append(nxt)
-            moved = True
-            break
-        if not moved:
+        else:
             walked.append(stack.pop())
 
-    if not all(used):
+    if len(walked) != len(edges) + 1:
         raise InvariantViolation("multigraph is not connected; no Eulerian circuit")
     walked.reverse()
     return tuple(walked)

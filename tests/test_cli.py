@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clroute
-from clroute import generate_instance, read_instance, write_instance
+from clroute import generate_instance, read_instance, shp, write_instance
 from clroute.cli import CSV_HEADER, main
 from helpers import worked_under
 
@@ -154,6 +154,13 @@ def _case(case_id, code, message, *edits, flags=()):
             *((("costs", i, j), 1e308) for i in range(4) for j in range(4) if i != j),
         ),
         _case("m-overflow", 2, "noise constant does not fit a float", (("m",), 10**400)),
+        # every part fits a float, their sum does not
+        _case(
+            "total-overflow", 2, "bound on the route total does not fit a float: inf",
+            (("t",), 2), (("sigma2",), 2e306), (("delta0",), [1.0, 1.0]),
+            (("delta",), [[0.0, 1.79e308], [1.79e308, 0.0]]),
+            (("costs",), [[0.0, 1.79e308], [1.79e308, 0.0]]),
+        ),
         _case("seed-negative", 2, "--seed must be >= 0, got -3", flags=("--seed", "-3")),
     ],
 )
@@ -315,6 +322,20 @@ def test_experiment_row_order_follows_strategy_list(tmp_path):
     assert [r[2] for r in rows] == ["alg1", "exact", "forgetting", "random"]
     exact = rows[1]
     assert exact[3] == exact[4] == exact[5] == "1"
+
+
+def test_experiment_solves_the_exact_optimum_once_per_instance(tmp_path, monkeypatch):
+    calls = []
+    held_karp = shp.held_karp_min_path
+
+    def counted(inst, objective):
+        calls.append(inst.t_regions)
+        return held_karp(inst, objective)
+
+    monkeypatch.setattr(shp, "held_karp_min_path", counted)
+    argv = ["experiment", "--sweep", "m", "--values", "80,120", "--t", "5", "--instances", "3"]
+    assert main([*argv, "--strategies", "alg1,exact", "--out", str(tmp_path / "r.csv")]) == 0
+    assert calls == [5] * 6  # two sweep points, three instances each
 
 
 def test_experiment_rejects_bad_strategy(capsys):
