@@ -18,12 +18,10 @@ from .instance import (
     FormatError,
     ParameterError,
     ProblemInstance,
-    Regime,
     RegimeError,
     RegimeKind,
     Route,
     ValidationError,
-    ValidationReport,
     classify_regime,
     generate_instance,
     metric_closure,
@@ -70,12 +68,10 @@ __all__ = [
     "FormatError",
     "ParameterError",
     "ProblemInstance",
-    "Regime",
     "RegimeError",
     "RegimeKind",
     "Route",
     "ValidationError",
-    "ValidationReport",
     "classify_regime",
     "generate_instance",
     "metric_closure",

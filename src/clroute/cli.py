@@ -154,10 +154,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     )
     Objective.of(inst)  # refuse a file whose loss no plan could evaluate
     write_instance(inst, args.out)
-    regime = inst.regime()
+    kind = classify_regime(inst.m_features, inst.n_samples)
     print(
         f"wrote {args.out}: T={inst.t_regions}, m={inst.m_features}, "
-        f"n={inst.n_samples}, sigma2={inst.sigma2:g}, regime={regime.kind.value}, valid"
+        f"n={inst.n_samples}, sigma2={inst.sigma2:g}, regime={kind.value}, valid"
     )
     return 0
 
@@ -221,7 +221,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ParameterError(f"threshold must be finite, got {args.threshold}")
     slots = (("under", args.under_m, args.under_n), ("over", args.over_m, args.over_n))
     for name, m, n in slots:
-        kind = classify_regime(m, n).kind
+        kind = classify_regime(m, n)
         if kind is not RegimeKind(name):
             raise ParameterError(
                 f"--{name}-m={m}, --{name}-n={n} is {kind.value}parameterized, "

@@ -15,7 +15,7 @@ internally everything is 0-based.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -43,24 +43,7 @@ class RegimeKind(str, Enum):
     OVER = "over"
 
 
-@dataclass(frozen=True)
-class Regime:
-    """Learning regime classification of an (m, n) pair.
-
-    ``r`` is the surviving-error fraction 1 - n/m of a single
-    minimum-norm update; it is only meaningful in the overparameterized
-    regime and is None otherwise.
-    """
-
-    kind: RegimeKind
-    r: float | None = None
-
-    @property
-    def is_under(self) -> bool:
-        return self.kind is RegimeKind.UNDER
-
-
-def classify_regime(m: int, n: int) -> Regime:
+def classify_regime(m: int, n: int) -> RegimeKind:
     """Classify (m, n) as under- or overparameterized.
 
     Raises RegimeError for the undefined band m in {n-1, n, n+1}, where the
@@ -69,9 +52,9 @@ def classify_regime(m: int, n: int) -> Regime:
     if m < 1 or n < 1:
         raise RegimeError(f"m and n must be >= 1, got m={m}, n={n}")
     if n >= m + 2:
-        return Regime(RegimeKind.UNDER)
+        return RegimeKind.UNDER
     if m >= n + 2:
-        return Regime(RegimeKind.OVER, r=1.0 - n / m)
+        return RegimeKind.OVER
     raise RegimeError(f"regime undefined for m ∈ {{n−1,n,n+1}} (m={m}, n={n})")
 
 
@@ -99,12 +82,11 @@ class Route:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Immutable problem data; matrices are read-only numpy arrays.
+    """Immutable, valid problem data; matrices are read-only numpy arrays.
 
-    Construction checks shapes only. Semantic invariants (symmetry, the
-    triangle inequality, a defined regime) are checked by
-    :func:`validate_instance`, which reports violations instead of raising
-    so that deliberately broken instances can be inspected.
+    Construction raises ValueError for a matrix of the wrong shape and then
+    runs :func:`validate_instance`, so every instance that exists is
+    finite, symmetric, metric and of a defined regime.
     """
 
     t_regions: int
@@ -131,21 +113,7 @@ class ProblemInstance:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "delta0", delta0)
         object.__setattr__(self, "costs", costs)
-
-    def regime(self) -> Regime:
-        return classify_regime(self.m_features, self.n_samples)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Violation list plus the regime classification (None when undefined)."""
-
-    violations: tuple[str, ...] = ()
-    regime: Regime | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+        validate_instance(self)
 
 
 def _finite(name: str, arr: np.ndarray, out: list[str]) -> bool:
@@ -199,10 +167,11 @@ def _check_triangle(c: np.ndarray, out: list[str]) -> None:
                     return
 
 
-def validate_instance(inst: ProblemInstance) -> ValidationReport:
-    """Check every instance invariant; an empty report means valid.
+def validate_instance(inst: ProblemInstance) -> None:
+    """Check every instance invariant; run by ProblemInstance construction.
 
-    The triangle-inequality check is exhaustive over ordered triples of
+    Raises ValidationError listing every violation, joined by "; ". The
+    triangle-inequality check is exhaustive over ordered triples of
     distinct regions; the first violated triple is reported verbatim. Costs
     whose sums overflow are valid here; :meth:`clroute.loss.Objective.of`
     rejects an instance whose loss does not fit a float.
@@ -226,13 +195,13 @@ def validate_instance(inst: ProblemInstance) -> ValidationReport:
     elif inst.sigma2 < 0.0:
         violations.append(f"sigma2 must be >= 0, got {inst.sigma2:g}")
 
-    regime: Regime | None = None
     try:
-        regime = classify_regime(inst.m_features, inst.n_samples)
+        classify_regime(inst.m_features, inst.n_samples)
     except RegimeError as exc:
         violations.append(str(exc))
 
-    return ValidationReport(tuple(violations), regime)
+    if violations:
+        raise ValidationError("; ".join(violations))
 
 
 def metric_closure(costs: np.ndarray) -> np.ndarray:
@@ -290,11 +259,10 @@ def generate_instance(
     raw[iu] = rng.uniform(range_lo, range_hi, n_pairs)
     costs = metric_closure(raw + raw.T)
 
-    inst = ProblemInstance(t, delta, delta0, costs, m, n, sigma2)
-    report = validate_instance(inst)
-    if not report.ok:
-        raise ParameterError("generated instance invalid: " + "; ".join(report.violations))
-    return inst
+    try:
+        return ProblemInstance(t, delta, delta0, costs, m, n, sigma2)
+    except ValidationError as exc:
+        raise ParameterError(f"generated instance invalid: {exc}") from exc
 
 
 _SCHEMA = {
@@ -326,8 +294,10 @@ def read_instance(path: str | Path) -> ProblemInstance:
     """Parse and validate an instance file.
 
     Raises FormatError for undecodable bytes, JSON syntax problems or
-    missing, mistyped or ragged fields (naming the field), ValidationError
-    when the parsed instance violates an invariant, non-finite numbers too.
+    missing, mistyped or ragged fields (naming the field), a matrix entry
+    that is not a JSON number included, and ValidationError when a number
+    does not fit a float or the parsed instance violates an invariant,
+    non-finite numbers too.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -344,28 +314,29 @@ def read_instance(path: str | Path) -> ProblemInstance:
         if not isinstance(doc[name], typ) or isinstance(doc[name], bool):
             raise FormatError(f"{path}: field \"{name}\" has wrong type")
 
-    arrays = {}
-    for name in ("delta", "delta0", "costs"):
+    numbers = {}
+    for name in ("delta", "delta0", "costs", "sigma2"):
+        # an object array keeps each entry's JSON type: a list entry means
+        # ragged nesting, and bool and str would otherwise cast to float
+        value = np.array(doc[name], dtype=object)
+        if not all(type(x) in (int, float) for x in value.ravel()):
+            raise FormatError(f"{path}: field \"{name}\" is not a rectangular array of numbers")
         try:
-            arrays[name] = np.array(doc[name], dtype=float)
-        except (ValueError, TypeError) as exc:
-            raise FormatError(
-                f"{path}: field \"{name}\" is not a rectangular array of numbers"
-            ) from exc
+            numbers[name] = value.astype(float)
+        except OverflowError as exc:
+            raise ValidationError(f"{path}: field \"{name}\" does not fit a float: {exc}") from exc
 
-    t = doc["t"]
     try:
-        inst = ProblemInstance(
-            t_regions=t,
-            **arrays,
+        return ProblemInstance(
+            t_regions=doc["t"],
+            delta=numbers["delta"],
+            delta0=numbers["delta0"],
+            costs=numbers["costs"],
             m_features=doc["m"],
             n_samples=doc["n"],
-            sigma2=float(doc["sigma2"]),
+            sigma2=float(numbers["sigma2"]),
         )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-
-    report = validate_instance(inst)
-    if not report.ok:
-        raise ValidationError(f"{path}: " + "; ".join(report.violations))
-    return inst

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import ProblemInstance, Route, ValidationError, classify_regime
+from .instance import ProblemInstance, RegimeKind, Route, ValidationError, classify_regime
 from .shp import route_travel_cost
 
 
@@ -103,17 +103,17 @@ class Objective:
         ValidationError when a row sum, the offset or the noise constant
         is not finite or cannot be converted to a float.
         """
-        regime = classify_regime(m, n)
+        kind = classify_regime(m, n)
         rows = tuple(
             _finite(f"row sum of region {i + 1}", float(x)) for i, x in enumerate(row_sums)
         )
         t = len(rows)
         try:
-            if regime.is_under:
+            if kind is RegimeKind.UNDER:
                 position, divisor = (0.0,) * (t - 1) + (1.0,), t
                 offset, noise = 0.0, m * sigma2 / (n - m - 1)
             else:
-                r = regime.r
+                r = 1.0 - n / m
                 powers = r_powers(r, t)
                 r_t = float(powers[t])
                 position = tuple((1.0 - r) * float(powers[t - p]) / t for p in range(1, t + 1))

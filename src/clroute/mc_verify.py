@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import ParameterError, Route, classify_regime
+from .instance import ParameterError, RegimeKind, Route, classify_regime
 from .loss import closed_form_forgetting
 
 _log = logging.getLogger(__name__)
@@ -213,11 +213,11 @@ def verify_closed_form(
     """
     if trials < 100:
         raise ParameterError(f"trials must be >= 100, got {trials}")
-    regime = classify_regime(truth.m_features, n_samples)
+    kind = classify_regime(truth.m_features, n_samples)
     if len(route) != truth.t_regions:
         raise ValueError(f"route length {len(route)} != regions {truth.t_regions}")
 
-    simulate = _under_losses if regime.is_under else _over_losses
+    simulate = _under_losses if kind is RegimeKind.UNDER else _over_losses
     losses = simulate(truth, route, n_samples, trials, rng)
     closed = closed_form_forgetting(
         truth.w_star[list(route.order)], truth.w0, truth.sigma2, truth.m_features, n_samples

@@ -9,7 +9,7 @@ Four strategies produce a route and its loss breakdown:
   Hamiltonian path. Every stage is polynomial except the odd-set matching,
   an O(2^k * k) bitmask program over the k odd-degree vertices (k is about
   T/2), so the pipeline as a whole is exponential in T; replacing that
-  matching with a polynomial one is ROADMAP item 2.
+  matching with a polynomial one is ROADMAP item 1.
 * ``exact`` — subset dynamic programming, exact but limited to T <= 16.
 * ``forgetting`` — the travel-oblivious continual-learning baseline that
   minimizes only the forgetting term, by rearrangement: descending row
@@ -59,7 +59,7 @@ def plan_algorithm1(inst: ProblemInstance) -> PlanResult:
 
     The odd-set matching is an exact O(2^k * k) bitmask program over the k
     odd-degree vertices of the tree plus dummy, so this takes time
-    exponential in T (k is about T/2); see ROADMAP item 2.
+    exponential in T (k is about T/2); see ROADMAP item 1.
     """
     t0 = time.perf_counter()
     v_prime = best_final_region(inst)

@@ -20,7 +20,6 @@ from clroute import (
     Route,
     TaskGroundTruth,
     best_final_region,
-    classify_regime,
     generate_instance,
     metric_closure,
     plan_algorithm1,
@@ -65,7 +64,7 @@ def test_acceptance_01_under_approximation_bound(under_ensemble):
 
 def test_acceptance_02_over_approximation_bound(over_ensemble):
     records, elapsed = over_ensemble
-    r = classify_regime(120, 100).r
+    r = 1 - 100 / 120
     violations = sum(
         rec.ratio > 1.5 + r ** (1 - len(rec.approx.route)) for rec in records
     )

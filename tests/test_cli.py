@@ -162,6 +162,36 @@ def _case(case_id, code, message, *edits, flags=()):
             (("costs",), [[0.0, 1.79e308], [1.79e308, 0.0]]),
         ),
         _case("seed-negative", 2, "--seed must be >= 0, got -3", flags=("--seed", "-3")),
+        # integer literals too large for a float, where 1e400 would read as inf
+        *(
+            _case(
+                f"{name}-huge-int", 2, f'field "{name}" does not fit a float',
+                (key_path, 10**400),
+            )
+            for name, key_path in (
+                ("sigma2", ("sigma2",)),
+                ("delta", ("delta", 0, 1)),
+                ("delta0", ("delta0", 2)),
+                ("costs", ("costs", 3, 1)),
+            )
+        ),
+        # JSON values that numpy would cast to a float, each valid if it did
+        _case(
+            "delta-string", 3, 'field "delta" is not a rectangular array of numbers',
+            (("delta", 0, 1), "2.5"), (("delta", 1, 0), "2.5"),
+        ),
+        _case(
+            "delta0-bool", 3, 'field "delta0" is not a rectangular array of numbers',
+            (("delta0", 1), True),
+        ),
+        _case(
+            "costs-bool", 3, 'field "costs" is not a rectangular array of numbers',
+            (("costs", 2, 2), False),
+        ),
+        _case(  # nested deeper than numpy's 64 dimensions
+            "delta0-deep", 3, 'field "delta0" is not a rectangular array of numbers',
+            (("delta0",), json.loads("[" * 100 + "1.0" + "]" * 100)),
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error")  # no numpy overflow warning leaks either
@@ -182,7 +212,7 @@ def test_plan_rejects_non_finite_and_ragged_files(tmp_path, capsys, edits, flags
             assert captured.out == ""
 
 
-BAD_VALUES = [NAN, INF, -INF, -1.0, 1e300, 1e308]
+BAD_VALUES = [NAN, INF, -INF, -1.0, 1e300, 1e308, 10**400]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)

@@ -7,6 +7,7 @@ import pytest
 
 from clroute import (
     FormatError,
+    Objective,
     ParameterError,
     ProblemInstance,
     RegimeError,
@@ -24,10 +25,10 @@ from helpers import manual_instance
 
 
 def test_classify_regime_boundaries():
-    assert classify_regime(80, 100).kind is RegimeKind.UNDER
-    assert classify_regime(80, 82).kind is RegimeKind.UNDER
-    assert classify_regime(120, 100).kind is RegimeKind.OVER
-    assert classify_regime(82, 80).kind is RegimeKind.OVER
+    assert classify_regime(80, 100) is RegimeKind.UNDER
+    assert classify_regime(80, 82) is RegimeKind.UNDER
+    assert classify_regime(120, 100) is RegimeKind.OVER
+    assert classify_regime(82, 80) is RegimeKind.OVER
     for m in (99, 100, 101):
         with pytest.raises(RegimeError):
             classify_regime(m, 100)
@@ -36,11 +37,13 @@ def test_classify_regime_boundaries():
 
 
 def test_regime_r_value():
-    reg = classify_regime(120, 100)
-    assert reg.kind is RegimeKind.OVER and not reg.is_under
-    assert reg.r == pytest.approx(1.0 - 100 / 120)
-    assert 0.0 < reg.r < 1.0
-    assert classify_regime(80, 100).r is None
+    # the surviving-error fraction r = 1 - n/m sets the overparameterized
+    # position weights (1 - r) r^(T-p) / T; the underparameterized ones have no r
+    r = 1.0 - 100 / 120
+    assert 0.0 < r < 1.0
+    over = Objective.build(np.zeros(3), 0.0, 120, 100, 1.0)
+    assert over.position_weights == pytest.approx([(1 - r) * r ** (3 - p) / 3 for p in (1, 2, 3)])
+    assert Objective.build(np.zeros(3), 0.0, 80, 100, 1.0).position_weights == (0.0, 0.0, 1.0)
 
 
 def test_route_must_be_permutation():
@@ -62,41 +65,54 @@ def test_validate_accepts_metric_under_instance():
     inst = manual_instance(
         delta=[[0, 2], [2, 0]], delta0=[1, 1], costs=[[0, 3], [3, 0]], m=80, n=100
     )
-    report = validate_instance(inst)
-    assert report.ok
-    assert report.regime.kind is RegimeKind.UNDER
+    assert validate_instance(inst) is None
+    assert classify_regime(inst.m_features, inst.n_samples) is RegimeKind.UNDER
 
 
 def test_validate_reports_triangle_violation_verbatim():
-    inst = manual_instance(
-        delta=[[0, 1, 1], [1, 0, 1], [1, 1, 0]],
-        delta0=[1, 1, 1],
-        costs=[[0, 1, 5], [1, 0, 1], [5, 1, 0]],
-        m=80,
-        n=100,
-    )
-    report = validate_instance(inst)
-    assert not report.ok
-    assert "triangle inequality: c_{1,3}=5 > c_{1,2}+c_{2,3}=2" in report.violations
+    with pytest.raises(ValidationError) as exc:
+        manual_instance(
+            delta=[[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+            delta0=[1, 1, 1],
+            costs=[[0, 1, 5], [1, 0, 1], [5, 1, 0]],
+            m=80,
+            n=100,
+        )
+    assert str(exc.value) == "triangle inequality: c_{1,3}=5 > c_{1,2}+c_{2,3}=2"
 
 
 def test_validate_flags_undefined_regime():
-    inst = manual_instance(
-        delta=[[0, 1], [1, 0]], delta0=[1, 1], costs=[[0, 1], [1, 0]], m=100, n=100
-    )
-    report = validate_instance(inst)
-    assert report.regime is None
-    assert any("regime undefined" in v for v in report.violations)
+    with pytest.raises(ValidationError, match="regime undefined"):
+        manual_instance(
+            delta=[[0, 1], [1, 0]], delta0=[1, 1], costs=[[0, 1], [1, 0]], m=100, n=100
+        )
 
 
 def test_validate_reports_asymmetry_and_negative_entries():
     delta = np.array([[0.0, 1.0], [2.0, 0.0]])
-    inst = ProblemInstance(2, delta, np.array([1.0, -1.0]), np.zeros((2, 2)), 80, 100, -0.5)
-    report = validate_instance(inst)
-    joined = "\n".join(report.violations)
+    with pytest.raises(ValidationError) as exc:
+        ProblemInstance(2, delta, np.array([1.0, -1.0]), np.zeros((2, 2)), 80, 100, -0.5)
+    joined = str(exc.value)
     assert "delta not symmetric" in joined
     assert "delta0 must be >= 0" in joined
     assert "sigma2 must be >= 0" in joined
+
+
+@pytest.mark.parametrize(
+    "costs,m",
+    [
+        ([[0, 1, 50], [1, 0, 1], [50, 1, 0]], 80),  # c_{1,3} > c_{1,2} + c_{2,3}
+        ([[0, 1, 2], [3, 0, 1], [2, 1, 0]], 80),  # c_{2,1} != c_{1,2}
+        ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], 100),  # m == n: no regime
+    ],
+    ids=["triangle", "asymmetric", "m-equals-n"],
+)
+def test_no_invalid_instance_can_be_built(costs, m):
+    # the check runs at construction, so no planner ever sees such an instance
+    with pytest.raises(ValidationError):
+        manual_instance(
+            delta=[[0, 1, 1], [1, 0, 1], [1, 1, 0]], delta0=[1, 1, 1], costs=costs, m=m, n=100
+        )
 
 
 def test_validate_reports_each_non_finite_field_once():
@@ -105,12 +121,13 @@ def test_validate_reports_each_non_finite_field_once():
     nan, inf = float("nan"), float("inf")
     delta = np.array([[0.0, nan, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     costs = np.array([[0.0, 1.0, -inf], [1.0, 0.0, 1.0], [-inf, 1.0, 0.0]])
-    inst = ProblemInstance(3, delta, np.array([1.0, inf, 1.0]), costs, 80, 100, nan)
-    assert validate_instance(inst).violations == (
-        "delta must be finite: delta_{1,2}=nan",
-        "delta0 must be finite: delta0_{2}=inf",
-        "c must be finite: c_{1,3}=-inf",
-        "sigma2 must be finite, got nan",
+    with pytest.raises(ValidationError) as exc:
+        ProblemInstance(3, delta, np.array([1.0, inf, 1.0]), costs, 80, 100, nan)
+    assert str(exc.value) == (
+        "delta must be finite: delta_{1,2}=nan; "
+        "delta0 must be finite: delta0_{2}=inf; "
+        "c must be finite: c_{1,3}=-inf; "
+        "sigma2 must be finite, got nan"
     )
 
 
@@ -162,7 +179,7 @@ def test_generate_smallest_instance():
     assert inst.t_regions == 2
     assert inst.delta[0, 1] == inst.delta[1, 0] > 0
     assert inst.costs[0, 1] == inst.costs[1, 0] > 0
-    assert validate_instance(inst).ok
+    assert validate_instance(inst) is None
 
 
 def test_generate_costs_satisfy_all_triangle_inequalities():
@@ -203,7 +220,7 @@ def test_generated_instances_always_validate():
         t = int(rng.integers(2, 11))
         seed = int(rng.integers(0, 2**31))
         inst = generate_instance(t, seed=seed)
-        assert validate_instance(inst).ok
+        assert validate_instance(inst) is None
 
 
 def test_write_read_round_trip(tmp_path):

@@ -245,8 +245,7 @@ def _python_routine(obj) -> bool:
 
 def test_no_public_name_takes_or_names_a_regime():
     # the regime is read from (m, n): no public function or method takes it
-    # as a parameter, and no public name is split into _under / _over
-    # variants (a dataclass field such as ValidationReport.regime is a result)
+    # as a parameter, and no public name is split into _under / _over variants
     for name in clroute.__all__:
         assert not name.endswith(("_under", "_over")), name
         obj = getattr(clroute, name)

@@ -9,7 +9,6 @@ from clroute import (
     ParameterError,
     RegimeError,
     Route,
-    classify_regime,
     closed_form_forgetting,
 )
 from clroute.mc_verify import (
@@ -200,7 +199,7 @@ def test_over_mean_depends_on_order():
 
 def test_noise_constant_scales_linearly_in_sigma2():
     m, n, t = 12, 4, 3
-    k1 = (1 - classify_regime(m, n).r**t) * m / (m - n - 1)  # constant at sigma2 = 1
+    k1 = (1 - (1 - n / m) ** t) * m / (m - n - 1)  # constant at sigma2 = 1
     for seed, sigma2 in ((21, 0.25), (22, 0.5), (23, 1.0)):
         truth = TaskGroundTruth(np.zeros((t, m)), np.zeros(m), sigma2)
         report = verify_closed_form(

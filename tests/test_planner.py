@@ -11,7 +11,6 @@ from clroute import (
     Route,
     SizeLimitError,
     best_final_region,
-    classify_regime,
     generate_instance,
     held_karp_min_path,
     loss_upper,
@@ -212,7 +211,7 @@ def test_ratio_at_least_one_for_every_strategy():
 
 def test_ratio_over_regime_bound_small_ensemble():
     rng = np.random.default_rng(17)
-    r_param = classify_regime(120, 100).r
+    r_param = 1 - 100 / 120
     for _ in range(50):
         t = int(rng.integers(4, 10))
         inst = generate_instance(t, seed=int(rng.integers(1 << 30)), m=120, n=100)
