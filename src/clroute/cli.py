@@ -21,6 +21,7 @@ included), 4 exact-solver size limit, 5 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -249,6 +250,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 5
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cl-route",

@@ -293,9 +293,10 @@ def write_instance(inst: ProblemInstance, path: str | Path) -> None:
 def read_instance(path: str | Path) -> ProblemInstance:
     """Parse and validate an instance file.
 
-    Raises FormatError for undecodable bytes, JSON syntax problems or
-    missing, mistyped or ragged fields (naming the field), a matrix entry
-    that is not a JSON number included, and ValidationError when a number
+    Raises FormatError for undecodable bytes, JSON syntax problems, nesting
+    deeper than the parser's recursion limit or missing, mistyped or
+    ragged fields (naming the field), a matrix entry that is not a JSON
+    number included, and ValidationError when a number
     does not fit a float or the parsed instance violates an invariant,
     non-finite numbers too.
     """
@@ -305,6 +306,8 @@ def read_instance(path: str | Path) -> ProblemInstance:
         raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"{path}: JSON nested too deeply to parse") from exc
 
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top-level value must be an object")

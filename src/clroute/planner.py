@@ -10,7 +10,7 @@ Four strategies produce a route and its loss breakdown:
   an O(2^k * k) bitmask program over the k odd-degree vertices (k is about
   T/2), so the pipeline as a whole is exponential in T; replacing that
   matching with a polynomial one is ROADMAP item 1.
-* ``exact`` — subset dynamic programming, exact but limited to T <= 16.
+* ``exact`` — subset dynamic programming, exact but limited to T <= 20.
 * ``forgetting`` — the travel-oblivious continual-learning baseline that
   minimizes only the forgetting term, by rearrangement: descending row
   sums on the nondecreasing position weights.

@@ -16,7 +16,8 @@ Euler walk consumes neighbors in ascending vertex order.
 (visited set, last vertex) that minimizes a :class:`clroute.loss.Objective`.
 The objective has one forgetting weight per position, so the stage index
 of the program (the subset size) fixes each region's weight, the final
-region's included.
+region's included. Numpy fills it one subset size at a time, every
+(subset, last region) pair of that size at once, up to T = 20.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .instance import ProblemInstance, Route
 if TYPE_CHECKING:
     from .loss import Objective
 
-HELD_KARP_MAX_T = 16
+HELD_KARP_MAX_T = 20
 
 
 class SizeLimitError(ValueError):
@@ -200,8 +201,9 @@ def held_karp_min_path(inst: ProblemInstance, objective: Objective) -> tuple[Rou
     route-independent terms included. The travel-only optimum is the
     objective with zero forgetting weights and travel divisor 1.
 
-    Cost is O(2^T * T^2); refuses T > 16 — use the approximation pipeline
-    in ``planner`` beyond that.
+    Cost is O(2^T * T^2), memory 2^T * T float64 values plus int8 parents
+    (190 MB at T=20); refuses T > 20 — use the approximation pipeline in
+    ``planner`` beyond that.
     """
     t = inst.t_regions
     if t > HELD_KARP_MAX_T:
@@ -212,40 +214,31 @@ def held_karp_min_path(inst: ProblemInstance, objective: Objective) -> tuple[Rou
     if len(objective.row_sums) != t:
         raise ValueError(f"objective covers {len(objective.row_sums)} regions, instance has {t}")
 
-    scale = 1.0 / objective.travel_divisor
-    c = [[x * scale for x in row] for row in inst.costs.tolist()]
-    d = objective.forgetting_divisor
-    # gains[k][v]: what region v adds when it enters as visit k+1
-    gains = [[a * rs / d for rs in objective.row_sums] for a in objective.position_weights]
+    c = inst.costs * (1.0 / objective.travel_divisor)
+    # gain[k, v]: what region v adds when it enters as visit k+1
+    gain = np.outer(objective.position_weights, objective.row_sums) / objective.forgetting_divisor
 
     full = (1 << t) - 1
-    inf = float("inf")
-    dp = [[inf] * t for _ in range(full + 1)]
-    parent = [[-1] * t for _ in range(full + 1)]
-    for mask in range(1, full + 1):
-        regions = [v for v in range(t) if (mask >> v) & 1]
-        g = gains[len(regions) - 1]
-        start = 0.0 if len(regions) == 1 else inf  # a first visit has no predecessor
-        row, par = dp[mask], parent[mask]
-        for v in regions:
-            rest = dp[mask ^ (1 << v)]
-            best, arg = start, -1
-            for u in regions:
-                if u != v:
-                    cand = rest[u] + c[u][v]
-                    if cand < best:
-                        best, arg = cand, u
-            row[v] = best + g[v]
-            par[v] = arg
+    size = np.zeros(full + 1, dtype=np.uint8)  # popcount of each subset
+    for v in range(t):
+        size[1 << v : 2 << v] = size[: 1 << v] + 1
+    dp = np.full((full + 1, t), np.inf)
+    parent = np.full((full + 1, t), -1, dtype=np.int8)
+    dp[1 << np.arange(t), np.arange(t)] = 0.0 + gain[0]  # a first visit has no predecessor
+    for s in range(2, t + 1):
+        layer = np.flatnonzero(size == s)
+        for v in range(t):
+            sel = layer[(layer >> v) & 1 == 1]
+            # regions outside sel ^ (1 << v), v included, are inf there and never win
+            cand = dp[sel ^ (1 << v)] + c[:, v]
+            arg = cand.argmin(axis=1)  # the first minimum: lowest index on ties
+            dp[sel, v] = cand[np.arange(len(sel)), arg] + gain[s - 1, v]
+            parent[sel, v] = arg
 
-    best_last = min(range(t), key=dp[full].__getitem__)
-
-    order: list[int] = []
-    mask, v = full, best_last
+    v = int(np.argmin(dp[full]))
+    value = float(dp[full, v]) + objective.offset + objective.noise
+    order, mask = [], full
     while v != -1:
         order.append(v)
-        prev = parent[mask][v]
-        mask ^= 1 << v
-        v = prev
-    order.reverse()
-    return Route(tuple(order)), dp[full][best_last] + objective.offset + objective.noise
+        mask, v = mask ^ (1 << v), int(parent[mask, v])
+    return Route(tuple(reversed(order))), value

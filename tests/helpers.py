@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 
-from clroute import Objective, ProblemInstance, TaskGroundTruth
+from clroute import Objective, ProblemInstance, Route, TaskGroundTruth
 
 
 def manual_instance(delta, delta0, costs, m, n, sigma2=1.0) -> ProblemInstance:
@@ -90,6 +90,54 @@ def scan_all_routes(inst: ProblemInstance, objective: str) -> tuple[float, tuple
             vals = forg + travel_raw / t + (1 - r**t) * m * s2 / (m - n - 1)
     i = int(np.argmin(vals))
     return float(vals[i]), tuple(int(v) for v in perms[i])
+
+
+def scalar_held_karp(inst: ProblemInstance, objective: Objective) -> tuple[Route, float]:
+    """Held–Karp as a scalar triple loop over (subset, last, previous).
+
+    The reference for ``held_karp_min_path``: the same states, the same
+    order of float operations and the same tie rule (the cheapest
+    predecessor, lowest index on ties, chosen before the gain is added),
+    one state at a time.
+    """
+    t = inst.t_regions
+    scale = 1.0 / objective.travel_divisor
+    c = [[x * scale for x in row] for row in inst.costs.tolist()]
+    d = objective.forgetting_divisor
+    # gains[k][v]: what region v adds when it enters as visit k+1
+    gains = [[a * rs / d for rs in objective.row_sums] for a in objective.position_weights]
+
+    full = (1 << t) - 1
+    inf = float("inf")
+    dp = [[inf] * t for _ in range(full + 1)]
+    parent = [[-1] * t for _ in range(full + 1)]
+    for mask in range(1, full + 1):
+        regions = [v for v in range(t) if (mask >> v) & 1]
+        g = gains[len(regions) - 1]
+        start = 0.0 if len(regions) == 1 else inf  # a first visit has no predecessor
+        row, par = dp[mask], parent[mask]
+        for v in regions:
+            rest = dp[mask ^ (1 << v)]
+            best, arg = start, -1
+            for u in regions:
+                if u != v:
+                    cand = rest[u] + c[u][v]
+                    if cand < best:
+                        best, arg = cand, u
+            row[v] = best + g[v]
+            par[v] = arg
+
+    best_last = min(range(t), key=dp[full].__getitem__)
+
+    order: list[int] = []
+    mask, v = full, best_last
+    while v != -1:
+        order.append(v)
+        prev = parent[mask][v]
+        mask ^= 1 << v
+        v = prev
+    order.reverse()
+    return Route(tuple(order)), dp[full][best_last] + objective.offset + objective.noise
 
 
 def all_perfect_matchings(verts: tuple[int, ...]):

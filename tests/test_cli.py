@@ -97,10 +97,18 @@ def test_plan_forgetting_baseline_route(tmp_path, capsys):
 
 def test_plan_exact_hits_size_limit(tmp_path, capsys):
     out = tmp_path / "big.json"
-    main(["gen", "--t", "17", "--seed", "0", "--out", str(out)])
+    main(["gen", "--t", str(shp.HELD_KARP_MAX_T + 1), "--seed", "0", "--out", str(out)])
     capsys.readouterr()
     assert main(["plan", str(out), "--strategy", "exact"]) == 4
     assert "approximation" in capsys.readouterr().err
+
+
+def test_experiment_runs_the_exact_oracle_above_sixteen_regions(capsys):
+    argv = ["experiment", "--sweep", "t", "--values", "17", "--instances", "1"]
+    assert main([*argv, "--strategies", "alg1,exact"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [r[:3] for r in rows] == [["t", "17", "alg1"], ["t", "17", "exact"]]
+    assert all(float(x) >= 1.0 for r in rows for x in r[3:6])
 
 
 def _put(doc, path, value):
@@ -111,6 +119,10 @@ def _put(doc, path, value):
 
 
 NAN, INF = float("nan"), float("inf")
+
+
+class _Raw(str):
+    """JSON text spliced into the file as is, for nesting json.dumps cannot write."""
 
 
 def _case(case_id, code, message, *edits, flags=()):
@@ -192,6 +204,10 @@ def _case(case_id, code, message, *edits, flags=()):
             "delta0-deep", 3, 'field "delta0" is not a rectangular array of numbers',
             (("delta0",), json.loads("[" * 100 + "1.0" + "]" * 100)),
         ),
+        _case(  # nested deeper than the JSON parser's recursion limit
+            "delta0-too-deep", 3, "JSON nested too deeply to parse",
+            (("delta0",), _Raw("[" * 100_000 + "1.0" + "]" * 100_000)),
+        ),
     ],
 )
 @pytest.mark.filterwarnings("error")  # no numpy overflow warning leaks either
@@ -201,7 +217,11 @@ def test_plan_rejects_non_finite_and_ragged_files(tmp_path, capsys, edits, flags
     doc = json.loads(path.read_text())
     for key_path, value in edits:
         _put(doc, key_path, value)
-    path.write_text(json.dumps(doc))  # writes NaN / Infinity, as Python's json accepts
+    text = json.dumps(doc)  # writes NaN / Infinity, as Python's json accepts
+    for _, value in edits:
+        if isinstance(value, _Raw):
+            text = text.replace(json.dumps(value), value)
+    path.write_text(text)
     for fmt in ("text", "json"):
         for strategy in ("alg1", "exact", "forgetting", "random"):
             argv = ["plan", str(path), "--format", fmt, "--strategy", strategy, *flags]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from clroute import (
+    HELD_KARP_MAX_T,
     Route,
     SizeLimitError,
     best_final_region,
@@ -104,7 +105,7 @@ def test_plan_exact_minimizes_travel_when_delta_zero():
 
 
 def test_plan_exact_size_limited():
-    inst = generate_instance(17, seed=2)
+    inst = generate_instance(HELD_KARP_MAX_T + 1, seed=2)
     with pytest.raises(SizeLimitError):
         plan_exact(inst)
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clroute import (
     Objective,
@@ -9,6 +11,7 @@ from clroute import (
     generate_instance,
     held_karp_min_path,
     loss_upper,
+    metric_closure,
     minimum_spanning_tree,
     route_travel_cost,
 )
@@ -25,6 +28,8 @@ from helpers import (
     brute_min_matching_weight,
     circuit_edge_multiset,
     graph_edge_multiset,
+    manual_instance,
+    scalar_held_karp,
     scan_all_routes,
     travel_objective,
     worked_under,
@@ -262,6 +267,35 @@ def test_held_karp_travel_objective_matches_scan():
         scan_value, _ = scan_all_routes(inst, "travel")
         assert value == pytest.approx(scan_value, rel=1e-9)
         assert route_travel_cost(inst, route) == pytest.approx(value, rel=1e-12)
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """Costs in {1, 2} and dissimilarities in {0, 1, 2}, or all equal, so
+    many routes, row sums and Held–Karp states tie; either regime."""
+    t = draw(st.integers(2, 12))
+    upper = np.triu_indices(t, 1)
+    pairs = len(upper[0])
+
+    def symmetric(values):
+        mat = np.zeros((t, t))
+        mat[upper] = draw(st.lists(st.sampled_from(values), min_size=pairs, max_size=pairs))
+        return mat + mat.T
+
+    costs = metric_closure(symmetric([1.0, 2.0]))
+    delta = symmetric(draw(st.sampled_from([[1.0], [0.0, 1.0, 2.0]])))
+    m = draw(st.sampled_from([60, 80, 120, 180]))
+    return manual_instance(delta, np.ones(t), costs, m, 100)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(inst=tie_heavy_instances(), travel_only=st.booleans())
+def test_held_karp_matches_the_scalar_oracle_bit_for_bit(inst, travel_only):
+    objective = travel_objective(inst.t_regions) if travel_only else Objective.of(inst)
+    route, value = held_karp_min_path(inst, objective)
+    oracle_route, oracle_value = scalar_held_karp(inst, objective)
+    assert route == oracle_route
+    assert repr(value) == repr(oracle_value)
 
 
 def test_held_karp_size_guard():
