@@ -13,9 +13,10 @@ Four subcommands:
   |n − m| >= 4. Exits 5 when any z-score exceeds the threshold.
 
 Exit codes: 0 success, 2 usage (bad parameters such as a negative
-``--seed``, undefined regime, an invalid instance or one whose loss does
-not fit a float), 3 I/O or file-format failure (undecodable bytes
-included), 4 exact-solver size limit, 5 verification failure.
+``--seed`` or a repeated sweep value or strategy, undefined regime, an
+invalid instance, one whose loss does not fit a float included), 3 I/O
+or file-format failure (undecodable bytes included), 4 exact-solver size
+limit, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .instance import (
     read_instance,
     write_instance,
 )
-from .loss import Objective
 from .mc_verify import simplex_ground_truth, verify_closed_form
 from .planner import Strategy, plan, plan_exact
 from .shp import SizeLimitError
@@ -73,6 +73,14 @@ class ExperimentConfig:
             raise ParameterError(f"instances must be >= 1, got {self.instances}")
         if not self.strategies:
             raise ParameterError("need at least one strategy")
+        # the CSV holds one row per (point, strategy)
+        for kind, names in (
+            ("sweep value", [str(v) for v in self.values]),
+            ("strategy", [s.value for s in self.strategies]),
+        ):
+            repeats = [x for i, x in enumerate(names) if x in names[:i]]
+            if repeats:
+                raise ParameterError(f"repeated {kind} {repeats[0]}")
 
 
 Row = tuple[str, int, str, float, float, float, int]
@@ -153,7 +161,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
         n=args.n,
         sigma2=args.sigma2,
     )
-    Objective.of(inst)  # refuse a file whose loss no plan could evaluate
     write_instance(inst, args.out)
     kind = classify_regime(inst.m_features, inst.n_samples)
     print(

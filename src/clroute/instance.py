@@ -15,11 +15,15 @@ internally everything is 0-based.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .loss import Objective
 
 
 class ParameterError(ValueError):
@@ -84,9 +88,12 @@ class Route:
 class ProblemInstance:
     """Immutable, valid problem data; matrices are read-only numpy arrays.
 
-    Construction raises ValueError for a matrix of the wrong shape and then
-    runs :func:`validate_instance`, so every instance that exists is
-    finite, symmetric, metric and of a defined regime.
+    Construction raises ValueError for a matrix of the wrong shape, then
+    runs :func:`validate_instance` and builds ``objective``, the route
+    objective of the instance's regime, once. So every instance that
+    exists is finite, symmetric, metric, of a defined regime and has a
+    loss that fits a float; :meth:`clroute.loss.Objective.of` raises
+    ValidationError for one that does not.
     """
 
     t_regions: int
@@ -96,6 +103,7 @@ class ProblemInstance:
     m_features: int
     n_samples: int
     sigma2: float
+    objective: Objective = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         t = self.t_regions
@@ -114,6 +122,9 @@ class ProblemInstance:
         object.__setattr__(self, "delta0", delta0)
         object.__setattr__(self, "costs", costs)
         validate_instance(self)
+        from .loss import Objective  # imported here: loss imports this module
+
+        object.__setattr__(self, "objective", Objective.of(self))
 
 
 def _finite(name: str, arr: np.ndarray, out: list[str]) -> bool:
@@ -172,9 +183,7 @@ def validate_instance(inst: ProblemInstance) -> None:
 
     Raises ValidationError listing every violation, joined by "; ". The
     triangle-inequality check is exhaustive over ordered triples of
-    distinct regions; the first violated triple is reported verbatim. Costs
-    whose sums overflow are valid here; :meth:`clroute.loss.Objective.of`
-    rejects an instance whose loss does not fit a float.
+    distinct regions; the first violated triple is reported verbatim.
     """
     violations: list[str] = []
     t = inst.t_regions

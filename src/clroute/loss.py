@@ -20,11 +20,12 @@ The weights are nondecreasing in p, so by the rearrangement inequality
 descending row sums minimize the forgetting part. :class:`Objective`
 derives these weights, and nothing else does; it raises ValidationError
 when one of them, or a bound on a route's total, does not fit a float.
-The planners and the exact oracle read them from the instance through
-:meth:`Objective.of`; ``closed_form_forgetting`` builds the same objective
-from actual ground-truth parameter vectors, in the regime of their (m, n),
-and evaluates it on the training order, so the Monte Carlo checks test
-the objective the planners minimize.
+Every :class:`~clroute.instance.ProblemInstance` builds its objective
+once, through :meth:`Objective.of`, and the planners and the exact oracle
+read ``inst.objective``; ``closed_form_forgetting`` builds the same
+objective from actual ground-truth parameter vectors, in the regime of
+their (m, n), and evaluates it on the training order, so the Monte Carlo
+checks test the objective the planners minimize.
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ class Objective:
 
     @classmethod
     def of(cls, inst: ProblemInstance) -> "Objective":
-        """The objective of the instance's own regime.
+        """The objective of the instance's own regime; run once, by
+        ProblemInstance construction, which stores it as ``inst.objective``.
 
         Also raises ValidationError when (T−1)·max c, or a bound on every
         route total and Held–Karp state, max row sum · Σa/d + offset +
@@ -169,10 +171,10 @@ def best_final_region(inst: ProblemInstance) -> int:
 
     The last position carries the largest forgetting weight, so a
     forgetting-optimal route ends at a minimal row sum; the forgetting
-    baseline ends here in both regimes. Raises what :meth:`Objective.of`
-    raises, whose row sums it reads.
+    baseline ends here in both regimes. Reads the row sums of
+    ``inst.objective``.
     """
-    return int(np.argmin(Objective.of(inst).row_sums))
+    return int(np.argmin(inst.objective.row_sums))
 
 
 def loss_upper(inst: ProblemInstance, route: Route) -> LossBreakdown:
@@ -180,7 +182,7 @@ def loss_upper(inst: ProblemInstance, route: Route) -> LossBreakdown:
     t = len(route.order)
     if t != inst.t_regions:
         raise ValueError(f"route length {t} != t_regions {inst.t_regions}")
-    objective = Objective.of(inst)
+    objective = inst.objective
     return LossBreakdown(
         objective.forgetting(route.order),
         route_travel_cost(inst, route) / objective.travel_divisor,

@@ -82,9 +82,15 @@ class McReport:
 
     @property
     def z(self) -> float:
-        """|difference| in std-error units; 0 for exact agreement even at zero spread."""
+        """|difference| in std-error units; 0 for agreement to rounding even at zero spread.
+
+        Agreement to rounding is a difference of at most 1e-12·max(1, |closed
+        form|), the tolerance of the triangle check: a noiseless least-squares
+        fit recovers w* exactly, so its std error falls to rounding level too
+        and would make a rounding-level difference look large.
+        """
         diff = abs(self.empirical_mean - self.closed_form)
-        if diff == 0.0:
+        if diff <= 1e-12 * max(1.0, abs(self.closed_form)):
             return 0.0
         if self.std_error == 0.0:
             return math.inf

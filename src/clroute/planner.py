@@ -30,7 +30,7 @@ import numpy as np
 
 from . import shp
 from .instance import ProblemInstance, Route
-from .loss import LossBreakdown, Objective, best_final_region, loss_upper
+from .loss import LossBreakdown, best_final_region, loss_upper
 
 
 class Strategy(str, Enum):
@@ -76,7 +76,7 @@ def plan_algorithm1(inst: ProblemInstance) -> PlanResult:
 def plan_exact(inst: ProblemInstance) -> PlanResult:
     """Exact optimum of the instance's objective via the subset DP oracle."""
     t0 = time.perf_counter()
-    route, _ = shp.held_karp_min_path(inst, Objective.of(inst))
+    route, _ = shp.held_karp_min_path(inst, inst.objective)
     return _finish(inst, route, Strategy.EXACT, t0)
 
 
@@ -90,7 +90,7 @@ def plan_forgetting_baseline(inst: ProblemInstance) -> PlanResult:
     a weight (the underparameterized interior) are in ascending index.
     """
     t0 = time.perf_counter()
-    objective = Objective.of(inst)
+    objective = inst.objective
     rows = objective.row_sums
     ranked = sorted(range(inst.t_regions), key=lambda i: (rows[i], i), reverse=True)
     weight = dict(zip(ranked, objective.position_weights))

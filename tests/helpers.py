@@ -11,8 +11,9 @@ import itertools
 from collections import Counter
 
 import numpy as np
+from hypothesis import strategies as st
 
-from clroute import Objective, ProblemInstance, Route, TaskGroundTruth
+from clroute import Objective, ProblemInstance, Route, TaskGroundTruth, metric_closure
 
 
 def manual_instance(delta, delta0, costs, m, n, sigma2=1.0) -> ProblemInstance:
@@ -50,6 +51,26 @@ def over_t2() -> ProblemInstance:
         n=4,
         sigma2=0.0,
     )
+
+
+@st.composite
+def tie_heavy_instances(draw, max_t=12):
+    """Costs in {1, 2} and dissimilarities in {0, 1, 2}, or all equal, so
+    many routes, row sums and Held–Karp states tie; T from 2 to max_t,
+    either regime."""
+    t = draw(st.integers(2, max_t))
+    upper = np.triu_indices(t, 1)
+    pairs = len(upper[0])
+
+    def symmetric(values):
+        mat = np.zeros((t, t))
+        mat[upper] = draw(st.lists(st.sampled_from(values), min_size=pairs, max_size=pairs))
+        return mat + mat.T
+
+    costs = metric_closure(symmetric([1.0, 2.0]))
+    delta = symmetric(draw(st.sampled_from([[1.0], [0.0, 1.0, 2.0]])))
+    m = draw(st.sampled_from([60, 80, 120, 180]))
+    return manual_instance(delta, np.ones(t), costs, m, 100)
 
 
 def correlated_ground_truth(rng: np.random.Generator, t: int, m: int) -> TaskGroundTruth:

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clroute
-from clroute import generate_instance, read_instance, shp, write_instance
+from clroute import Objective, Strategy, generate_instance, plan, read_instance, shp, write_instance
 from clroute.cli import CSV_HEADER, main
 from helpers import worked_under
 
@@ -230,6 +230,8 @@ def test_plan_rejects_non_finite_and_ragged_files(tmp_path, capsys, edits, flags
             assert captured.err.count("error:") == 1 and message in captured.err
             assert "nan != nan" not in captured.err and "inhomogeneous" not in captured.err
             assert captured.out == ""
+            if not flags:  # every fault of the file, its loss included, names the file
+                assert captured.err.startswith(f"error: {path}: ")
 
 
 BAD_VALUES = [NAN, INF, -INF, -1.0, 1e300, 1e308, 10**400]
@@ -388,10 +390,49 @@ def test_experiment_solves_the_exact_optimum_once_per_instance(tmp_path, monkeyp
     assert calls == [5] * 6  # two sweep points, three instances each
 
 
+def test_the_objective_is_built_once_per_instance(tmp_path, monkeypatch):
+    calls = []
+    of = Objective.of
+
+    def counted(cls, inst):
+        calls.append(inst.t_regions)
+        return of(inst)
+
+    path = str(tmp_path / "inst.json")
+    write_instance(generate_instance(6, seed=2), path)
+    inst = read_instance(path)
+    monkeypatch.setattr(Objective, "of", classmethod(counted))
+    for strategy in Strategy:
+        plan(inst, strategy, seed=1)
+    assert calls == []  # every strategy reads the objective the instance holds
+    assert main(["plan", path, "--strategy", "exact"]) == 0
+    assert calls == [6]  # built when the file is read
+    calls.clear()
+    argv = ["experiment", "--sweep", "t", "--values", "5", "--instances", "1"]
+    assert main([*argv, "--strategies", "alg1,forgetting,random"]) == 0
+    assert calls == [5]
+
+
 def test_experiment_rejects_bad_strategy(capsys):
     code = main(["experiment", "--sweep", "m", "--values", "80", "--strategies", "alg1,bogus"])
     assert code == 2
     assert "bad sweep configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--values", "5,5"], "repeated sweep value 5"),
+        (["--values", "5", "--strategies", "alg1,alg1,exact"], "repeated strategy alg1"),
+    ],
+    ids=["values", "strategies"],
+)
+def test_experiment_rejects_repeats(capsys, flags, message):
+    # the CSV holds one row per (point, strategy); a repeat would print two
+    assert main(["experiment", "--sweep", "t", "--instances", "1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 1 and message in captured.err
+    assert captured.out == ""
 
 
 def test_experiment_rejects_bad_values(capsys):
@@ -410,6 +451,16 @@ def test_verify_passes_and_reports(tmp_path):
         assert doc[part]["trials"] == 2000
     assert doc["ok"] is True
     assert code == 0
+
+
+@pytest.mark.parametrize("t,seed", [(1, 0), (2, 1)])
+def test_verify_passes_without_noise(capsys, t, seed):
+    # the noiseless least-squares fit recovers w* exactly, so the under slot
+    # differs from its closed form only by rounding, at a std error of 1e-17 or less
+    argv = ["verify", "--sigma2", "0", "--trials", "200", "--t", str(t), "--seed", str(seed)]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["under"]["z"] == 0.0 and doc["ok"] is True
 
 
 def test_verify_threshold_zero_fails(tmp_path, capsys):

@@ -104,11 +104,14 @@ def test_validate_reports_asymmetry_and_negative_entries():
         ([[0, 1, 50], [1, 0, 1], [50, 1, 0]], 80),  # c_{1,3} > c_{1,2} + c_{2,3}
         ([[0, 1, 2], [3, 0, 1], [2, 1, 0]], 80),  # c_{2,1} != c_{1,2}
         ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], 100),  # m == n: no regime
+        ([[0, 1, 2], [1, 0, 1], [2, 1, 0]], 10**400),  # noise constant overflows
+        ([[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]], 80),  # travel overflows
     ],
-    ids=["triangle", "asymmetric", "m-equals-n"],
+    ids=["triangle", "asymmetric", "m-equals-n", "m-overflow", "costs-overflow"],
 )
 def test_no_invalid_instance_can_be_built(costs, m):
-    # the check runs at construction, so no planner ever sees such an instance
+    # the checks, the loss fitting a float included, run at construction,
+    # so no planner ever sees such an instance
     with pytest.raises(ValidationError):
         manual_instance(
             delta=[[0, 1, 1], [1, 0, 1], [1, 1, 0]], delta0=[1, 1, 1], costs=costs, m=m, n=100

@@ -9,7 +9,6 @@ import pytest
 import clroute
 from clroute import (
     LossBreakdown,
-    Objective,
     RegimeError,
     Route,
     best_final_region,
@@ -87,12 +86,12 @@ def test_loss_upper_dispatch():
     # underparameterized puts all forgetting weight on the last position,
     # divided by T; overparameterized weighs position p by (1-r)*r^(T-p)/T
     # with r = 0.6, divided by 1
-    under = Objective.of(worked_under())
+    under = worked_under().objective
     assert under.position_weights == (0.0, 0.0, 1.0)
     assert under.forgetting_divisor == 3
     assert under.travel_divisor == 3
     assert under.forgetting((1, 2, 0)) == 6 / 3  # row sum 6 / T to the last bit
-    over = Objective.of(over_t2())
+    over = over_t2().objective
     assert over.position_weights == pytest.approx((0.4 * 0.6 / 2, 0.4 / 2), rel=1e-12)
     assert over.forgetting_divisor == 1
     assert over.travel_divisor == 2

@@ -65,6 +65,17 @@ def test_mc_report_z_edge_cases():
     assert doc["trials"] == 100
 
 
+def test_mc_report_z_is_zero_only_for_rounding_level_differences():
+    # a noiseless fit leaves a std error of rounding size; the first pair is
+    # the under slot of `verify --sigma2 0 --t 2 --seed 1`, once read as z = 4.5
+    assert McReport(6.255255869141123, 6.2552558691411235, 1.97e-16, 200).z == 0.0
+    assert McReport(5.87e-31, 0.0, 8.9e-32, 200).z == 0.0
+    # a closed form off by 1e-9 relative is a real disagreement at that spread
+    closed = 6.2552558691411235
+    assert McReport(closed * (1 + 1e-9), closed, 1e-16, 200).z > 3.0
+    assert McReport(1e-9, 0.0, 1e-16, 200).z > 3.0
+
+
 def test_simulate_task_under_noiseless_recovers_truth():
     # without noise the fit recovers the final region exactly, so every
     # trial's loss is that region's mean squared distance to all regions

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from clroute import (
     HELD_KARP_MAX_T,
@@ -26,7 +27,7 @@ from clroute.planner import (
     plan_forgetting_baseline,
     plan_random,
 )
-from helpers import manual_instance, travel_objective, worked_under
+from helpers import manual_instance, tie_heavy_instances, travel_objective, worked_under
 
 
 def test_algorithm1_worked_instance_is_optimal():
@@ -64,6 +65,17 @@ def test_algorithm1_route_ends_at_best_final_region():
             result = plan_algorithm1(inst)
             assert result.route.final_region == best_final_region(inst)
             assert sorted(result.route.order) == list(range(t))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(inst=tie_heavy_instances(max_t=10))
+def test_every_route_is_a_permutation_and_alg1_and_forgetting_end_best(inst):
+    # ties in costs and row sums are where tie rules could disagree
+    for strategy in Strategy:
+        order = plan(inst, strategy, seed=1).route.order
+        assert sorted(order) == list(range(inst.t_regions))
+        if strategy in (Strategy.ALGORITHM1, Strategy.FORGETTING):
+            assert order[-1] == best_final_region(inst)
 
 
 def test_algorithm1_is_deterministic():

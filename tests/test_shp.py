@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clroute import (
-    Objective,
     Route,
     generate_instance,
     held_karp_min_path,
     loss_upper,
-    metric_closure,
     minimum_spanning_tree,
     route_travel_cost,
 )
@@ -31,6 +29,7 @@ from helpers import (
     manual_instance,
     scalar_held_karp,
     scan_all_routes,
+    tie_heavy_instances,
     travel_objective,
     worked_under,
 )
@@ -234,14 +233,14 @@ def test_remove_dummy_rejects_interior_dummy():
 
 def test_held_karp_worked_instance():
     inst = worked_under()
-    route, value = held_karp_min_path(inst, Objective.of(inst))
+    route, value = held_karp_min_path(inst, inst.objective)
     assert route.order == (2, 1, 0)
     assert value == pytest.approx(8 / 3 + 0.8, rel=1e-12)
 
 
 def test_held_karp_two_regions_picks_better_route():
     inst = generate_instance(2, seed=5)
-    route, value = held_karp_min_path(inst, Objective.of(inst))
+    route, value = held_karp_min_path(inst, inst.objective)
     candidates = [loss_upper(inst, Route(o)).total for o in [(0, 1), (1, 0)]]
     assert value == pytest.approx(min(candidates), rel=1e-12)
     assert loss_upper(inst, route).total == pytest.approx(value, rel=1e-12)
@@ -252,7 +251,7 @@ def test_held_karp_matches_permutation_scan(objective, m):
     rng = np.random.default_rng(12)
     for _ in range(50):
         inst = generate_instance(7, seed=int(rng.integers(1 << 30)), m=m, n=100)
-        route, value = held_karp_min_path(inst, Objective.of(inst))
+        route, value = held_karp_min_path(inst, inst.objective)
         scan_value, _ = scan_all_routes(inst, objective)
         assert value == pytest.approx(scan_value, rel=1e-9)
         assert loss_upper(inst, route).total == pytest.approx(scan_value, rel=1e-9)
@@ -269,29 +268,10 @@ def test_held_karp_travel_objective_matches_scan():
         assert route_travel_cost(inst, route) == pytest.approx(value, rel=1e-12)
 
 
-@st.composite
-def tie_heavy_instances(draw):
-    """Costs in {1, 2} and dissimilarities in {0, 1, 2}, or all equal, so
-    many routes, row sums and Held–Karp states tie; either regime."""
-    t = draw(st.integers(2, 12))
-    upper = np.triu_indices(t, 1)
-    pairs = len(upper[0])
-
-    def symmetric(values):
-        mat = np.zeros((t, t))
-        mat[upper] = draw(st.lists(st.sampled_from(values), min_size=pairs, max_size=pairs))
-        return mat + mat.T
-
-    costs = metric_closure(symmetric([1.0, 2.0]))
-    delta = symmetric(draw(st.sampled_from([[1.0], [0.0, 1.0, 2.0]])))
-    m = draw(st.sampled_from([60, 80, 120, 180]))
-    return manual_instance(delta, np.ones(t), costs, m, 100)
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(inst=tie_heavy_instances(), travel_only=st.booleans())
 def test_held_karp_matches_the_scalar_oracle_bit_for_bit(inst, travel_only):
-    objective = travel_objective(inst.t_regions) if travel_only else Objective.of(inst)
+    objective = travel_objective(inst.t_regions) if travel_only else inst.objective
     route, value = held_karp_min_path(inst, objective)
     oracle_route, oracle_value = scalar_held_karp(inst, objective)
     assert route == oracle_route
@@ -301,7 +281,7 @@ def test_held_karp_matches_the_scalar_oracle_bit_for_bit(inst, travel_only):
 def test_held_karp_size_guard():
     inst = generate_instance(HELD_KARP_MAX_T + 1, seed=1)
     with pytest.raises(SizeLimitError, match="approximation"):
-        held_karp_min_path(inst, Objective.of(inst))
+        held_karp_min_path(inst, inst.objective)
 
 
 def test_held_karp_rejects_objective_of_another_size():
