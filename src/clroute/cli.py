@@ -227,6 +227,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if not math.isfinite(args.threshold):
         raise ParameterError(f"threshold must be finite, got {args.threshold}")
+    if args.t < 1:
+        raise ParameterError(f"t must be >= 1, got {args.t}")
     slots = (("under", args.under_m, args.under_n), ("over", args.over_m, args.over_n))
     for name, m, n in slots:
         kind = classify_regime(m, n)

@@ -2,14 +2,10 @@
 
 Four strategies produce a route and its loss breakdown:
 
-* ``alg1`` — the approximation pipeline: spanning tree, a zero-weight
-  dummy (the padded last row and column of the cost matrix) attached at
-  the best final region, exact matching of odd-degree vertices, Euler
-  circuit, shortcut with dummy removal. Travel cost within 3/2 of the optimal
-  Hamiltonian path. Every stage is polynomial except the odd-set matching,
-  an O(2^k * k) bitmask program over the k odd-degree vertices (k is about
-  T/2), so the pipeline as a whole is exponential in T; replacing that
-  matching with a polynomial one is ROADMAP item 1.
+* ``alg1`` — the approximation pipeline, :func:`clroute.shp.fixed_end_path`
+  ending at the best final region: travel cost within 3/2 of the optimal
+  Hamiltonian path. Its exact odd-set matching takes time exponential in
+  T; replacing it with a polynomial one is ROADMAP item 1.
 * ``exact`` — subset dynamic programming, exact but limited to T <= 20.
 * ``forgetting`` — the travel-oblivious continual-learning baseline that
   minimizes only the forgetting term, by rearrangement: descending row
@@ -57,19 +53,10 @@ def plan_algorithm1(inst: ProblemInstance) -> PlanResult:
     """Run the full approximation pipeline; the route always ends at the
     minimum-row-sum region.
 
-    The odd-set matching is an exact O(2^k * k) bitmask program over the k
-    odd-degree vertices of the tree plus dummy, so this takes time
-    exponential in T (k is about T/2); see ROADMAP item 1.
+    Exponential in T through the exact odd-set matching; see ROADMAP item 1.
     """
     t0 = time.perf_counter()
-    v_prime = best_final_region(inst)
-    dummy = inst.t_regions
-    mst_edges, _ = shp.minimum_spanning_tree(inst.costs)
-    tree = mst_edges + ((v_prime, dummy),)
-    odd = shp.odd_degree_vertices(tree)
-    pairs, _ = shp.min_weight_perfect_matching(np.pad(inst.costs, (0, 1)), odd)
-    circuit = shp.eulerian_circuit(tree + pairs, dummy)
-    route = shp.shortcut_to_hamiltonian(circuit, v_prime)
+    route, _, _ = shp.fixed_end_path(inst.costs, best_final_region(inst))
     return _finish(inst, route, Strategy.ALGORITHM1, t0)
 
 

@@ -1,16 +1,13 @@
 """Graph machinery for shortest-Hamiltonian-path planning.
 
-The route builder works on an augmented complete graph: the T regions with
-their metric travel costs, plus one dummy vertex connected to every region
-at weight zero. The graph is data, not a class: its weights are the cost
-matrix padded with one zero row and column, ``np.pad(costs, (0, 1))``, and
-a multigraph is a tuple of (u, v) edges. Anchoring the dummy next to a
-chosen final region turns the classic tree + matching + Euler-circuit cycle
-construction into a path construction with a fixed endpoint.
-
-Regions are 0..T-1 and the dummy is the padded last vertex, T. Every
-operation is deterministic: ties are broken lexicographically and the
-Euler walk consumes neighbors in ascending vertex order.
+``fixed_end_path`` is the approximation, and the only code that builds the
+dummy: one vertex, T, joined to every region at weight zero (the cost
+matrix padded with a zero row and column) and attached to the tree at the
+chosen final region, so the tree + matching + Euler-circuit cycle
+construction yields a path with that end. The stages are plain functions
+over one weight matrix and tuples of (u, v) edges. Every operation is
+deterministic: ties are broken lexicographically and the Euler walk
+consumes neighbors in ascending vertex order.
 
 ``held_karp_min_path`` is the exact oracle: a subset dynamic program over
 (visited set, last vertex) that minimizes a :class:`clroute.loss.Objective`.
@@ -22,6 +19,7 @@ region's included. Numpy fills it one subset size at a time, every
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from typing import TYPE_CHECKING
 
@@ -82,46 +80,41 @@ def min_weight_perfect_matching(
     """Exact minimum-weight perfect matching on the vertices in ``odd``.
 
     ``w`` is the padded weight matrix, whose last vertex is the dummy.
-    Returns the pairs and their total weight. Bitmask dynamic program,
-    O(2^k * k) for k odd vertices: each state pairs its lowest-order
-    unmatched vertex with every alternative. The dummy is placed first in
-    the bit order so that, among equally cheap optima, it pairs with the
-    lowest region index.
+    Returns the pairs and their total weight. A memoized recursion pairs a
+    subset's lowest vertex with each other member (the lowest on ties); it
+    solves only the Fib(k+1) ~ 1.62^k subsets it reaches for k odd
+    vertices, still exponential in k. The dummy is first in the bit order
+    so that, among equally cheap optima, it pairs with the lowest region.
     """
     if len(odd) % 2 != 0:
         raise InvariantViolation("cannot perfectly match an odd number of vertices")
 
     dummy = w.shape[0] - 1
     verts = sorted(odd, key=lambda v: (v != dummy, v))
-    k = len(verts)
     sub = w[np.ix_(verts, verts)].tolist()
 
-    full = (1 << k) - 1
-    inf = float("inf")
-    dp = [inf] * (full + 1)
-    dp[0] = 0.0
-    choice = [(-1, -1)] * (full + 1)
-    for mask in range(1, full + 1):
-        if mask.bit_count() % 2 != 0:
-            continue
+    @functools.cache
+    def best(mask: int) -> tuple[float, int]:
+        """(weight, partner of the lowest vertex) of the subset ``mask``."""
+        if not mask:
+            return 0.0, -1
         i = (mask & -mask).bit_length() - 1
         rest = mask ^ (1 << i)
-        j_bits = rest
-        while j_bits:
-            j = (j_bits & -j_bits).bit_length() - 1
-            j_bits &= j_bits - 1
-            cand = dp[rest ^ (1 << j)] + sub[i][j]
-            if cand < dp[mask]:
-                dp[mask] = cand
-                choice[mask] = (i, j)
+        return min(
+            (best(rest ^ (1 << j))[0] + sub[i][j], j)
+            for j in range(i + 1, rest.bit_length())
+            if (rest >> j) & 1
+        )
 
     pairs: list[tuple[int, int]] = []
-    mask = full
+    mask = (1 << len(verts)) - 1
+    weight = best(mask)[0]
     while mask:
-        i, j = choice[mask]
+        i = (mask & -mask).bit_length() - 1
+        j = best(mask)[1]
         pairs.append((verts[i], verts[j]))
         mask ^= (1 << i) | (1 << j)
-    return tuple(pairs), dp[full]
+    return tuple(pairs), weight
 
 
 def eulerian_circuit(edges: tuple[tuple[int, int], ...], start: int) -> tuple[int, ...]:
@@ -184,6 +177,24 @@ def shortcut_to_hamiltonian(circuit: tuple[int, ...], v_prime: int) -> Route:
         raise InvariantViolation("dummy vertex appears inside the circuit")
     first_visits = dict.fromkeys(inner)  # each vertex once, in walk order
     return Route(tuple(reversed(first_visits)))
+
+
+def fixed_end_path(costs: np.ndarray, end: int) -> tuple[Route, float, float]:
+    """Algorithm 1's route over every region, ending at region ``end``.
+
+    Spanning tree, the dummy attached at ``end``, exact matching of the
+    odd-degree vertices, Euler circuit from the dummy, shortcut. Under
+    metric costs the route's travel is at most the tree weight plus the
+    matching weight, within 3/2 of the shortest Hamiltonian path's.
+    Returns the route and the weights of the tree and of the matching.
+    """
+    dummy = costs.shape[0]
+    mst_edges, tree_weight = minimum_spanning_tree(costs)
+    tree = mst_edges + ((end, dummy),)
+    odd = odd_degree_vertices(tree)
+    pairs, matching_weight = min_weight_perfect_matching(np.pad(costs, (0, 1)), odd)
+    circuit = eulerian_circuit(tree + pairs, dummy)
+    return shortcut_to_hamiltonian(circuit, end), tree_weight, matching_weight
 
 
 def route_travel_cost(inst: ProblemInstance, route: Route) -> float:

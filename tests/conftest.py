@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
 from clroute import (
@@ -27,11 +26,7 @@ from clroute import (
 )
 from clroute.cli import ExperimentConfig, Row, rows_to_csv, run_experiment
 from clroute.planner import PlanResult
-from clroute.shp import (
-    min_weight_perfect_matching,
-    minimum_spanning_tree,
-    odd_degree_vertices,
-)
+from clroute.shp import fixed_end_path
 from helpers import travel_objective
 
 ACCEPTANCE_LINES: list[str] = []
@@ -82,12 +77,7 @@ def build_pipeline_ensemble(m: int) -> tuple[list[PipelineRecord], float]:
         approx = plan_algorithm1(inst)
         exact = plan_exact(inst)
         _, opt_travel = held_karp_min_path(inst, travel_objective(inst.t_regions))
-        v_prime = best_final_region(inst)
-        mst_edges, mst_weight = minimum_spanning_tree(inst.costs)
-        tree = mst_edges + ((v_prime, inst.t_regions),)
-        _, matching_weight = min_weight_perfect_matching(
-            np.pad(inst.costs, (0, 1)), odd_degree_vertices(tree)
-        )
+        _, mst_weight, matching_weight = fixed_end_path(inst.costs, best_final_region(inst))
         records.append(
             PipelineRecord(
                 seed,

@@ -161,6 +161,52 @@ def scalar_held_karp(inst: ProblemInstance, objective: Objective) -> tuple[Route
     return Route(tuple(order)), dp[full][best_last] + objective.offset + objective.noise
 
 
+def bitmask_matching(
+    w: np.ndarray, odd: tuple[int, ...]
+) -> tuple[tuple[tuple[int, int], ...], float]:
+    """Minimum-weight perfect matching as a bitmask table over all 2^k subsets.
+
+    The reference for ``min_weight_perfect_matching``: the same vertex
+    order (dummy first), the same additions and the same tie rule (a
+    subset's lowest vertex takes the first cheapest partner in ascending
+    order), filled bottom-up for every even subset.
+    """
+    if len(odd) % 2 != 0:
+        raise ValueError("cannot perfectly match an odd number of vertices")
+
+    dummy = w.shape[0] - 1
+    verts = sorted(odd, key=lambda v: (v != dummy, v))
+    k = len(verts)
+    sub = w[np.ix_(verts, verts)].tolist()
+
+    full = (1 << k) - 1
+    inf = float("inf")
+    dp = [inf] * (full + 1)
+    dp[0] = 0.0
+    choice = [(-1, -1)] * (full + 1)
+    for mask in range(1, full + 1):
+        if mask.bit_count() % 2 != 0:
+            continue
+        i = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << i)
+        j_bits = rest
+        while j_bits:
+            j = (j_bits & -j_bits).bit_length() - 1
+            j_bits &= j_bits - 1
+            cand = dp[rest ^ (1 << j)] + sub[i][j]
+            if cand < dp[mask]:
+                dp[mask] = cand
+                choice[mask] = (i, j)
+
+    pairs: list[tuple[int, int]] = []
+    mask = full
+    while mask:
+        i, j = choice[mask]
+        pairs.append((verts[i], verts[j]))
+        mask ^= (1 << i) | (1 << j)
+    return tuple(pairs), dp[full]
+
+
 def all_perfect_matchings(verts: tuple[int, ...]):
     """Every perfect matching of an even-sized vertex tuple."""
     if not verts:

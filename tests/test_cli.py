@@ -521,6 +521,7 @@ SWEEP = ["experiment", "--sweep", "t", "--values", "3", "--instances", "1"]
         (VERIFY + ["--sigma2", "nan"], "sigma2 must be finite and >= 0, got nan"),
         (VERIFY + ["--sigma2", "inf"], "sigma2 must be finite and >= 0, got inf"),
         (VERIFY + ["--threshold", "nan"], "threshold must be finite, got nan"),
+        (VERIFY + ["--t", "-1"], "t must be >= 1, got -1"),
         (VERIFY + ["--seed", "-2"], "--seed must be >= 0, got -2"),
         (["gen", "--t", "3", "--seed", "-1", "--out", "x.json"], "--seed must be >= 0, got -1"),
         (SWEEP + ["--seed", "-7"], "--seed must be >= 0, got -7"),
@@ -531,7 +532,7 @@ SWEEP = ["experiment", "--sweep", "t", "--values", "3", "--instances", "1"]
         ),
     ],
     ids=[
-        "sigma2-negative", "sigma2-nan", "sigma2-inf", "threshold-nan",
+        "sigma2-negative", "sigma2-nan", "sigma2-inf", "threshold-nan", "t-negative",
         "seed-negative", "gen-seed-negative", "experiment-seed-negative",
         "experiment-sigma2-overflow", "gen-sigma2-overflow",
     ],

@@ -10,6 +10,7 @@ from clroute import (
     generate_instance,
     held_karp_min_path,
     loss_upper,
+    metric_closure,
     minimum_spanning_tree,
     route_travel_cost,
 )
@@ -18,11 +19,13 @@ from clroute.shp import (
     InvariantViolation,
     SizeLimitError,
     eulerian_circuit,
+    fixed_end_path,
     min_weight_perfect_matching,
     odd_degree_vertices,
     shortcut_to_hamiltonian,
 )
 from helpers import (
+    bitmask_matching,
     brute_min_matching_weight,
     circuit_edge_multiset,
     graph_edge_multiset,
@@ -141,6 +144,36 @@ def test_matching_dummy_prefers_lowest_region_on_ties():
     assert frozenset({4, 0}) in {frozenset(p) for p in pairs}
 
 
+@st.composite
+def tie_heavy_matchings(draw):
+    """A padded weight matrix with region costs in {1, 2} or {1, 2, 3},
+    metric-closed or not, and an ascending vertex set of even size k <= 14,
+    with or without the dummy."""
+    k = 2 * draw(st.integers(1, 7))
+    with_dummy = draw(st.booleans())
+    t = draw(st.integers(k - with_dummy, 16))
+    upper = np.triu_indices(t, 1)
+    pairs = len(upper[0])
+    values = draw(st.sampled_from([[1.0, 2.0], [1.0, 2.0, 3.0]]))
+    costs = np.zeros((t, t))
+    costs[upper] = draw(st.lists(st.sampled_from(values), min_size=pairs, max_size=pairs))
+    costs = costs + costs.T
+    if draw(st.booleans()):
+        costs = metric_closure(costs)
+    regions = draw(st.permutations(range(t)))[: k - with_dummy]
+    return np.pad(costs, (0, 1)), tuple(sorted(regions + [t] * with_dummy))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(case=tie_heavy_matchings())
+def test_matching_matches_the_bitmask_oracle_bit_for_bit(case):
+    w, odd = case
+    pairs, weight = min_weight_perfect_matching(w, odd)
+    oracle_pairs, oracle_weight = bitmask_matching(w, odd)
+    assert pairs == oracle_pairs
+    assert repr(weight) == repr(oracle_weight)
+
+
 def test_euler_worked_instance_circuit():
     assert eulerian_circuit(((0, 1), (1, 2), (3, 0), (3, 2)), 3) == (3, 0, 1, 2, 3)
 
@@ -229,6 +262,17 @@ def test_remove_dummy_weight_preserved():
 def test_remove_dummy_rejects_interior_dummy():
     with pytest.raises(InvariantViolation, match="inside"):
         shortcut_to_hamiltonian((3, 0, 3, 1, 3), 0)
+
+
+def test_fixed_end_path_ends_where_asked_within_tree_plus_matching():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        t = int(rng.integers(2, 10))
+        inst = generate_instance(t, seed=int(rng.integers(1 << 30)))
+        for end in range(t):
+            route, tree_weight, matching_weight = fixed_end_path(inst.costs, end)
+            assert sorted(route.order) == list(range(t)) and route.final_region == end
+            assert route_travel_cost(inst, route) <= tree_weight + matching_weight + 1e-9
 
 
 def test_held_karp_worked_instance():
