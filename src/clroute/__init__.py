@@ -35,6 +35,7 @@ from .loss import (
     best_final_region,
     closed_form_forgetting,
     loss_upper,
+    route_travel_cost,
 )
 from .mc_verify import (
     McReport,
@@ -59,7 +60,6 @@ from .shp import (
     SizeLimitError,
     held_karp_min_path,
     minimum_spanning_tree,
-    route_travel_cost,
 )
 
 __version__ = "0.1.0"
@@ -83,6 +83,7 @@ __all__ = [
     "best_final_region",
     "closed_form_forgetting",
     "loss_upper",
+    "route_travel_cost",
     "McReport",
     "TaskGroundTruth",
     "delta0_vector",
@@ -101,5 +102,4 @@ __all__ = [
     "SizeLimitError",
     "held_karp_min_path",
     "minimum_spanning_tree",
-    "route_travel_cost",
 ]

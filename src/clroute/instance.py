@@ -226,8 +226,9 @@ def metric_closure(costs: np.ndarray) -> np.ndarray:
     t = d.shape[0]
     while True:
         before = d.copy()
-        for k in range(t):
-            np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+        with np.errstate(over="ignore"):  # an infinite path sum never wins the minimum
+            for k in range(t):
+                np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
         if np.array_equal(d, before):
             return d
 
@@ -251,8 +252,8 @@ def generate_instance(
     """
     if t < 2:
         raise ParameterError(f"t must be >= 2, got {t}")
-    if not (0.0 < range_lo <= range_hi):
-        raise ParameterError(f"need 0 < range_lo <= range_hi, got [{range_lo}, {range_hi}]")
+    if not (0.0 < range_lo <= range_hi < np.inf):
+        raise ParameterError(f"need 0 < range_lo <= range_hi < inf, got [{range_lo}, {range_hi}]")
 
     rng = np.random.default_rng(seed)
     n_pairs = t * (t - 1) // 2

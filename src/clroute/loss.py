@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import ProblemInstance, RegimeKind, Route, ValidationError, classify_regime
-from .shp import route_travel_cost
 
 
 @dataclass(frozen=True)
@@ -79,18 +78,17 @@ class Objective:
 
     The region visited p-th (1-based) contributes
     ``position_weights[p-1] * row_sums[region] / forgetting_divisor``, the
-    weights nondecreasing in p; the raw travel cost is divided by
-    ``travel_divisor``. The divisors are T or 1: the weight 1/T of the
-    underparameterized last position and of travel is held as a divisor,
-    since x/T is exact to the last bit where x times a stored 1/T is not.
-    ``offset``, the route-independent share of forgetting, and ``noise``
-    are added as they are.
+    weights nondecreasing in p; the raw travel cost is divided by T in
+    both regimes. The one divisor is T or 1: the weight 1/T of the
+    underparameterized last position is held as a divisor, since x/T is
+    exact to the last bit where x times a stored 1/T is not. ``offset``,
+    the route-independent share of forgetting, and ``noise`` are added as
+    they are.
     """
 
     row_sums: tuple[float, ...]
     position_weights: tuple[float, ...]
     forgetting_divisor: float
-    travel_divisor: float
     offset: float
     noise: float
 
@@ -126,7 +124,6 @@ class Objective:
             row_sums=rows,
             position_weights=position,
             forgetting_divisor=divisor,
-            travel_divisor=t,
             offset=_finite("forgetting offset", offset),
             noise=_finite("noise constant", noise),
         )
@@ -155,7 +152,7 @@ class Objective:
             )
         top_row = max(obj.row_sums, default=0.0)
         bound = top_row * sum(obj.position_weights) / obj.forgetting_divisor + obj.offset
-        _finite("bound on the route total", bound + (t - 1) * top / obj.travel_divisor + obj.noise)
+        _finite("bound on the route total", bound + (t - 1) * top / t + obj.noise)
         return obj
 
     def forgetting(self, order: tuple[int, ...]) -> float:
@@ -164,6 +161,11 @@ class Objective:
         for weight, region in zip(self.position_weights, order):
             total += weight * self.row_sums[region] / self.forgetting_divisor
         return total + self.offset
+
+
+def route_travel_cost(inst: ProblemInstance, route: Route) -> float:
+    """Raw (unaveraged) travel cost along a route."""
+    return sum(float(inst.costs[a, b]) for a, b in zip(route.order[:-1], route.order[1:]))
 
 
 def best_final_region(inst: ProblemInstance) -> int:
@@ -185,7 +187,7 @@ def loss_upper(inst: ProblemInstance, route: Route) -> LossBreakdown:
     objective = inst.objective
     return LossBreakdown(
         objective.forgetting(route.order),
-        route_travel_cost(inst, route) / objective.travel_divisor,
+        route_travel_cost(inst, route) / t,
         objective.noise,
     )
 

@@ -63,7 +63,7 @@ def plan_algorithm1(inst: ProblemInstance) -> PlanResult:
 def plan_exact(inst: ProblemInstance) -> PlanResult:
     """Exact optimum of the instance's objective via the subset DP oracle."""
     t0 = time.perf_counter()
-    route, _ = shp.held_karp_min_path(inst, inst.objective)
+    route, _ = shp.held_karp_min_path(inst)
     return _finish(inst, route, Strategy.EXACT, t0)
 
 

@@ -10,25 +10,21 @@ deterministic: ties are broken lexicographically and the Euler walk
 consumes neighbors in ascending vertex order.
 
 ``held_karp_min_path`` is the exact oracle: a subset dynamic program over
-(visited set, last vertex) that minimizes a :class:`clroute.loss.Objective`.
-The objective has one forgetting weight per position, so the stage index
-of the program (the subset size) fixes each region's weight, the final
-region's included. Numpy fills it one subset size at a time, every
-(subset, last region) pair of that size at once, up to T = 20.
+(visited set, last vertex) that minimizes the instance's own objective,
+``inst.objective``. The objective has one forgetting weight per position,
+so the stage index of the program (the subset size) fixes each region's
+weight, the final region's included. Numpy fills it one subset size at a
+time, every (subset, last region) pair of that size at once, up to T = 20.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import Counter
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .instance import ProblemInstance, Route
-
-if TYPE_CHECKING:
-    from .loss import Objective
 
 HELD_KARP_MAX_T = 20
 
@@ -197,24 +193,22 @@ def fixed_end_path(costs: np.ndarray, end: int) -> tuple[Route, float, float]:
     return shortcut_to_hamiltonian(circuit, end), tree_weight, matching_weight
 
 
-def route_travel_cost(inst: ProblemInstance, route: Route) -> float:
-    """Raw (unaveraged) travel cost along a route."""
-    return sum(float(inst.costs[a, b]) for a, b in zip(route.order[:-1], route.order[1:]))
+def held_karp_min_path(inst: ProblemInstance) -> tuple[Route, float]:
+    """Exact minimum of the instance's objective by subset dynamic programming.
 
+    States are (visited subset, last region) and hold values only; a region
+    entering as the p-th visit gains ``inst.objective``'s weight for
+    position p times its row sum, the cheapest predecessor (lowest index on
+    ties) chosen before the gain is added, and travel is divided by T. The
+    route is recovered by walking back from the best final state, taking
+    that same first minimum again at each step. Returns the optimal route
+    and its objective value, route-independent terms included. The
+    travel-only optimum is that of a copy of the instance with zero
+    dissimilarities and zero noise (``tests/helpers.py::travel_only``).
 
-def held_karp_min_path(inst: ProblemInstance, objective: Objective) -> tuple[Route, float]:
-    """Exact minimum of a route objective by subset dynamic programming.
-
-    States are (visited subset, last region); a region entering as the p-th
-    visit gains the objective's weight for position p times its row sum;
-    the cheapest predecessor (lowest index on ties) is chosen before the
-    gain is added. Returns the optimal route and its objective value,
-    route-independent terms included. The travel-only optimum is the
-    objective with zero forgetting weights and travel divisor 1.
-
-    Cost is O(2^T * T^2), memory 2^T * T float64 values plus int8 parents
-    (190 MB at T=20); refuses T > 20 — use the approximation pipeline in
-    ``planner`` beyond that.
+    Cost is O(2^T * T^2), memory 2^T * T float64 values (160 MiB at T=20);
+    refuses T > 20 — use the approximation pipeline in ``planner`` beyond
+    that.
     """
     t = inst.t_regions
     if t > HELD_KARP_MAX_T:
@@ -222,10 +216,9 @@ def held_karp_min_path(inst: ProblemInstance, objective: Objective) -> tuple[Rou
             f"T={t} exceeds the exact-solver limit ({HELD_KARP_MAX_T}); "
             "use the approximation algorithm instead"
         )
-    if len(objective.row_sums) != t:
-        raise ValueError(f"objective covers {len(objective.row_sums)} regions, instance has {t}")
+    objective = inst.objective
 
-    c = inst.costs * (1.0 / objective.travel_divisor)
+    c = inst.costs * (1.0 / t)
     # gain[k, v]: what region v adds when it enters as visit k+1
     gain = np.outer(objective.position_weights, objective.row_sums) / objective.forgetting_divisor
 
@@ -234,22 +227,22 @@ def held_karp_min_path(inst: ProblemInstance, objective: Objective) -> tuple[Rou
     for v in range(t):
         size[1 << v : 2 << v] = size[: 1 << v] + 1
     dp = np.full((full + 1, t), np.inf)
-    parent = np.full((full + 1, t), -1, dtype=np.int8)
     dp[1 << np.arange(t), np.arange(t)] = 0.0 + gain[0]  # a first visit has no predecessor
     for s in range(2, t + 1):
         layer = np.flatnonzero(size == s)
         for v in range(t):
             sel = layer[(layer >> v) & 1 == 1]
             # regions outside sel ^ (1 << v), v included, are inf there and never win
-            cand = dp[sel ^ (1 << v)] + c[:, v]
+            cand = dp[sel ^ (1 << v)]
+            cand += c[:, v]  # in place: one (subsets x T) temporary, not two
             arg = cand.argmin(axis=1)  # the first minimum: lowest index on ties
             dp[sel, v] = cand[np.arange(len(sel)), arg] + gain[s - 1, v]
-            parent[sel, v] = arg
 
     v = int(np.argmin(dp[full]))
     value = float(dp[full, v]) + objective.offset + objective.noise
-    order, mask = [], full
-    while v != -1:
+    order, mask = [v], full
+    while mask != 1 << v:
+        mask ^= 1 << v
+        v = int(np.argmin(dp[mask] + c[:, v]))  # the same sums, the same first minimum
         order.append(v)
-        mask, v = mask ^ (1 << v), int(parent[mask, v])
     return Route(tuple(reversed(order))), value

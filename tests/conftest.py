@@ -27,7 +27,7 @@ from clroute import (
 from clroute.cli import ExperimentConfig, Row, rows_to_csv, run_experiment
 from clroute.planner import PlanResult
 from clroute.shp import fixed_end_path
-from helpers import travel_objective
+from helpers import travel_only
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -76,7 +76,7 @@ def build_pipeline_ensemble(m: int) -> tuple[list[PipelineRecord], float]:
         inst = generate_instance(ensemble_t(seed), seed, m=m, n=100)
         approx = plan_algorithm1(inst)
         exact = plan_exact(inst)
-        _, opt_travel = held_karp_min_path(inst, travel_objective(inst.t_regions))
+        opt_route, _ = held_karp_min_path(travel_only(inst))
         _, mst_weight, matching_weight = fixed_end_path(inst.costs, best_final_region(inst))
         records.append(
             PipelineRecord(
@@ -84,7 +84,7 @@ def build_pipeline_ensemble(m: int) -> tuple[list[PipelineRecord], float]:
                 inst,
                 approx,
                 exact,
-                opt_travel,
+                route_travel_cost(inst, opt_route),
                 mst_weight,
                 matching_weight,
                 route_travel_cost(inst, approx.route),

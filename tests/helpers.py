@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 from hypothesis import strategies as st
 
-from clroute import Objective, ProblemInstance, Route, TaskGroundTruth, metric_closure
+from clroute import ProblemInstance, Route, TaskGroundTruth, metric_closure
 
 
 def manual_instance(delta, delta0, costs, m, n, sigma2=1.0) -> ProblemInstance:
@@ -84,10 +84,13 @@ def correlated_ground_truth(rng: np.random.Generator, t: int, m: int) -> TaskGro
     return TaskGroundTruth(w_star, rng.normal(size=m), float(rng.uniform(0.1, 2.0)))
 
 
-def travel_objective(t: int) -> Objective:
-    """Raw travel cost alone: zero forgetting weights, travel weight 1, no constants."""
-    zeros = (0.0,) * t
-    return Objective(zeros, zeros, 1, 1, 0.0, 0.0)
+def travel_only(inst: ProblemInstance) -> ProblemInstance:
+    """A copy of ``inst`` with zero dissimilarities (delta and delta0) and
+    zero noise: its objective is the raw travel cost divided by T alone."""
+    t = inst.t_regions
+    return manual_instance(
+        np.zeros((t, t)), np.zeros(t), inst.costs, inst.m_features, inst.n_samples, sigma2=0.0
+    )
 
 
 def scan_all_routes(inst: ProblemInstance, objective: str) -> tuple[float, tuple[int, ...]]:
@@ -113,16 +116,18 @@ def scan_all_routes(inst: ProblemInstance, objective: str) -> tuple[float, tuple
     return float(vals[i]), tuple(int(v) for v in perms[i])
 
 
-def scalar_held_karp(inst: ProblemInstance, objective: Objective) -> tuple[Route, float]:
+def scalar_held_karp(inst: ProblemInstance) -> tuple[Route, float]:
     """Held–Karp as a scalar triple loop over (subset, last, previous).
 
     The reference for ``held_karp_min_path``: the same states, the same
     order of float operations and the same tie rule (the cheapest
     predecessor, lowest index on ties, chosen before the gain is added),
-    one state at a time.
+    one state at a time, with a table of those predecessors to read the
+    route from.
     """
     t = inst.t_regions
-    scale = 1.0 / objective.travel_divisor
+    objective = inst.objective
+    scale = 1.0 / t
     c = [[x * scale for x in row] for row in inst.costs.tolist()]
     d = objective.forgetting_divisor
     # gains[k][v]: what region v adds when it enters as visit k+1

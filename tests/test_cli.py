@@ -380,9 +380,9 @@ def test_experiment_solves_the_exact_optimum_once_per_instance(tmp_path, monkeyp
     calls = []
     held_karp = shp.held_karp_min_path
 
-    def counted(inst, objective):
+    def counted(inst):
         calls.append(inst.t_regions)
-        return held_karp(inst, objective)
+        return held_karp(inst)
 
     monkeypatch.setattr(shp, "held_karp_min_path", counted)
     argv = ["experiment", "--sweep", "m", "--values", "80,120", "--t", "5", "--instances", "3"]
@@ -530,11 +530,20 @@ SWEEP = ["experiment", "--sweep", "t", "--values", "3", "--instances", "1"]
             ["gen", "--t", "3", "--sigma2", "1e308", "--out", "x.json"],
             "noise constant does not fit a float: inf",
         ),
+        (
+            ["gen", "--t", "4", "--range-hi", "inf", "--out", "x.json"],
+            "need 0 < range_lo <= range_hi < inf, got [1.0, inf]",
+        ),
+        (  # path sums in the metric closure overflow: no numpy warning either
+            ["gen", "--t", "4", "--range-lo", "1e308", "--range-hi", "1.7e308", "--out", "x.json"],
+            "c too large",
+        ),
     ],
     ids=[
         "sigma2-negative", "sigma2-nan", "sigma2-inf", "threshold-nan", "t-negative",
         "seed-negative", "gen-seed-negative", "experiment-seed-negative",
-        "experiment-sigma2-overflow", "gen-sigma2-overflow",
+        "experiment-sigma2-overflow", "gen-sigma2-overflow", "gen-range-hi-inf",
+        "gen-range-sum-overflow",
     ],
 )
 def test_verify_rejects_negative_and_non_finite_inputs(
@@ -544,7 +553,7 @@ def test_verify_rejects_negative_and_non_finite_inputs(
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.count("error:") == 1 and message in captured.err
-    assert "Traceback" not in captured.err
+    assert "Traceback" not in captured.err and "Warning" not in captured.err
     assert captured.out == ""
     assert not (tmp_path / "x.json").exists()
 

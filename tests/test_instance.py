@@ -215,6 +215,8 @@ def test_generate_rejects_bad_parameters():
         generate_instance(4, seed=0, range_lo=5.0, range_hi=2.0)
     with pytest.raises(ParameterError):
         generate_instance(4, seed=0, range_lo=0.0, range_hi=2.0)
+    with pytest.raises(ParameterError, match="< inf"):
+        generate_instance(4, seed=0, range_hi=float("inf"))
 
 
 def test_generated_instances_always_validate():

@@ -17,9 +17,10 @@ from clroute import (
     delta_matrix,
     generate_instance,
     loss_upper,
+    route_travel_cost,
 )
 from clroute.loss import r_powers
-from helpers import correlated_ground_truth, manual_instance, over_t2, worked_under
+from helpers import correlated_ground_truth, manual_instance, over_t2, travel_only, worked_under
 
 
 def test_best_final_region_by_row_sums():
@@ -81,6 +82,19 @@ def test_loss_upper_over_constant_formula():
     assert b.constant_part == pytest.approx((1 - (1 / 6) ** t) * 120 / 19, rel=1e-12)
 
 
+def test_travel_only_total_is_the_raw_travel_over_t_bit_for_bit():
+    # the copy whose exact optimum is the travel-only optimum: no forgetting,
+    # no constant, and travel / T to the last bit, in either regime
+    rng = np.random.default_rng(14)
+    for m in (80, 120):
+        for _ in range(25):
+            t = int(rng.integers(2, 10))
+            inst = generate_instance(t, seed=int(rng.integers(1 << 30)), m=m, n=100)
+            route = Route(tuple(int(v) for v in rng.permutation(t)))
+            total = loss_upper(travel_only(inst), route).total
+            assert repr(total) == repr(route_travel_cost(inst, route) / t)
+
+
 def test_loss_upper_dispatch():
     # the instance's own (m, n) selects one weight per position:
     # underparameterized puts all forgetting weight on the last position,
@@ -89,12 +103,10 @@ def test_loss_upper_dispatch():
     under = worked_under().objective
     assert under.position_weights == (0.0, 0.0, 1.0)
     assert under.forgetting_divisor == 3
-    assert under.travel_divisor == 3
     assert under.forgetting((1, 2, 0)) == 6 / 3  # row sum 6 / T to the last bit
     over = over_t2().objective
     assert over.position_weights == pytest.approx((0.4 * 0.6 / 2, 0.4 / 2), rel=1e-12)
     assert over.forgetting_divisor == 1
-    assert over.travel_divisor == 2
 
 
 def test_under_forgetting_ignores_interior_order():

@@ -14,7 +14,6 @@ from clroute import (
     SizeLimitError,
     best_final_region,
     generate_instance,
-    held_karp_min_path,
     loss_upper,
     route_travel_cost,
 )
@@ -27,7 +26,7 @@ from clroute.planner import (
     plan_forgetting_baseline,
     plan_random,
 )
-from helpers import manual_instance, tie_heavy_instances, travel_objective, worked_under
+from helpers import manual_instance, scan_all_routes, tie_heavy_instances, worked_under
 
 
 def test_algorithm1_worked_instance_is_optimal():
@@ -112,7 +111,7 @@ def test_plan_exact_minimizes_travel_when_delta_zero():
         np.zeros((6, 6)), np.zeros(6), base.costs, base.m_features, base.n_samples
     )
     exact = plan_exact(inst)
-    _, best_travel = held_karp_min_path(inst, travel_objective(6))
+    best_travel, _ = scan_all_routes(inst, "travel")
     assert route_travel_cost(inst, exact.route) == pytest.approx(best_travel, rel=1e-9)
 
 

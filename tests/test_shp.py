@@ -33,7 +33,7 @@ from helpers import (
     scalar_held_karp,
     scan_all_routes,
     tie_heavy_instances,
-    travel_objective,
+    travel_only,
     worked_under,
 )
 
@@ -226,11 +226,7 @@ def test_shortcut_rejects_broken_anchor():
         shortcut_to_hamiltonian((3, 1, 0, 2, 3), 0)
 
 
-# Dropping the dummy and its two zero-weight edges is the last step of
-# shortcut_to_hamiltonian.
-
-
-def test_remove_dummy_worked_cycle():
+def test_shortcut_worked_cycle():
     inst = worked_under()
     edges, _ = minimum_spanning_tree(inst.costs)
     tree = edges + ((0, 3),)
@@ -240,11 +236,11 @@ def test_remove_dummy_worked_cycle():
     assert shortcut_to_hamiltonian(circuit, 0).order == (2, 1, 0)
 
 
-def test_remove_dummy_two_regions():
+def test_shortcut_two_regions():
     assert shortcut_to_hamiltonian((2, 1, 0, 2), 0).order == (1, 0)
 
 
-def test_remove_dummy_weight_preserved():
+def test_shortcut_weight_preserved():
     rng = np.random.default_rng(8)
     for _ in range(20):
         t = int(rng.integers(2, 9))
@@ -259,7 +255,7 @@ def test_remove_dummy_weight_preserved():
         assert route.final_region == v_prime
 
 
-def test_remove_dummy_rejects_interior_dummy():
+def test_shortcut_rejects_interior_dummy():
     with pytest.raises(InvariantViolation, match="inside"):
         shortcut_to_hamiltonian((3, 0, 3, 1, 3), 0)
 
@@ -277,14 +273,14 @@ def test_fixed_end_path_ends_where_asked_within_tree_plus_matching():
 
 def test_held_karp_worked_instance():
     inst = worked_under()
-    route, value = held_karp_min_path(inst, inst.objective)
+    route, value = held_karp_min_path(inst)
     assert route.order == (2, 1, 0)
     assert value == pytest.approx(8 / 3 + 0.8, rel=1e-12)
 
 
 def test_held_karp_two_regions_picks_better_route():
     inst = generate_instance(2, seed=5)
-    route, value = held_karp_min_path(inst, inst.objective)
+    route, value = held_karp_min_path(inst)
     candidates = [loss_upper(inst, Route(o)).total for o in [(0, 1), (1, 0)]]
     assert value == pytest.approx(min(candidates), rel=1e-12)
     assert loss_upper(inst, route).total == pytest.approx(value, rel=1e-12)
@@ -295,7 +291,7 @@ def test_held_karp_matches_permutation_scan(objective, m):
     rng = np.random.default_rng(12)
     for _ in range(50):
         inst = generate_instance(7, seed=int(rng.integers(1 << 30)), m=m, n=100)
-        route, value = held_karp_min_path(inst, inst.objective)
+        route, value = held_karp_min_path(inst)
         scan_value, _ = scan_all_routes(inst, objective)
         assert value == pytest.approx(scan_value, rel=1e-9)
         assert loss_upper(inst, route).total == pytest.approx(scan_value, rel=1e-9)
@@ -306,18 +302,19 @@ def test_held_karp_travel_objective_matches_scan():
     for _ in range(20):
         t = int(rng.integers(2, 8))
         inst = generate_instance(t, seed=int(rng.integers(1 << 30)))
-        route, value = held_karp_min_path(inst, travel_objective(t))
+        route, value = held_karp_min_path(travel_only(inst))
         scan_value, _ = scan_all_routes(inst, "travel")
-        assert value == pytest.approx(scan_value, rel=1e-9)
-        assert route_travel_cost(inst, route) == pytest.approx(value, rel=1e-12)
+        assert value == pytest.approx(scan_value / t, rel=1e-9)
+        assert route_travel_cost(inst, route) == pytest.approx(scan_value, rel=1e-9)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(inst=tie_heavy_instances(), travel_only=st.booleans())
-def test_held_karp_matches_the_scalar_oracle_bit_for_bit(inst, travel_only):
-    objective = travel_objective(inst.t_regions) if travel_only else inst.objective
-    route, value = held_karp_min_path(inst, objective)
-    oracle_route, oracle_value = scalar_held_karp(inst, objective)
+@given(inst=tie_heavy_instances(), travel=st.booleans())
+def test_held_karp_matches_the_scalar_oracle_bit_for_bit(inst, travel):
+    if travel:
+        inst = travel_only(inst)
+    route, value = held_karp_min_path(inst)
+    oracle_route, oracle_value = scalar_held_karp(inst)
     assert route == oracle_route
     assert repr(value) == repr(oracle_value)
 
@@ -325,9 +322,4 @@ def test_held_karp_matches_the_scalar_oracle_bit_for_bit(inst, travel_only):
 def test_held_karp_size_guard():
     inst = generate_instance(HELD_KARP_MAX_T + 1, seed=1)
     with pytest.raises(SizeLimitError, match="approximation"):
-        held_karp_min_path(inst, inst.objective)
-
-
-def test_held_karp_rejects_objective_of_another_size():
-    with pytest.raises(ValueError, match="regions"):
-        held_karp_min_path(worked_under(), travel_objective(4))
+        held_karp_min_path(inst)
