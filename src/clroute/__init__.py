@@ -9,7 +9,7 @@ with one regime-specific weight per position), an approximation planner
 with a 3/2-style travel guarantee, an exact small-instance oracle,
 forgetting-only and random baselines, and Monte Carlo verification of the
 closed-form loss.
-The planners, the one closed form and the verifier alike read the regime
+The planners and the verifier score one objective and read the regime
 from (m, n); no function takes it as an argument, and no public name is
 split by regime.
 """
@@ -33,7 +33,6 @@ from .loss import (
     LossBreakdown,
     Objective,
     best_final_region,
-    closed_form_forgetting,
     loss_upper,
     route_travel_cost,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "LossBreakdown",
     "Objective",
     "best_final_region",
-    "closed_form_forgetting",
     "loss_upper",
     "route_travel_cost",
     "McReport",

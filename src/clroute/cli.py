@@ -13,9 +13,10 @@ Four subcommands:
   |n − m| >= 4. Exits 5 when any z-score exceeds the threshold.
 
 Exit codes: 0 success, 2 usage (bad parameters such as a negative
-``--seed`` or a repeated sweep value or strategy, undefined regime, an
-invalid instance, one whose loss does not fit a float included), 3 I/O
-or file-format failure (undecodable bytes included), 4 exact-solver size
+``--seed``, a repeated sweep value or strategy or ``--instances 0``,
+undefined regime, an invalid instance, one whose loss does not fit a
+float included, and a ``--t`` too large to allocate), 3 I/O or
+file-format failure (undecodable bytes included), 4 exact-solver size
 limit, 5 verification failure.
 """
 
@@ -332,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParameterError, RegimeError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""The route objective, its per-route loss breakdown, and the closed forms.
+"""The route objective of both regimes, and its per-route loss breakdown.
 
 Both regimes minimize one objective; they differ only in its weights, one
 per visiting position:
@@ -22,10 +22,11 @@ derives these weights, and nothing else does; it raises ValidationError
 when one of them, or a bound on a route's total, does not fit a float.
 Every :class:`~clroute.instance.ProblemInstance` builds its objective
 once, through :meth:`Objective.of`, and the planners and the exact oracle
-read ``inst.objective``; ``closed_form_forgetting`` builds the same
-objective from actual ground-truth parameter vectors, in the regime of
-their (m, n), and evaluates it on the training order, so the Monte Carlo
-checks test the objective the planners minimize.
+read ``inst.objective``. :func:`clroute.mc_verify.verify_closed_form`
+builds it with :meth:`Objective.build` from a ground truth's exact
+squared distances, summed as :meth:`Objective.of` sums an instance's, so
+the Monte Carlo checks test the objective the planners minimize, to the
+last bit.
 """
 
 from __future__ import annotations
@@ -191,22 +192,3 @@ def loss_upper(inst: ProblemInstance, route: Route) -> LossBreakdown:
         objective.noise,
     )
 
-
-def closed_form_forgetting(
-    true_params: list[np.ndarray] | np.ndarray,
-    w0: np.ndarray,
-    sigma2: float,
-    m: int,
-    n: int,
-) -> float:
-    """Expected forgetting loss, noise included, of (m, n)'s learning process.
-
-    ``true_params`` are the actual ground truths in route order; w0 is the
-    starting predictor, which only the overparameterized objective reads.
-    Raises RegimeError in the undefined band, via :meth:`Objective.build`.
-    """
-    w = np.asarray(true_params, dtype=float)
-    sq = np.sum((w[:, None, :] - w[None, :, :]) ** 2, axis=2)
-    delta0_sum = float(np.sum((w - np.asarray(w0, dtype=float)) ** 2))
-    objective = Objective.build(sq.sum(axis=1), delta0_sum, m, n, sigma2)
-    return objective.forgetting(tuple(range(w.shape[0]))) + objective.noise

@@ -1,11 +1,12 @@
-"""Monte Carlo cross-checks of the closed-form expected forgetting losses.
+"""Monte Carlo cross-checks of the closed-form expected forgetting loss.
 
-The closed forms in :mod:`clroute.loss` promise expectations over the
-learning process: per region, sample features X and noisy labels y and
-take the least-norm correction w ← w + X⁺(y − Xw), which is the
-least-squares fit when n > m and the minimum-distance interpolation when
-m > n. This module runs that process many times and compares the mean
-forgetting loss of the final predictor with the closed form as a z-score.
+The planners' objective, :class:`clroute.loss.Objective`, is the closed
+form: its forgetting part plus its noise constant is the expected loss of
+the learning process. Per region, sample features X and noisy labels y
+and take the least-norm correction w ← w + X⁺(y − Xw), the least-squares
+fit when n > m and the minimum-distance interpolation when m > n. This
+module runs that process many times and compares the mean forgetting
+loss of the final predictor with the closed form as a z-score.
 
 The process has one batched implementation and two entry points, picked
 by the regime of (m, n): ``_under_losses`` simulates only the final
@@ -15,7 +16,7 @@ regime per 1k trials through the two names, reading ``trials`` at args[3].
 
 Ground truths are constructed, never estimated: region parameters and the
 initial predictor are given as vectors, so ``delta_matrix`` and
-``delta0_vector`` give the exact squared distances the closed forms take.
+``delta0_vector`` give the exact squared distances the closed form takes.
 ``simplex_ground_truth`` places region parameters on scaled coordinate
 axes, where those distances also have a simple form.
 """
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import ParameterError, RegimeKind, Route, classify_regime
-from .loss import closed_form_forgetting
+from .loss import Objective
 
 _log = logging.getLogger(__name__)
 
@@ -207,10 +208,13 @@ def verify_closed_form(
     raises RegimeError in the undefined band; it selects the learning
     process, simulated ``trials`` times along ``route``. Evaluates the
     forgetting loss of each final predictor and reports the sample mean,
-    the closed form on the exact ground-truth distances, and the standard
-    error (sample stdev / sqrt(trials)). Per-trial losses are collected into
-    one array and reduced with numpy's pairwise summation, so the report is
-    a pure function of the RNG state and the trial count.
+    the closed form and the standard error (sample stdev / sqrt(trials)).
+    The closed form is ``Objective.build`` on the truth's exact distances,
+    forgetting part plus noise constant: to the last bit what ``loss_upper``
+    reports for an instance holding those distances, and defined at T = 1,
+    where no instance exists. Per-trial losses are collected into one array
+    and reduced with numpy's pairwise summation, so the report is a pure
+    function of the RNG state and the trial count.
 
     The z-score needs a finite per-trial variance, which by the
     inverse-Wishart second moments holds only for |n − m| >= 4. At the
@@ -225,9 +229,9 @@ def verify_closed_form(
 
     simulate = _under_losses if kind is RegimeKind.UNDER else _over_losses
     losses = simulate(truth, route, n_samples, trials, rng)
-    closed = closed_form_forgetting(
-        truth.w_star[list(route.order)], truth.w0, truth.sigma2, truth.m_features, n_samples
-    )
+    rows, delta0_sum = delta_matrix(truth).sum(axis=1), float(delta0_vector(truth).sum())
+    objective = Objective.build(rows, delta0_sum, truth.m_features, n_samples, truth.sigma2)
+    closed = objective.forgetting(route.order) + objective.noise
     mean = float(losses.mean())
     std_error = float(losses.std(ddof=1) / math.sqrt(trials))
     return McReport(mean, closed, std_error, trials)

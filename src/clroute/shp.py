@@ -4,10 +4,13 @@
 dummy: one vertex, T, joined to every region at weight zero (the cost
 matrix padded with a zero row and column) and attached to the tree at the
 chosen final region, so the tree + matching + Euler-circuit cycle
-construction yields a path with that end. The stages are plain functions
-over one weight matrix and tuples of (u, v) edges. Every operation is
-deterministic: ties are broken lexicographically and the Euler walk
-consumes neighbors in ascending vertex order.
+construction yields a path with that end. It alone holds the dummy's tie
+rule: the matching takes vertices in the order given and gets the dummy
+first, so among equally cheap optima the dummy pairs with the lowest odd
+region. The stages are plain functions over one weight matrix and tuples
+of (u, v) edges. Every operation is deterministic: ties are broken
+lexicographically and the Euler walk consumes neighbors in ascending
+vertex order.
 
 ``held_karp_min_path`` is the exact oracle: a subset dynamic program over
 (visited set, last vertex) that minimizes the instance's own objective,
@@ -75,23 +78,20 @@ def min_weight_perfect_matching(
 ) -> tuple[tuple[tuple[int, int], ...], float]:
     """Exact minimum-weight perfect matching on the vertices in ``odd``.
 
-    ``w`` is the padded weight matrix, whose last vertex is the dummy.
-    Returns the pairs and their total weight. A memoized recursion pairs a
-    subset's lowest vertex with each other member (the lowest on ties); it
-    solves only the Fib(k+1) ~ 1.62^k subsets it reaches for k odd
-    vertices, still exponential in k. The dummy is first in the bit order
-    so that, among equally cheap optima, it pairs with the lowest region.
+    Returns the pairs and their total weight. The vertices are taken in
+    the order given: a memoized recursion pairs a subset's first vertex
+    with each later member, the first cheapest on ties. It solves only the
+    Fib(k+1) ~ 1.62^k subsets it reaches for k vertices, still exponential
+    in k.
     """
     if len(odd) % 2 != 0:
         raise InvariantViolation("cannot perfectly match an odd number of vertices")
 
-    dummy = w.shape[0] - 1
-    verts = sorted(odd, key=lambda v: (v != dummy, v))
-    sub = w[np.ix_(verts, verts)].tolist()
+    sub = w[np.ix_(odd, odd)].tolist()
 
     @functools.cache
     def best(mask: int) -> tuple[float, int]:
-        """(weight, partner of the lowest vertex) of the subset ``mask``."""
+        """(weight, partner of the first vertex) of the subset ``mask``."""
         if not mask:
             return 0.0, -1
         i = (mask & -mask).bit_length() - 1
@@ -103,12 +103,12 @@ def min_weight_perfect_matching(
         )
 
     pairs: list[tuple[int, int]] = []
-    mask = (1 << len(verts)) - 1
+    mask = (1 << len(odd)) - 1
     weight = best(mask)[0]
     while mask:
         i = (mask & -mask).bit_length() - 1
         j = best(mask)[1]
-        pairs.append((verts[i], verts[j]))
+        pairs.append((odd[i], odd[j]))
         mask ^= (1 << i) | (1 << j)
     return tuple(pairs), weight
 
@@ -187,8 +187,9 @@ def fixed_end_path(costs: np.ndarray, end: int) -> tuple[Route, float, float]:
     dummy = costs.shape[0]
     mst_edges, tree_weight = minimum_spanning_tree(costs)
     tree = mst_edges + ((end, dummy),)
-    odd = odd_degree_vertices(tree)
-    pairs, matching_weight = min_weight_perfect_matching(np.pad(costs, (0, 1)), odd)
+    # the dummy first: among equally cheap optima it pairs with the lowest odd region
+    regions = tuple(v for v in odd_degree_vertices(tree) if v != dummy)
+    pairs, matching_weight = min_weight_perfect_matching(np.pad(costs, (0, 1)), (dummy, *regions))
     circuit = eulerian_circuit(tree + pairs, dummy)
     return shortcut_to_hamiltonian(circuit, end), tree_weight, matching_weight
 

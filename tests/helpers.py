@@ -13,7 +13,15 @@ from collections import Counter
 import numpy as np
 from hypothesis import strategies as st
 
-from clroute import ProblemInstance, Route, TaskGroundTruth, metric_closure
+from clroute import (
+    ProblemInstance,
+    Route,
+    TaskGroundTruth,
+    delta0_vector,
+    delta_matrix,
+    loss_upper,
+    metric_closure,
+)
 
 
 def manual_instance(delta, delta0, costs, m, n, sigma2=1.0) -> ProblemInstance:
@@ -82,6 +90,23 @@ def correlated_ground_truth(rng: np.random.Generator, t: int, m: int) -> TaskGro
     mix = rng.normal(size=(m, m))
     w_star = rng.normal(size=m) + rng.normal(size=(t, m)) @ mix
     return TaskGroundTruth(w_star, rng.normal(size=m), float(rng.uniform(0.1, 2.0)))
+
+
+def planner_closed_form(truth: TaskGroundTruth, route: Route, n: int) -> float:
+    """Forgetting plus constant part of ``loss_upper`` on the instance whose
+    delta and delta0 are the truth's exact distances (``delta_matrix``,
+    ``delta0_vector``) and whose travel costs are zero; needs T >= 2."""
+    t = truth.t_regions
+    inst = manual_instance(
+        delta_matrix(truth),
+        delta0_vector(truth),
+        np.zeros((t, t)),
+        truth.m_features,
+        n,
+        truth.sigma2,
+    )
+    b = loss_upper(inst, route)
+    return b.forgetting_part + b.constant_part
 
 
 def travel_only(inst: ProblemInstance) -> ProblemInstance:
@@ -171,18 +196,16 @@ def bitmask_matching(
 ) -> tuple[tuple[tuple[int, int], ...], float]:
     """Minimum-weight perfect matching as a bitmask table over all 2^k subsets.
 
-    The reference for ``min_weight_perfect_matching``: the same vertex
-    order (dummy first), the same additions and the same tie rule (a
-    subset's lowest vertex takes the first cheapest partner in ascending
-    order), filled bottom-up for every even subset.
+    The reference for ``min_weight_perfect_matching``: the vertices in the
+    order given, the same additions and the same tie rule (a subset's first
+    vertex in that order takes the first cheapest later partner), filled
+    bottom-up for every even subset.
     """
     if len(odd) % 2 != 0:
         raise ValueError("cannot perfectly match an odd number of vertices")
 
-    dummy = w.shape[0] - 1
-    verts = sorted(odd, key=lambda v: (v != dummy, v))
-    k = len(verts)
-    sub = w[np.ix_(verts, verts)].tolist()
+    k = len(odd)
+    sub = w[np.ix_(odd, odd)].tolist()
 
     full = (1 << k) - 1
     inf = float("inf")
@@ -207,7 +230,7 @@ def bitmask_matching(
     mask = full
     while mask:
         i, j = choice[mask]
-        pairs.append((verts[i], verts[j]))
+        pairs.append((odd[i], odd[j]))
         mask ^= (1 << i) | (1 << j)
     return tuple(pairs), dp[full]
 

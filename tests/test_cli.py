@@ -53,6 +53,24 @@ def test_gen_rejects_t_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--t", "5"], ["experiment", "--sweep", "t", "--values", "5", "--instances", "1"]],
+    ids=["gen", "experiment"],
+)
+def test_gen_and_experiment_exit_2_when_memory_runs_out(tmp_path, capsys, monkeypatch, argv):
+    # as `gen --t 1000000000000` does, whose first array numpy cannot allocate
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(clroute.cli, "generate_instance", refuse)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_gen_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["gen", "--t", "5", "--seed", "9", "--out", str(a)])

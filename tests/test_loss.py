@@ -11,16 +11,22 @@ from clroute import (
     LossBreakdown,
     RegimeError,
     Route,
+    TaskGroundTruth,
     best_final_region,
-    closed_form_forgetting,
-    delta0_vector,
-    delta_matrix,
     generate_instance,
     loss_upper,
     route_travel_cost,
+    verify_closed_form,
 )
 from clroute.loss import r_powers
-from helpers import correlated_ground_truth, manual_instance, over_t2, travel_only, worked_under
+from helpers import (
+    correlated_ground_truth,
+    manual_instance,
+    over_t2,
+    planner_closed_form,
+    travel_only,
+    worked_under,
+)
 
 
 def test_best_final_region_by_row_sums():
@@ -135,21 +141,16 @@ def test_over_reversal_asymmetry_needs_unequal_row_sums():
 
 @pytest.mark.parametrize("m,n", [(4, 10), (12, 4)])
 def test_closed_form_equals_loss_upper_on_exact_distances(m, n):
-    # correlated ground truths (shared mean, mixed coordinates) and w0 != 0:
-    # the closed form is the forgetting plus constant part of the planner's
-    # objective on the instance whose delta and delta0 are the exact distances
+    # correlated ground truths (shared mean, mixed coordinates), w0 != 0 and
+    # random routes: the closed form verify checks is, to the last bit, the
+    # forgetting plus constant part of the planners' objective on the
+    # instance whose delta and delta0 are the exact distances
     rng = np.random.default_rng(31)
     for _ in range(20):
-        truth = correlated_ground_truth(rng, int(rng.integers(2, 7)), m)
-        t = truth.t_regions
-        inst = manual_instance(
-            delta_matrix(truth), delta0_vector(truth), np.zeros((t, t)), m, n, truth.sigma2
-        )
-        route = Route(tuple(int(v) for v in rng.permutation(t)))
-        ordered = truth.w_star[list(route.order)]
-        closed = closed_form_forgetting(ordered, truth.w0, truth.sigma2, m, n)
-        b = loss_upper(inst, route)
-        assert closed == pytest.approx(b.forgetting_part + b.constant_part, rel=1e-12)
+        truth = correlated_ground_truth(rng, int(rng.integers(2, 9)), m)
+        route = Route(tuple(int(v) for v in rng.permutation(truth.t_regions)))
+        report = verify_closed_form(truth, route, n, 100, rng)
+        assert report.closed_form == planner_closed_form(truth, route, n)
 
 
 def test_constant_part_is_route_independent():
@@ -198,56 +199,58 @@ def test_parts_nonnegative_on_valid_instances():
                 assert b.constant_part >= 0
 
 
+def _closed_form(w_star, w0, sigma2: float, n: int) -> float:
+    """verify's closed form for ground truths trained in index order."""
+    truth = TaskGroundTruth(w_star, w0, sigma2)
+    route = Route(tuple(range(truth.t_regions)))
+    return verify_closed_form(truth, route, n, 100, np.random.default_rng(0)).closed_form
+
+
 def test_closed_form_under_single_task():
-    w = np.zeros((1, 4))
-    assert closed_form_forgetting(w, np.zeros(4), 1.0, 4, 10) == pytest.approx(0.8, rel=1e-12)
+    assert _closed_form(np.zeros((1, 4)), np.zeros(4), 1.0, 10) == pytest.approx(0.8, rel=1e-12)
 
 
 def test_closed_form_under_identical_params():
-    w = np.ones((5, 4))
-    val = closed_form_forgetting(w, np.zeros(4), 2.0, 4, 10)  # w0 plays no part
+    val = _closed_form(np.ones((5, 4)), np.zeros(4), 2.0, 10)  # w0 plays no part
     assert val == pytest.approx(2 * 0.8, rel=1e-12)
 
 
 def test_closed_form_under_single_pair():
     w = np.array([[0.0, 0.0], [2.0, 0.0]])  # squared distance 4
-    assert closed_form_forgetting(w, np.zeros(2), 0.0, 2, 10) == pytest.approx(2.0, rel=1e-12)
+    assert _closed_form(w, np.zeros(2), 0.0, 10) == pytest.approx(2.0, rel=1e-12)
 
 
 def test_closed_form_under_regime_check():
     # n = m + 2 is the first underparameterized n; m = 10, n in {9, 10, 11} is undefined
     w = np.zeros((2, 10))
-    assert closed_form_forgetting(w, np.zeros(10), 1.0, 10, 12) == pytest.approx(10.0)
+    assert _closed_form(w, np.zeros(10), 1.0, 12) == pytest.approx(10.0)
     for n in (9, 10, 11):
         with pytest.raises(RegimeError):
-            closed_form_forgetting(w, np.zeros(10), 1.0, 10, n)
+            _closed_form(w, np.zeros(10), 1.0, n)
 
 
 def test_closed_form_over_single_task_noise_only():
-    w = np.zeros((1, 10))
-    val = closed_form_forgetting(w, np.zeros(10), 1.0, 10, 4)
+    val = _closed_form(np.zeros((1, 10)), np.zeros(10), 1.0, 4)
     assert val == pytest.approx(0.8, rel=1e-12)  # (1-r) * m sigma2/(m-n-1) = 0.4*10/5
 
 
 def test_closed_form_over_everything_coincides():
-    w = np.ones((4, 12))
-    assert closed_form_forgetting(w, np.ones(12), 0.0, 12, 4) == 0.0
+    assert _closed_form(np.ones((4, 12)), np.ones(12), 0.0, 4) == 0.0
 
 
 def test_closed_form_over_only_initial_distance():
-    w = np.zeros((1, 10))
     w0 = np.zeros(10)
     w0[0] = 1.0  # squared distance 1, r = 0.6
-    assert closed_form_forgetting(w, w0, 0.0, 10, 4) == pytest.approx(0.6, rel=1e-12)
+    assert _closed_form(np.zeros((1, 10)), w0, 0.0, 4) == pytest.approx(0.6, rel=1e-12)
 
 
 def test_closed_form_over_regime_check():
     # n = m - 2 is the last overparameterized n: (1 - 0.2^2) * 10/(10-8-1) = 9.6
     w = np.zeros((2, 10))
-    assert closed_form_forgetting(w, np.zeros(10), 1.0, 10, 8) == pytest.approx(9.6)
+    assert _closed_form(w, np.zeros(10), 1.0, 8) == pytest.approx(9.6)
     for n in (9, 10, 11):
         with pytest.raises(RegimeError):
-            closed_form_forgetting(w, np.zeros(10), 1.0, 10, n)
+            _closed_form(w, np.zeros(10), 1.0, n)
 
 
 def _python_routine(obj) -> bool:

@@ -5,12 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from clroute import (
-    ParameterError,
-    RegimeError,
-    Route,
-    closed_form_forgetting,
-)
+from clroute import ParameterError, RegimeError, Route
 from clroute.mc_verify import (
     McReport,
     TaskGroundTruth,
@@ -21,6 +16,7 @@ from clroute.mc_verify import (
     simplex_ground_truth,
     verify_closed_form,
 )
+from helpers import planner_closed_form
 
 
 def test_ground_truth_validation():
@@ -129,9 +125,9 @@ def test_simulate_sequence_over_noise_floor():
 def test_verify_under_statistical_agreement():
     rng = np.random.default_rng(11)
     truth = simplex_ground_truth(3, 4, scales=rng.uniform(1.0, 2.0, 3), sigma2=0.5)
-    report = verify_closed_form(truth, Route((1, 2, 0)), 10, 20_000, rng)
-    expected = closed_form_forgetting(truth.w_star[[1, 2, 0]], truth.w0, 0.5, 4, 10)
-    assert report.closed_form == pytest.approx(expected, rel=1e-12)
+    route = Route((1, 2, 0))
+    report = verify_closed_form(truth, route, 10, 20_000, rng)
+    assert report.closed_form == planner_closed_form(truth, route, 10)
     assert report.trials == 20_000
     assert report.std_error > 0
     assert report.z <= 3.0
@@ -140,9 +136,9 @@ def test_verify_under_statistical_agreement():
 def test_verify_over_statistical_agreement():
     rng = np.random.default_rng(13)
     truth = simplex_ground_truth(3, 12, scales=rng.uniform(1.0, 2.0, 3), sigma2=0.5)
-    report = verify_closed_form(truth, Route((0, 2, 1)), 4, 20_000, rng)
-    expected = closed_form_forgetting(truth.w_star[[0, 2, 1]], truth.w0, 0.5, 12, 4)
-    assert report.closed_form == pytest.approx(expected, rel=1e-12)
+    route = Route((0, 2, 1))
+    report = verify_closed_form(truth, route, 4, 20_000, rng)
+    assert report.closed_form == planner_closed_form(truth, route, 4)
     assert report.z <= 3.0
 
 
@@ -174,7 +170,7 @@ def test_simulate_task_under_regime_guard():
     with pytest.raises(RegimeError):
         verify_closed_form(truth, Route((0, 1)), 5, 500, rng)
     report = verify_closed_form(truth, Route((0, 1)), 6, 500, rng)
-    assert report.closed_form == closed_form_forgetting(truth.w_star, truth.w0, 1.0, 4, 6)
+    assert report.closed_form == planner_closed_form(truth, Route((0, 1)), 6)
 
 
 def test_simulate_sequence_over_regime_guard():
@@ -184,7 +180,7 @@ def test_simulate_sequence_over_regime_guard():
     with pytest.raises(RegimeError):
         verify_closed_form(truth, Route((0, 1)), 3, 500, rng)
     report = verify_closed_form(truth, Route((0, 1)), 2, 500, rng)
-    assert report.closed_form == closed_form_forgetting(truth.w_star, truth.w0, 1.0, 4, 2)
+    assert report.closed_form == planner_closed_form(truth, Route((0, 1)), 2)
 
 
 def test_under_mean_invariant_to_interior_order():

@@ -14,6 +14,7 @@ from clroute import (
     minimum_spanning_tree,
     route_travel_cost,
 )
+from clroute import shp
 from clroute.shp import (
     HELD_KARP_MAX_T,
     InvariantViolation,
@@ -138,17 +139,19 @@ def test_matching_equals_brute_force_on_random_graphs():
         assert matched == sorted(odd)
 
 
-def test_matching_dummy_prefers_lowest_region_on_ties():
-    # all-zero costs: every matching weighs 0; dummy must pair with region 0
-    pairs, _ = min_weight_perfect_matching(np.zeros((5, 5)), (0, 1, 2, 4))
-    assert frozenset({4, 0}) in {frozenset(p) for p in pairs}
+def test_matching_takes_vertices_in_the_order_given():
+    # all-zero costs: every matching weighs 0, and each subset's first
+    # vertex takes its first partner in the order given
+    w = np.zeros((5, 5))
+    assert min_weight_perfect_matching(w, (0, 1, 2, 4)) == (((0, 1), (2, 4)), 0.0)
+    assert min_weight_perfect_matching(w, (4, 0, 1, 2)) == (((4, 0), (1, 2)), 0.0)
 
 
 @st.composite
 def tie_heavy_matchings(draw):
     """A padded weight matrix with region costs in {1, 2} or {1, 2, 3},
-    metric-closed or not, and an ascending vertex set of even size k <= 14,
-    with or without the dummy."""
+    metric-closed or not, and an even number k <= 14 of vertices in any
+    order, with or without the dummy."""
     k = 2 * draw(st.integers(1, 7))
     with_dummy = draw(st.booleans())
     t = draw(st.integers(k - with_dummy, 16))
@@ -161,7 +164,7 @@ def tie_heavy_matchings(draw):
     if draw(st.booleans()):
         costs = metric_closure(costs)
     regions = draw(st.permutations(range(t)))[: k - with_dummy]
-    return np.pad(costs, (0, 1)), tuple(sorted(regions + [t] * with_dummy))
+    return np.pad(costs, (0, 1)), tuple(draw(st.permutations(regions + [t] * with_dummy)))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -269,6 +272,24 @@ def test_fixed_end_path_ends_where_asked_within_tree_plus_matching():
             route, tree_weight, matching_weight = fixed_end_path(inst.costs, end)
             assert sorted(route.order) == list(range(t)) and route.final_region == end
             assert route_travel_cost(inst, route) <= tree_weight + matching_weight + 1e-9
+
+
+def test_matching_dummy_prefers_lowest_region_on_ties(monkeypatch):
+    # zero costs: every matching weighs 0. The star tree from region 0 plus
+    # the dummy 4 at region 3 leaves 0, 1, 2 and 4 odd; fixed_end_path puts
+    # the dummy first, so it pairs with region 0, and the circuit
+    # (4, 0, 1, 2, 0, 3, 4) shortcuts to (1, 2, 0, 3)
+    calls = []
+
+    def recording(w, odd):
+        pairs, weight = min_weight_perfect_matching(w, odd)
+        calls.append(pairs)
+        return pairs, weight
+
+    monkeypatch.setattr(shp, "min_weight_perfect_matching", recording)
+    route, _, _ = fixed_end_path(np.zeros((4, 4)), 3)
+    assert calls == [((4, 0), (1, 2))]
+    assert route.order == (1, 2, 0, 3)
 
 
 def test_held_karp_worked_instance():
