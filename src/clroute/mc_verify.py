@@ -58,6 +58,11 @@ class TaskGroundTruth:
             raise ValueError(f"w0 must have length {w_star.shape[1]}, got shape {w0.shape}")
         if not (math.isfinite(self.sigma2) and self.sigma2 >= 0.0):
             raise ParameterError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
+        if w_star.shape[0] == 0:
+            raise ParameterError(f"w_star needs at least one region, got shape {w_star.shape}")
+        for name, arr in (("w_star", w_star), ("w0", w0)):
+            if not np.isfinite(arr).all():
+                raise ParameterError(f"{name} must be finite, got {arr[~np.isfinite(arr)][0]}")
         for arr in (w_star, w0):
             arr.flags.writeable = False
         object.__setattr__(self, "w_star", w_star)

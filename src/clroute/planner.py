@@ -92,14 +92,16 @@ def plan_random(inst: ProblemInstance, seed: int) -> PlanResult:
     return _finish(inst, route, Strategy.RANDOM, t0)
 
 
-def plan(inst: ProblemInstance, strategy: Strategy, seed: int | None = None) -> PlanResult:
+def plan(inst: ProblemInstance, strategy: Strategy | str, seed: int | None = None) -> PlanResult:
+    """Run one strategy, named by its member or its value ("alg1", ...)."""
+    # an if chain, not a table built at import: each planner is looked up by
+    # its module-level name at call time, so a wrapper bound to that name runs
+    strategy = Strategy(strategy)
     if strategy is Strategy.ALGORITHM1:
         return plan_algorithm1(inst)
     if strategy is Strategy.EXACT:
         return plan_exact(inst)
     if strategy is Strategy.FORGETTING:
         return plan_forgetting_baseline(inst)
-    if strategy is Strategy.RANDOM:
-        return plan_random(inst, seed if seed is not None else 0)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return plan_random(inst, seed if seed is not None else 0)
 

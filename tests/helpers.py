@@ -264,3 +264,20 @@ def graph_edge_multiset(edges: tuple[tuple[int, int], ...]) -> Counter:
 
 def circuit_edge_multiset(circuit: tuple[int, ...]) -> Counter:
     return Counter(edge_key(a, b) for a, b in zip(circuit[:-1], circuit[1:]))
+
+
+def record_calls(monkeypatch, module, name: str) -> list[tuple[tuple, object]]:
+    """Wrap ``module.name`` for the test; each call appends ``(args, result)`` to the list returned.
+
+    Only callers that look the name up on the module at call time are seen.
+    """
+    calls: list[tuple[tuple, object]] = []
+    real = getattr(module, name)
+
+    def recorded(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls

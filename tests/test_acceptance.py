@@ -23,21 +23,17 @@ from clroute import (
     generate_instance,
     metric_closure,
     plan_algorithm1,
+    shp,
     simplex_ground_truth,
     verify_closed_form,
 )
 from clroute.cli import rows_to_csv, run_experiment
-from clroute.shp import (
-    eulerian_circuit,
-    min_weight_perfect_matching,
-    minimum_spanning_tree,
-    odd_degree_vertices,
-)
 from helpers import (
     brute_min_matching_weight,
     circuit_edge_multiset,
     correlated_ground_truth,
     graph_edge_multiset,
+    record_calls,
 )
 
 
@@ -225,7 +221,10 @@ def test_acceptance_08_travel_weight_chain(under_ensemble):
     )
 
 
-def test_acceptance_09_structural_property_sweep():
+def test_acceptance_09_structural_property_sweep(monkeypatch):
+    # the matching and Euler checks run on the calls plan_algorithm1 itself makes
+    matchings = record_calls(monkeypatch, shp, "min_weight_perfect_matching")
+    circuits = record_calls(monkeypatch, shp, "eulerian_circuit")
     t0 = time.perf_counter()
     rng = np.random.default_rng(909)
     cases = 0
@@ -233,22 +232,18 @@ def test_acceptance_09_structural_property_sweep():
     for _ in range(2500):
         t = int(rng.integers(2, 9))
         inst = generate_instance(t, int(rng.integers(1 << 30)), m=80, n=100)
-        v_prime = best_final_region(inst)
-        mst_edges, _ = minimum_spanning_tree(inst.costs)
-        tree = mst_edges + ((v_prime, t),)
-        odd = odd_degree_vertices(tree)
-        w = np.pad(inst.costs, (0, 1))
-        pairs, weight = min_weight_perfect_matching(w, odd)
+        matchings.clear()
+        circuits.clear()
+        route = plan_algorithm1(inst).route
+        [((w, odd), (_, weight))] = matchings
         if abs(weight - brute_min_matching_weight(w, odd)) > 1e-9:
             mismatches["matching"] += 1
         cases += 1
-        multigraph = tree + pairs
-        circuit = eulerian_circuit(multigraph, t)
+        [((multigraph, _), circuit)] = circuits
         if circuit_edge_multiset(circuit) != graph_edge_multiset(multigraph):
             mismatches["euler"] += 1
         cases += 1
-        route = plan_algorithm1(inst).route
-        if sorted(route.order) != list(range(t)) or route.final_region != v_prime:
+        if sorted(route.order) != list(range(t)) or route.final_region != best_final_region(inst):
             mismatches["route"] += 1
         cases += 1
         raw = np.zeros((t, t))

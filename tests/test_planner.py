@@ -194,6 +194,14 @@ def test_plan_dispatch_covers_all_strategies():
         assert result.elapsed >= 0.0
 
 
+def test_plan_accepts_each_strategy_by_its_value():
+    inst = generate_instance(6, seed=4)
+    for strategy in Strategy:
+        by_member, by_value = plan(inst, strategy, seed=2), plan(inst, strategy.value, seed=2)
+        assert by_value.strategy is strategy
+        assert by_value.route == by_member.route and by_value.breakdown == by_member.breakdown
+
+
 def ratio(inst, strategy, seed=None, include_constant=True):
     """Strategy total over the exact optimum's total, from the two plans' breakdowns."""
     num = plan(inst, strategy, seed=seed).breakdown.effective_total(include_constant)

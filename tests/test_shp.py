@@ -31,6 +31,7 @@ from helpers import (
     circuit_edge_multiset,
     graph_edge_multiset,
     manual_instance,
+    record_calls,
     scalar_held_karp,
     scan_all_routes,
     tie_heavy_instances,
@@ -279,16 +280,9 @@ def test_matching_dummy_prefers_lowest_region_on_ties(monkeypatch):
     # the dummy 4 at region 3 leaves 0, 1, 2 and 4 odd; fixed_end_path puts
     # the dummy first, so it pairs with region 0, and the circuit
     # (4, 0, 1, 2, 0, 3, 4) shortcuts to (1, 2, 0, 3)
-    calls = []
-
-    def recording(w, odd):
-        pairs, weight = min_weight_perfect_matching(w, odd)
-        calls.append(pairs)
-        return pairs, weight
-
-    monkeypatch.setattr(shp, "min_weight_perfect_matching", recording)
+    calls = record_calls(monkeypatch, shp, "min_weight_perfect_matching")
     route, _, _ = fixed_end_path(np.zeros((4, 4)), 3)
-    assert calls == [((4, 0), (1, 2))]
+    assert [pairs for _, (pairs, _) in calls] == [((4, 0), (1, 2))]
     assert route.order == (1, 2, 0, 3)
 
 
