@@ -59,24 +59,10 @@ def file_row(case_id, code, message, *changes, fault=None):
     return row(case_id, "plan <file>", code, message, fault or edit(*changes))
 
 
-CLI_ROWS = [
-    # the file's contents
-    file_row("costs-shape", 3, "costs must be 4x4, got (2, 2)", ("costs", [[0.0, 1.0]] * 2)),
-    file_row(
-        "t-one", 2, "t must be >= 2, got 1",
-        ("t", 1), ("delta", [[0.0]]), ("delta0", [1.0]), ("costs", [[0.0]]),
-    ),
-    file_row(
-        "top-level-array", 3, "top-level value must be an object",
-        fault=lambda text: f"[{text}]".encode(),
-    ),
-    file_row(
-        "utf16-bom", 3, "not UTF-8 text", fault=lambda text: b"\xff\xfe" + text.encode("utf-16-le")
-    ),
-    file_row(
-        "latin1-byte", 3, "not UTF-8 text",
-        fault=lambda text: b'{"r\xe9gion": 1, ' + text[1:].encode(),
-    ),
+# The one table of rejected CLI inputs, in three slices by the test that runs
+# each; every row goes through assert_cli_rejects. tests/test_cli.py runs the
+# first two slices, under the test names those cases have always had.
+PLAN_FILE_ROWS = [  # test_cli.py::test_plan_rejects_non_finite_and_ragged_files
     file_row("sigma2-nan", 2, "sigma2 must be finite, got nan", ("sigma2", NAN)),
     file_row("sigma2-inf", 2, "sigma2 must be finite, got inf", ("sigma2", INF)),
     file_row("delta0-nan", 2, "delta0 must be finite: delta0_{1}=nan", ("delta0", 0, NAN)),
@@ -139,8 +125,10 @@ CLI_ROWS = [
         "delta0-too-deep", 3, "JSON nested too deeply to parse",
         ("delta0", _Raw("[" * 100_000 + "1.0" + "]" * 100_000)),
     ),
-    # flags and paths
-    row("gen-t-one", "gen --t 1 --out x.json", 2, "t must be >= 2, got 1"),
+    row("seed-negative", "plan <file> --seed -3", 2, "--seed must be >= 0, got -3"),
+]
+
+FLAG_ROWS = [  # test_cli.py::test_verify_rejects_negative_and_non_finite_inputs
     row("gen-seed-negative", "gen --t 3 --seed -1 --out x.json", 2, "--seed must be >= 0, got -1"),
     row(
         "gen-sigma2-overflow", "gen --t 3 --sigma2 1e308 --out x.json", 2,
@@ -154,7 +142,46 @@ CLI_ROWS = [
         "gen-range-sum-overflow", "gen --t 4 --range-lo 1e308 --range-hi 1.7e308 --out x.json", 2,
         "c too large",
     ),
-    row("plan-seed-negative", "plan <file> --seed -3", 2, "--seed must be >= 0, got -3"),
+    row(
+        "experiment-seed-negative", f"{SWEEP} --values 3 --seed -7", 2,
+        "--seed must be >= 0, got -7",
+    ),
+    row(
+        "experiment-sigma2-overflow", f"{SWEEP} --values 3 --sigma2 1e308", 2,
+        "noise constant does not fit a float: inf",
+    ),
+    *(
+        row(
+            f"sigma2-{name}", f"{VERIFY} --sigma2 {flag}", 2,
+            f"sigma2 must be finite and >= 0, got {float(flag)}",
+        )
+        for name, flag in (("negative", "-1"), ("nan", "nan"), ("inf", "inf"))
+    ),
+    row("threshold-nan", f"{VERIFY} --threshold nan", 2, "threshold must be finite, got nan"),
+    row("t-negative", f"{VERIFY} --t -1", 2, "t must be >= 1, got -1"),
+    row("seed-negative", f"{VERIFY} --seed -2", 2, "--seed must be >= 0, got -2"),
+]
+
+CLI_ROWS = [  # test_cli_rejects_bad_input, below
+    # the file's contents
+    file_row("costs-shape", 3, "costs must be 4x4, got (2, 2)", ("costs", [[0.0, 1.0]] * 2)),
+    file_row(
+        "t-one", 2, "t must be >= 2, got 1",
+        ("t", 1), ("delta", [[0.0]]), ("delta0", [1.0]), ("costs", [[0.0]]),
+    ),
+    file_row(
+        "top-level-array", 3, "top-level value must be an object",
+        fault=lambda text: f"[{text}]".encode(),
+    ),
+    file_row(
+        "utf16-bom", 3, "not UTF-8 text", fault=lambda text: b"\xff\xfe" + text.encode("utf-16-le")
+    ),
+    file_row(
+        "latin1-byte", 3, "not UTF-8 text",
+        fault=lambda text: b'{"r\xe9gion": 1, ' + text[1:].encode(),
+    ),
+    # flags and paths
+    row("gen-t-one", "gen --t 1 --out x.json", 2, "t must be >= 2, got 1"),
     row("plan-missing-file", "plan nope.json", 3, "No such file or directory: 'nope.json'"),
     row(
         "plan-exact-size-limit", "plan <oversized-file> --strategy exact", 4,
@@ -164,14 +191,6 @@ CLI_ROWS = [
     row(
         "experiment-no-instances", "experiment --sweep t --values 5 --instances 0", 2,
         "instances must be >= 1, got 0",
-    ),
-    row(
-        "experiment-seed-negative", f"{SWEEP} --values 3 --seed -7", 2,
-        "--seed must be >= 0, got -7",
-    ),
-    row(
-        "experiment-sigma2-overflow", f"{SWEEP} --values 3 --sigma2 1e308", 2,
-        "noise constant does not fit a float: inf",
     ),
     # the CSV holds one row per (point, strategy); a repeat would print two
     row("experiment-repeated-values", f"{SWEEP} --values 5,5", 2, "repeated sweep value 5"),
@@ -192,18 +211,6 @@ CLI_ROWS = [
         "no valid sweep points remain",
     ),
     row("verify-tiny-trials", "verify --trials 50", 2, "trials must be >= 100, got 50"),
-    *(
-        row(
-            f"verify-sigma2-{name}", f"{VERIFY} --sigma2 {flag}", 2,
-            f"sigma2 must be finite and >= 0, got {float(flag)}",
-        )
-        for name, flag in (("negative", "-1"), ("nan", "nan"), ("inf", "inf"))
-    ),
-    row(
-        "verify-threshold-nan", f"{VERIFY} --threshold nan", 2, "threshold must be finite, got nan"
-    ),
-    row("verify-t-negative", f"{VERIFY} --t -1", 2, "t must be >= 1, got -1"),
-    row("verify-seed-negative", f"{VERIFY} --seed -2", 2, "--seed must be >= 0, got -2"),
     row(
         "verify-under-slot", f"{VERIFY} --under-m 12 --under-n 4", 2,
         "--under-m=12, --under-n=4 is overparameterized",
@@ -224,8 +231,8 @@ CLI_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("argv,fault,code,message", CLI_ROWS)
-def test_cli_rejects_bad_input(tmp_path, monkeypatch, capsys, argv, fault, code, message):
+def assert_cli_rejects(tmp_path, monkeypatch, capsys, argv, fault, code, message):
+    """Hold one row of the table to the whole contract of a rejected input."""
     monkeypatch.chdir(tmp_path)  # where --out would write
     path = tmp_path / "inst.json"
     for arg in argv:
@@ -255,6 +262,11 @@ def test_cli_rejects_bad_input(tmp_path, monkeypatch, capsys, argv, fault, code,
             assert err.startswith(f"error: {path}: ")
     assert len(results) == 1  # every strategy and format fails alike
     assert sorted(tmp_path.iterdir()) == before  # nothing written by --out
+
+
+@pytest.mark.parametrize("argv,fault,code,message", CLI_ROWS)
+def test_cli_rejects_bad_input(tmp_path, monkeypatch, capsys, argv, fault, code, message):
+    assert_cli_rejects(tmp_path, monkeypatch, capsys, argv, fault, code, message)
 
 
 def _config(**changes) -> ExperimentConfig:
