@@ -340,8 +340,13 @@ def main(argv: list[str] | None = None) -> int:
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (FormatError, OSError) as exc:
+    except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        # name the file first, as every FormatError does
+        message = exc if exc.filename is None else f"{exc.filename}: {exc.strerror}"
+        print(f"error: {message}", file=sys.stderr)
         return 3
 
 

@@ -53,9 +53,11 @@ class TaskGroundTruth:
         w_star = np.array(self.w_star, dtype=float)
         w0 = np.array(self.w0, dtype=float)
         if w_star.ndim != 2:
-            raise ValueError(f"w_star must be 2-D (regions x features), got shape {w_star.shape}")
+            raise ParameterError(
+                f"w_star must be 2-D (regions x features), got shape {w_star.shape}"
+            )
         if w0.shape != (w_star.shape[1],):
-            raise ValueError(f"w0 must have length {w_star.shape[1]}, got shape {w0.shape}")
+            raise ParameterError(f"w0 must have length {w_star.shape[1]}, got shape {w0.shape}")
         if not (math.isfinite(self.sigma2) and self.sigma2 >= 0.0):
             raise ParameterError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
         if w_star.shape[0] == 0:

@@ -1,10 +1,9 @@
 """Shared ensembles and reporting for the test suite.
 
-The heavyweight ensembles are built by plain functions so the determinism
-test can run a builder twice and compare artifacts byte-for-byte; the
-session-scoped fixtures cache one build for every other consumer. The
-acceptance tests append one summary line each to ``ACCEPTANCE_LINES``,
-which ``pytest_terminal_summary`` prints at the end of the run.
+The session-scoped fixtures build each heavyweight ensemble once, and
+every consumer shares that build. The acceptance tests append one summary
+line each to ``ACCEPTANCE_LINES``, which ``pytest_terminal_summary``
+prints at the end of the run.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from clroute import (
     plan_exact,
     route_travel_cost,
 )
-from clroute.cli import ExperimentConfig, Row, rows_to_csv, run_experiment
+from clroute.cli import ExperimentConfig, Row, run_experiment
 from clroute.planner import PlanResult
 from clroute.shp import fixed_end_path
 from helpers import travel_only
@@ -104,20 +103,6 @@ def pipeline_csv(records: list[PipelineRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def build_two_region_ensemble() -> tuple[list[tuple[float, float]], float]:
-    """1000 two-region instances, alternating regimes; returns
-    (approximation total, exact total) pairs and elapsed seconds."""
-    t0 = time.perf_counter()
-    pairs = []
-    for seed in range(1, 1001):
-        m = 80 if seed % 2 else 120
-        inst = generate_instance(2, seed, m=m, n=100)
-        approx = plan_algorithm1(inst)
-        exact = plan_exact(inst)
-        pairs.append((approx.breakdown.total, exact.breakdown.total))
-    return pairs, time.perf_counter() - t0
-
-
 def two_region_csv(pairs: list[tuple[float, float]]) -> str:
     lines = ["index,approx_total,exact_total"]
     for i, (a, b) in enumerate(pairs, start=1):
@@ -164,7 +149,17 @@ def over_ensemble() -> tuple[list[PipelineRecord], float]:
 
 @pytest.fixture(scope="session")
 def two_region_ensemble() -> tuple[list[tuple[float, float]], float]:
-    return build_two_region_ensemble()
+    """1000 two-region instances, alternating regimes; returns
+    (approximation total, exact total) pairs and elapsed seconds."""
+    t0 = time.perf_counter()
+    pairs = []
+    for seed in range(1, 1001):
+        m = 80 if seed % 2 else 120
+        inst = generate_instance(2, seed, m=m, n=100)
+        approx = plan_algorithm1(inst)
+        exact = plan_exact(inst)
+        pairs.append((approx.breakdown.total, exact.breakdown.total))
+    return pairs, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="session")
@@ -181,12 +176,4 @@ def regions_sweep_rows() -> dict[int, list[Row]]:
         rows, warnings = run_experiment(regions_sweep_cfg(m))
         assert not warnings
         out[m] = rows
-    return out
-
-
-def experiment_csvs() -> dict[str, str]:
-    """Render every acceptance experiment to CSV text, fresh each call."""
-    out = {"feature_sweep": rows_to_csv(run_experiment(FEATURE_SWEEP_CFG)[0])}
-    for m in (80, 120):
-        out[f"regions_sweep_m{m}"] = rows_to_csv(run_experiment(regions_sweep_cfg(m))[0])
     return out

@@ -1,29 +1,54 @@
 """Input-boundary branches: a bad file or flag exits 2 or 3 (4 past the
 exact solver's size limit) with one error line, and a bad library
-argument raises before any work is done."""
+argument raises exactly its own error class with its whole message before
+any work is done."""
 
 from __future__ import annotations
 
 import json
-import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clroute import ParameterError, Route, Strategy, loss_upper, plan
+from clroute import (
+    HELD_KARP_MAX_T,
+    FormatError,
+    InvariantViolation,
+    ParameterError,
+    ProblemInstance,
+    RegimeError,
+    Route,
+    SizeLimitError,
+    Strategy,
+    TaskGroundTruth,
+    ValidationError,
+    classify_regime,
+    generate_instance,
+    held_karp_min_path,
+    loss_upper,
+    plan,
+    plan_exact,
+    read_instance,
+    simplex_ground_truth,
+    verify_closed_form,
+    write_instance,
+)
 from clroute.cli import ExperimentConfig, main
-from clroute.instance import generate_instance, write_instance
-from clroute.mc_verify import TaskGroundTruth, simplex_ground_truth
-from clroute.shp import HELD_KARP_MAX_T, InvariantViolation, shortcut_to_hamiltonian
-from helpers import worked_under
+from clroute.shp import eulerian_circuit, min_weight_perfect_matching, shortcut_to_hamiltonian
+from helpers import manual_instance, worked_under
 
 NAN, INF = float("nan"), float("inf")
 # argv placeholders for an instance file, mapped to its number of regions;
-# the row's fault, if any, rewrites the file's text
+# the row's fault, if any, then rewrites or deletes the file
 REGIONS = {"<file>": 4, "<oversized-file>": HELD_KARP_MAX_T + 1}
 VERIFY = "verify --trials 200"
 SWEEP = "experiment --sweep t --instances 1"
 LEAKS = ("Traceback", "Warning", "nan != nan", "inhomogeneous")  # never in stderr
+SIZE_LIMIT = (
+    f"T={HELD_KARP_MAX_T + 1} exceeds the exact-solver limit ({HELD_KARP_MAX_T}); "
+    "use the approximation algorithm instead"
+)
 
 
 class _Raw(str):
@@ -33,8 +58,8 @@ class _Raw(str):
 def edit(*changes):
     """A fault that sets, for each (*key path, value), that entry of the file's JSON document."""
 
-    def fault(text):
-        doc = json.loads(text)
+    def fault(path):
+        doc = json.loads(path.read_text())
         for *head, last, value in changes:
             target = doc
             for key in head:
@@ -44,9 +69,16 @@ def edit(*changes):
         for *_, value in changes:
             if isinstance(value, _Raw):
                 text = text.replace(json.dumps(value), value)
-        return text.encode()
+        path.write_text(text)
 
     return fault
+
+
+def write_file(path, regions, fault=None):
+    """Write the generated instance the table's files start from, then apply the fault."""
+    write_instance(generate_instance(regions, seed=3), path)
+    if fault is not None:
+        fault(path)
 
 
 def row(case_id, argv, code, message, fault=None):
@@ -55,7 +87,7 @@ def row(case_id, argv, code, message, fault=None):
 
 
 def file_row(case_id, code, message, *changes, fault=None):
-    """A fault in the file's contents; plan runs every strategy in both formats on it."""
+    """A fault of the file; plan runs every strategy in both formats on it."""
     return row(case_id, "plan <file>", code, message, fault or edit(*changes))
 
 
@@ -171,23 +203,20 @@ CLI_ROWS = [  # test_cli_rejects_bad_input, below
     ),
     file_row(
         "top-level-array", 3, "top-level value must be an object",
-        fault=lambda text: f"[{text}]".encode(),
+        fault=lambda path: path.write_text(f"[{path.read_text()}]"),
     ),
     file_row(
-        "utf16-bom", 3, "not UTF-8 text", fault=lambda text: b"\xff\xfe" + text.encode("utf-16-le")
+        "utf16-bom", 3, "not UTF-8 text",
+        fault=lambda path: path.write_bytes(b"\xff\xfe" + path.read_text().encode("utf-16-le")),
     ),
     file_row(
         "latin1-byte", 3, "not UTF-8 text",
-        fault=lambda text: b'{"r\xe9gion": 1, ' + text[1:].encode(),
+        fault=lambda path: path.write_bytes(b'{"r\xe9gion": 1, ' + path.read_text()[1:].encode()),
     ),
+    file_row("plan-missing-file", 3, "No such file or directory", fault=Path.unlink),
     # flags and paths
     row("gen-t-one", "gen --t 1 --out x.json", 2, "t must be >= 2, got 1"),
-    row("plan-missing-file", "plan nope.json", 3, "No such file or directory: 'nope.json'"),
-    row(
-        "plan-exact-size-limit", "plan <oversized-file> --strategy exact", 4,
-        f"T={HELD_KARP_MAX_T + 1} exceeds the exact-solver limit ({HELD_KARP_MAX_T}); "
-        "use the approximation algorithm instead",
-    ),
+    row("plan-exact-size-limit", "plan <oversized-file> --strategy exact", 4, SIZE_LIMIT),
     row(
         "experiment-no-instances", "experiment --sweep t --values 5 --instances 0", 2,
         "instances must be >= 1, got 0",
@@ -237,9 +266,7 @@ def assert_cli_rejects(tmp_path, monkeypatch, capsys, argv, fault, code, message
     path = tmp_path / "inst.json"
     for arg in argv:
         if arg in REGIONS:
-            write_instance(generate_instance(REGIONS[arg], seed=3), path)
-            if fault is not None:
-                path.write_bytes(fault(path.read_text()))
+            write_file(path, REGIONS[arg], fault)
     argv = [str(path) if arg in REGIONS else arg for arg in argv]
     before = sorted(tmp_path.iterdir())
     variants = [argv]
@@ -277,48 +304,190 @@ def _config(**changes) -> ExperimentConfig:
     return ExperimentConfig(**{**fields, **changes})
 
 
+def unit_t3(costs, m=80):
+    """A T=3 instance with every dissimilarity 1, built from the row's costs and m."""
+    return lambda: manual_instance([[0, 1, 1], [1, 0, 1], [1, 1, 0]], [1, 1, 1], costs, m, 100)
+
+
+def read_row(error, message, fault):
+    """read_instance on the table's T=4 file, in the test's own directory, after the fault."""
+
+    def call():
+        write_file(Path("inst.json"), REGIONS["<file>"], fault)
+        read_instance("inst.json")
+
+    return call, error, f"inst.json: {message}"
+
+
+def verify_row(truth, n, trials=500):
+    """verify_closed_form on a fresh truth(), visiting region 0 and then region 1."""
+    return lambda: verify_closed_form(truth(), Route((0, 1)), n, trials, np.random.default_rng(1))
+
+
+UNDEFINED = "regime undefined for m ∈ {{n−1,n,n+1}} (m={}, n={})"
+METRIC_T3 = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+
 LIBRARY_ROWS = {  # id: (call, exception, message)
+    **{
+        f"classify-m-{m}": (
+            lambda m=m: classify_regime(m, 100), RegimeError, UNDEFINED.format(m, 100))
+        for m in (99, 100, 101)
+    },
+    "classify-m-0": (
+        lambda: classify_regime(0, 10), RegimeError, "m and n must be >= 1, got m=0, n=10"),
+    **{
+        f"route-{name}": (
+            lambda order=order: Route(order), ValueError,
+            f"route must be a permutation of 0..2, got {order}")
+        for name, order in (("repeat", (0, 0, 1)), ("out-of-range", (1, 2, 3)))
+    },
+    "instance-triangle": (
+        unit_t3([[0, 1, 5], [1, 0, 1], [5, 1, 0]]), ValidationError,
+        "triangle inequality: c_{1,3}=5 > c_{1,2}+c_{2,3}=2"),
+    "instance-triangle-far": (
+        unit_t3([[0, 1, 50], [1, 0, 1], [50, 1, 0]]), ValidationError,
+        "triangle inequality: c_{1,3}=50 > c_{1,2}+c_{2,3}=2"),
+    "instance-costs-asymmetric": (
+        unit_t3([[0, 1, 2], [3, 0, 1], [2, 1, 0]]), ValidationError,
+        "c not symmetric: c_{1,2}=1 != c_{2,1}=3"),
+    "instance-m-equals-n": (unit_t3(METRIC_T3, 100), ValidationError, UNDEFINED.format(100, 100)),
+    "instance-m-overflow": (
+        unit_t3(METRIC_T3, 10**400), ValidationError,
+        "noise constant does not fit a float: int too large to convert to float"),
+    "instance-costs-overflow": (
+        unit_t3([[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]), ValidationError,
+        "c too large: (T-1)*max c = 2*1e+308 does not fit a float"),
+    "instance-t2-m-equals-n": (
+        lambda: manual_instance([[0, 1], [1, 0]], [1, 1], [[0, 1], [1, 0]], 100, 100),
+        ValidationError, UNDEFINED.format(100, 100)),
+    "instance-asymmetric-and-negative": (
+        lambda: manual_instance([[0, 1], [2, 0]], [1, -1], np.zeros((2, 2)), 80, 100, -0.5),
+        ValidationError,
+        "delta not symmetric: delta_{1,2}=1 != delta_{2,1}=2; "
+        "delta0 must be >= 0: delta0_{2}=-1; sigma2 must be >= 0, got -0.5"),
+    # NaN and -inf would also read as asymmetry and as a broken triangle
+    # inequality; only the finiteness violation is reported
+    "instance-non-finite": (
+        lambda: manual_instance(
+            [[0, NAN, 1], [2, 0, 1], [1, 1, 0]], [1, INF, 1],
+            [[0, 1, -INF], [1, 0, 1], [-INF, 1, 0]], 80, 100, NAN),
+        ValidationError,
+        "delta must be finite: delta_{1,2}=nan; delta0 must be finite: delta0_{2}=inf; "
+        "c must be finite: c_{1,3}=-inf; sigma2 must be finite, got nan"),
+    "instance-delta-shape": (
+        lambda: ProblemInstance(3, np.zeros((2, 2)), np.zeros(3), np.zeros((3, 3)), 4, 10, 1.0),
+        ValueError, "delta must be 3x3, got (2, 2)"),
+    "instance-delta0-length": (
+        lambda: ProblemInstance(2, np.zeros((2, 2)), np.zeros(3), np.zeros((2, 2)), 4, 10, 1.0),
+        ValueError, "delta0 must have length 2, got (3,)"),
+    "generate-t-one": (
+        lambda: generate_instance(1, seed=0), ParameterError, "t must be >= 2, got 1"),
+    **{
+        f"generate-range-{name}": (
+            lambda lo=lo, hi=hi: generate_instance(4, seed=0, range_lo=lo, range_hi=hi),
+            ParameterError, f"need 0 < range_lo <= range_hi < inf, got [{lo}, {hi}]")
+        for name, lo, hi in (("reversed", 5.0, 2.0), ("lo-zero", 0.0, 2.0), ("hi-inf", 1.0, INF))
+    },
+    "read-missing-field": read_row(
+        FormatError, 'missing field "delta0"',
+        lambda path: path.write_text(path.read_text().replace('"delta0"', '"delta_0"'))),
+    "read-invalid-json": read_row(
+        FormatError, "invalid JSON at line 2: Expecting value",
+        lambda path: path.write_text('{"t": 2,\n  "m": }')),
+    "read-negative-delta": read_row(
+        ValidationError, "delta must be >= 0: delta_{1,2}=-1",
+        edit(("delta", 0, 1, -1.0), ("delta", 1, 0, -1.0))),
+    "read-wrong-type": read_row(FormatError, 'field "t" has wrong type', edit(("t", "three"))),
     "loss_upper-route-length": (
         lambda: loss_upper(worked_under(), Route((1, 0))), ValueError,
-        "route length 2 != t_regions 3",
-    ),
+        "route length 2 != t_regions 3"),
     "plan-not-a-strategy": (
-        lambda: plan(worked_under(), "greedy"), ValueError, "'greedy' is not a valid Strategy"
-    ),
+        lambda: plan(worked_under(), "greedy"), ValueError, "'greedy' is not a valid Strategy"),
+    "plan-exact-size-limit": (
+        lambda: plan_exact(generate_instance(HELD_KARP_MAX_T + 1, seed=2)),
+        SizeLimitError, SIZE_LIMIT),
+    "held-karp-size-limit": (
+        lambda: held_karp_min_path(generate_instance(HELD_KARP_MAX_T + 1, seed=1)),
+        SizeLimitError, SIZE_LIMIT),
+    "matching-odd-count": (
+        lambda: min_weight_perfect_matching(np.zeros((4, 4)), (0, 1, 2)), InvariantViolation,
+        "cannot perfectly match an odd number of vertices"),
+    "euler-odd-degree": (
+        lambda: eulerian_circuit(((0, 1), (1, 2), (0, 2), (0, 1)), 2), InvariantViolation,
+        "vertex 0 has odd degree 3"),
+    "euler-disconnected": (
+        lambda: eulerian_circuit(((4, 0), (4, 0), (1, 2), (2, 3), (1, 3)), 4), InvariantViolation,
+        "multigraph is not connected; no Eulerian circuit"),
+    "euler-start-without-edges": (
+        lambda: eulerian_circuit(((0, 1), (0, 1)), 2), InvariantViolation,
+        "start vertex 2 has no incident edges"),
     "shortcut-open-walk": (
-        lambda: shortcut_to_hamiltonian((3, 0, 1, 2), 2), InvariantViolation, "not a closed circuit"
-    ),
-    "simplex-no-regions": (
-        lambda: simplex_ground_truth(0, 4), ParameterError, "t must be >= 1, got 0"
-    ),
+        lambda: shortcut_to_hamiltonian((3, 0, 1, 2), 2), InvariantViolation,
+        "not a closed circuit"),
+    "shortcut-broken-anchor": (
+        lambda: shortcut_to_hamiltonian((3, 1, 0, 2, 3), 0), InvariantViolation,
+        "circuit does not keep the dummy next to the final region"),
+    "shortcut-interior-dummy": (
+        lambda: shortcut_to_hamiltonian((3, 0, 3, 1, 3), 0), InvariantViolation,
+        "dummy vertex appears inside the circuit"),
+    "truth-w-star-1d": (
+        lambda: TaskGroundTruth(np.zeros(4), np.zeros(4), 1.0), ParameterError,
+        "w_star must be 2-D (regions x features), got shape (4,)"),
+    "truth-w0-length": (
+        lambda: TaskGroundTruth(np.zeros((2, 4)), np.zeros(3), 1.0), ParameterError,
+        "w0 must have length 4, got shape (3,)"),
+    **{
+        f"truth-sigma2-{name}": (
+            lambda sigma2=sigma2: TaskGroundTruth(np.zeros((2, 4)), np.zeros(4), sigma2),
+            ParameterError, f"sigma2 must be finite and >= 0, got {sigma2}")
+        for name, sigma2 in (("negative", -1.0), ("nan", NAN), ("inf", INF))
+    },
     "truth-no-regions": (
         lambda: TaskGroundTruth(np.zeros((0, 4)), np.zeros(4), 1.0), ParameterError,
-        "w_star needs at least one region, got shape (0, 4)",
-    ),
+        "w_star needs at least one region, got shape (0, 4)"),
     "truth-w-star-nan": (
         lambda: TaskGroundTruth([[NAN, 0.0], [0.0, 1.0]], np.zeros(2), 1.0), ParameterError,
-        "w_star must be finite, got nan",
-    ),
+        "w_star must be finite, got nan"),
     "truth-w0-inf": (
         lambda: TaskGroundTruth(np.eye(2, 4), [INF, 0.0, 0.0, 0.0], 1.0), ParameterError,
-        "w0 must be finite, got inf",
-    ),
+        "w0 must be finite, got inf"),
+    "simplex-no-regions": (
+        lambda: simplex_ground_truth(0, 4), ParameterError, "t must be >= 1, got 0"),
+    "simplex-too-few-features": (
+        lambda: simplex_ground_truth(5, 4), ParameterError,
+        "need m >= t to place 5 regions on separate axes, got m=4"),
+    "simplex-scales-length": (
+        lambda: simplex_ground_truth(3, 6, scales=np.ones(2)), ParameterError,
+        "scales must have length 3, got shape (2,)"),
+    "verify-tiny-trials": (
+        verify_row(lambda: simplex_ground_truth(2, 4), 10, trials=99), ParameterError,
+        "trials must be >= 100, got 99"),
+    "verify-route-length": (
+        verify_row(lambda: simplex_ground_truth(3, 4), 10), ValueError,
+        "route length 2 != regions 3"),
+    # n = m + 1 is the undefined band below the first under process (n = m + 2),
+    # n = m - 1 the one above the last over process (n = m - 2)
+    **{
+        f"verify-{m}-{n}": (verify_row(truth, n), RegimeError, UNDEFINED.format(m, n))
+        for m, truth in (
+            (4, lambda: simplex_ground_truth(2, 4)),
+            (10, lambda: TaskGroundTruth(np.zeros((2, 10)), np.zeros(10), 1.0)))
+        for n in (m - 1, m, m + 1)
+    },
     "config-sweep-var": (
-        lambda: _config(sweep_var="n"), ParameterError, "sweep_var must be 'm' or 't', got 'n'"
-    ),
+        lambda: _config(sweep_var="n"), ParameterError, "sweep_var must be 'm' or 't', got 'n'"),
     "config-no-values": (
-        lambda: _config(values=()), ParameterError, "sweep needs at least one value"
-    ),
+        lambda: _config(values=()), ParameterError, "sweep needs at least one value"),
     "config-no-strategies": (
-        lambda: _config(strategies=()), ParameterError, "need at least one strategy"
-    ),
+        lambda: _config(strategies=()), ParameterError, "need at least one strategy"),
     "config-no-instances": (
-        lambda: _config(instances=0), ParameterError, "instances must be >= 1, got 0"
-    ),
+        lambda: _config(instances=0), ParameterError, "instances must be >= 1, got 0"),
 }
 
 
 @pytest.mark.parametrize("call,error,message", LIBRARY_ROWS.values(), ids=list(LIBRARY_ROWS))
-def test_library_rejects_bad_arguments(call, error, message):
-    with pytest.raises(error, match=re.escape(message)):
+def test_library_rejects_bad_arguments(tmp_path, monkeypatch, call, error, message):
+    monkeypatch.chdir(tmp_path)  # where the read rows write their file
+    with pytest.raises(error) as raised:
         call()
+    assert type(raised.value) is error and str(raised.value) == message

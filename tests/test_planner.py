@@ -9,9 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from clroute import (
-    HELD_KARP_MAX_T,
     Route,
-    SizeLimitError,
     best_final_region,
     generate_instance,
     loss_upper,
@@ -113,12 +111,6 @@ def test_plan_exact_minimizes_travel_when_delta_zero():
     exact = plan_exact(inst)
     best_travel, _ = scan_all_routes(inst, "travel")
     assert route_travel_cost(inst, exact.route) == pytest.approx(best_travel, rel=1e-9)
-
-
-def test_plan_exact_size_limited():
-    inst = generate_instance(HELD_KARP_MAX_T + 1, seed=2)
-    with pytest.raises(SizeLimitError):
-        plan_exact(inst)
 
 
 def test_forgetting_baseline_under_interior_orders():
