@@ -344,17 +344,17 @@ LIBRARY_ROWS = {  # id: (call, exception, message)
     "instance-triangle": (
         unit_t3([[0, 1, 5], [1, 0, 1], [5, 1, 0]]), ValidationError,
         "triangle inequality: c_{1,3}=5 > c_{1,2}+c_{2,3}=2"),
-    "instance-triangle-far": (
+    "build-triangle": (
         unit_t3([[0, 1, 50], [1, 0, 1], [50, 1, 0]]), ValidationError,
         "triangle inequality: c_{1,3}=50 > c_{1,2}+c_{2,3}=2"),
-    "instance-costs-asymmetric": (
+    "build-asymmetric": (
         unit_t3([[0, 1, 2], [3, 0, 1], [2, 1, 0]]), ValidationError,
         "c not symmetric: c_{1,2}=1 != c_{2,1}=3"),
-    "instance-m-equals-n": (unit_t3(METRIC_T3, 100), ValidationError, UNDEFINED.format(100, 100)),
-    "instance-m-overflow": (
+    "build-m-equals-n": (unit_t3(METRIC_T3, 100), ValidationError, UNDEFINED.format(100, 100)),
+    "build-m-overflow": (
         unit_t3(METRIC_T3, 10**400), ValidationError,
         "noise constant does not fit a float: int too large to convert to float"),
-    "instance-costs-overflow": (
+    "build-costs-overflow": (
         unit_t3([[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]), ValidationError,
         "c too large: (T-1)*max c = 2*1e+308 does not fit a float"),
     "instance-t2-m-equals-n": (
@@ -485,9 +485,54 @@ LIBRARY_ROWS = {  # id: (call, exception, message)
 }
 
 
-@pytest.mark.parametrize("call,error,message", LIBRARY_ROWS.values(), ids=list(LIBRARY_ROWS))
-def test_library_rejects_bad_arguments(tmp_path, monkeypatch, call, error, message):
+# Rows that run under the test names those cases have always had, from the
+# file each comment names; test_library_rejects_bad_arguments runs the rest.
+NAMED_ROWS = {
+    # tests/test_instance.py
+    "test_route_must_be_permutation": ("route-repeat", "route-out-of-range"),
+    "test_validate_reports_triangle_violation_verbatim": ("instance-triangle",),
+    "test_validate_flags_undefined_regime": ("instance-t2-m-equals-n",),
+    "test_validate_reports_asymmetry_and_negative_entries": ("instance-asymmetric-and-negative",),
+    "test_validate_reports_each_non_finite_field_once": ("instance-non-finite",),
+    "test_no_invalid_instance_can_be_built": (  # run as ids, less the build- prefix
+        "build-triangle", "build-asymmetric", "build-m-equals-n", "build-m-overflow",
+        "build-costs-overflow"),
+    "test_problem_instance_shape_checks": ("instance-delta-shape", "instance-delta0-length"),
+    "test_generate_rejects_bad_parameters": (
+        "generate-t-one", "generate-range-reversed", "generate-range-lo-zero",
+        "generate-range-hi-inf"),
+    "test_read_missing_field_names_it": ("read-missing-field",),
+    "test_read_rejects_invalid_json_with_line": ("read-invalid-json",),
+    "test_read_rejects_negative_delta": ("read-negative-delta",),
+    "test_read_rejects_wrong_type": ("read-wrong-type",),
+    # tests/test_mc_verify.py
+    "test_simplex_ground_truth_needs_enough_features": (
+        "simplex-too-few-features", "simplex-scales-length"),
+    "test_verify_parameter_guards": (
+        "verify-tiny-trials", "verify-4-3", "verify-4-4", "verify-4-5", "verify-route-length"),
+    # tests/test_planner.py
+    "test_plan_exact_size_limited": ("plan-exact-size-limit",),
+    # tests/test_shp.py
+    "test_matching_odd_count_is_invariant_violation": ("matching-odd-count",),
+    "test_euler_rejects_odd_degree": ("euler-odd-degree",),
+    "test_euler_rejects_disconnected_multigraph": ("euler-disconnected",),
+    "test_euler_rejects_start_without_edges": ("euler-start-without-edges",),
+    "test_shortcut_rejects_broken_anchor": ("shortcut-broken-anchor",),
+    "test_shortcut_rejects_interior_dummy": ("shortcut-interior-dummy",),
+    "test_held_karp_size_guard": ("held-karp-size-limit",),
+}
+_NAMED = {case_id for case_ids in NAMED_ROWS.values() for case_id in case_ids}
+
+
+def assert_library_rejects(tmp_path, monkeypatch, *case_ids):
     monkeypatch.chdir(tmp_path)  # where the read rows write their file
-    with pytest.raises(error) as raised:
-        call()
-    assert type(raised.value) is error and str(raised.value) == message
+    for case_id in case_ids:
+        call, error, message = LIBRARY_ROWS[case_id]
+        with pytest.raises(error) as raised:
+            call()
+        assert type(raised.value) is error and str(raised.value) == message, case_id
+
+
+@pytest.mark.parametrize("case_id", [case_id for case_id in LIBRARY_ROWS if case_id not in _NAMED])
+def test_library_rejects_bad_arguments(tmp_path, monkeypatch, case_id):
+    assert_library_rejects(tmp_path, monkeypatch, case_id)

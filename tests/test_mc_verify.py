@@ -17,6 +17,7 @@ from clroute.mc_verify import (
     verify_closed_form,
 )
 from helpers import planner_closed_form
+from test_boundary import NAMED_ROWS, assert_library_rejects
 
 
 def test_ground_truth_validation():
@@ -36,6 +37,12 @@ def test_simplex_ground_truth_distances_are_exact():
             if i != j:
                 assert d[i, j] == pytest.approx(scales[i] ** 2 + scales[j] ** 2, rel=1e-15)
     np.testing.assert_allclose(delta0_vector(truth), scales**2, rtol=1e-15)
+
+
+def test_simplex_ground_truth_needs_enough_features(tmp_path, monkeypatch):
+    assert_library_rejects(
+        tmp_path, monkeypatch, *NAMED_ROWS["test_simplex_ground_truth_needs_enough_features"]
+    )
 
 
 def test_mc_report_z_edge_cases():
@@ -135,6 +142,10 @@ def test_verify_exact_zero_case():
     assert report.empirical_mean == 0.0
     assert report.closed_form == 0.0
     assert report.z == 0.0
+
+
+def test_verify_parameter_guards(tmp_path, monkeypatch):
+    assert_library_rejects(tmp_path, monkeypatch, *NAMED_ROWS["test_verify_parameter_guards"])
 
 
 def test_simulate_task_under_regime_guard():

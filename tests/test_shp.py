@@ -36,6 +36,7 @@ from helpers import (
     travel_only,
     worked_under,
 )
+from test_boundary import NAMED_ROWS, assert_library_rejects
 
 
 def test_mst_three_vertices():
@@ -113,6 +114,12 @@ def test_matching_empty_set():
     assert min_weight_perfect_matching(np.zeros((4, 4)), ()) == ((), 0.0)
 
 
+def test_matching_odd_count_is_invariant_violation(tmp_path, monkeypatch):
+    assert_library_rejects(
+        tmp_path, monkeypatch, *NAMED_ROWS["test_matching_odd_count_is_invariant_violation"]
+    )
+
+
 def test_matching_equals_brute_force_on_random_graphs():
     rng = np.random.default_rng(4)
     for _ in range(60):
@@ -183,6 +190,22 @@ def test_euler_triangle_plus_doubled_dummy():
     assert circuit_edge_multiset(circuit) == graph_edge_multiset(edges)
 
 
+def test_euler_rejects_odd_degree(tmp_path, monkeypatch):
+    assert_library_rejects(tmp_path, monkeypatch, *NAMED_ROWS["test_euler_rejects_odd_degree"])
+
+
+def test_euler_rejects_disconnected_multigraph(tmp_path, monkeypatch):
+    assert_library_rejects(
+        tmp_path, monkeypatch, *NAMED_ROWS["test_euler_rejects_disconnected_multigraph"]
+    )
+
+
+def test_euler_rejects_start_without_edges(tmp_path, monkeypatch):
+    assert_library_rejects(
+        tmp_path, monkeypatch, *NAMED_ROWS["test_euler_rejects_start_without_edges"]
+    )
+
+
 def test_shortcut_no_repeats_unchanged():
     # the route is the circuit's interior, reversed so that it ends at v'
     assert shortcut_to_hamiltonian((4, 0, 2, 1, 3, 4), 0).order == (3, 1, 2, 0)
@@ -197,6 +220,12 @@ def test_shortcut_keeps_v_prime_next_to_dummy_by_reversing():
     route = shortcut_to_hamiltonian((3, 1, 0, 2, 0, 3), 0)
     assert route.order == (1, 2, 0)
     assert route.final_region == 0
+
+
+def test_shortcut_rejects_broken_anchor(tmp_path, monkeypatch):
+    assert_library_rejects(
+        tmp_path, monkeypatch, *NAMED_ROWS["test_shortcut_rejects_broken_anchor"]
+    )
 
 
 def test_shortcut_worked_cycle():
@@ -226,6 +255,12 @@ def test_shortcut_weight_preserved():
         cycle_weight = sum(float(w[a, b]) for a, b in zip(cycle[:-1], cycle[1:]))
         assert route_travel_cost(inst, route) == pytest.approx(cycle_weight, rel=1e-12)
         assert route.final_region == v_prime
+
+
+def test_shortcut_rejects_interior_dummy(tmp_path, monkeypatch):
+    assert_library_rejects(
+        tmp_path, monkeypatch, *NAMED_ROWS["test_shortcut_rejects_interior_dummy"]
+    )
 
 
 def test_fixed_end_path_ends_where_asked_within_tree_plus_matching():
@@ -296,3 +331,7 @@ def test_held_karp_matches_the_scalar_oracle_bit_for_bit(inst, travel):
     oracle_route, oracle_value = scalar_held_karp(inst)
     assert route == oracle_route
     assert repr(value) == repr(oracle_value)
+
+
+def test_held_karp_size_guard(tmp_path, monkeypatch):
+    assert_library_rejects(tmp_path, monkeypatch, *NAMED_ROWS["test_held_karp_size_guard"])
