@@ -27,7 +27,7 @@ if TYPE_CHECKING:
 
 
 class ParameterError(ValueError):
-    """Bad generation or CLI parameters."""
+    """Bad arguments to a library call, a generator or the CLI."""
 
 
 class ValidationError(ValueError):
@@ -71,7 +71,7 @@ class Route:
     def __post_init__(self) -> None:
         t = len(self.order)
         if sorted(self.order) != list(range(t)):
-            raise ValueError(f"route must be a permutation of 0..{t - 1}, got {self.order}")
+            raise ParameterError(f"route must be a permutation of 0..{t - 1}, got {self.order}")
 
     def __len__(self) -> int:
         return len(self.order)
@@ -88,7 +88,7 @@ class Route:
 class ProblemInstance:
     """Immutable, valid problem data; matrices are read-only numpy arrays.
 
-    Construction raises ValueError for a matrix of the wrong shape, then
+    Construction raises ParameterError for a matrix of the wrong shape, then
     runs :func:`validate_instance` and builds ``objective``, the route
     objective of the instance's regime, once. So every instance that
     exists is finite, symmetric, metric, of a defined regime and has a
@@ -111,11 +111,11 @@ class ProblemInstance:
         delta0 = np.array(self.delta0, dtype=float)
         costs = np.array(self.costs, dtype=float)
         if delta.shape != (t, t):
-            raise ValueError(f"delta must be {t}x{t}, got {delta.shape}")
+            raise ParameterError(f"delta must be {t}x{t}, got {delta.shape}")
         if delta0.shape != (t,):
-            raise ValueError(f"delta0 must have length {t}, got {delta0.shape}")
+            raise ParameterError(f"delta0 must have length {t}, got {delta0.shape}")
         if costs.shape != (t, t):
-            raise ValueError(f"costs must be {t}x{t}, got {costs.shape}")
+            raise ParameterError(f"costs must be {t}x{t}, got {costs.shape}")
         for arr in (delta, delta0, costs):
             arr.flags.writeable = False
         object.__setattr__(self, "delta", delta)
@@ -161,21 +161,37 @@ def _check_square_metric_free(name: str, mat: np.ndarray, out: list[str]) -> boo
 
 
 def _check_triangle(c: np.ndarray, out: list[str]) -> None:
-    """Report the first violated ordered triple of distinct regions."""
+    """Report the first violated ordered triple of distinct regions.
+
+    Triple (i, j, k) is violated when
+    ``c[i, j] > (c[i, k] + c[k, j]) + 1e-12 * max(1, c[i, j])``. Triples are
+    scanned in lexicographic order: region i, then the endpoint j, then the
+    intermediate k; the first violated one is reported. Each i takes one
+    T x T comparison over all (j, k) with the same float operations in the
+    same order, so memory stays O(T^2). ``c`` need not be symmetric and its
+    diagonal is never read. Sums may overflow to inf; the caller silences
+    that warning.
+    """
     t = c.shape[0]
+    ct = np.ascontiguousarray(c.T)  # ct[j, k] = c[k, j]
+    # reused for every i: fresh T x T temporaries double the time at T >= 400
+    via = np.empty((t, t))
+    bad = np.empty((t, t), dtype=bool)
     for i in range(t):
-        for j in range(t):
-            if i == j:
-                continue
-            for k in range(t):
-                if k == i or k == j:
-                    continue
-                if c[i, j] > c[i, k] + c[k, j] + 1e-12 * max(1.0, c[i, j]):
-                    out.append(
-                        f"triangle inequality: c_{{{i + 1},{j + 1}}}={c[i, j]:g} > "
-                        f"c_{{{i + 1},{k + 1}}}+c_{{{k + 1},{j + 1}}}={c[i, k] + c[k, j]:g}"
-                    )
-                    return
+        direct = c[i, :, None]  # direct[j] = c[i, j]
+        np.add(c[i], ct, out=via)  # via[j, k] = c[i, k] + c[k, j]
+        via += 1e-12 * np.maximum(1.0, direct)
+        np.greater(direct, via, out=bad)
+        bad[i, :] = False
+        bad[:, i] = False
+        np.fill_diagonal(bad, False)
+        if bad.any():
+            j, k = divmod(int(bad.argmax()), t)
+            out.append(
+                f"triangle inequality: c_{{{i + 1},{j + 1}}}={c[i, j]:g} > "
+                f"c_{{{i + 1},{k + 1}}}+c_{{{k + 1},{j + 1}}}={c[i, k] + c[k, j]:g}"
+            )
+            return
 
 
 def validate_instance(inst: ProblemInstance) -> None:

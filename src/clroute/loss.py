@@ -36,7 +36,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import ProblemInstance, RegimeKind, Route, ValidationError, classify_regime
+from .instance import (
+    ParameterError,
+    ProblemInstance,
+    RegimeKind,
+    Route,
+    ValidationError,
+    classify_regime,
+)
 
 
 @dataclass(frozen=True)
@@ -184,7 +191,7 @@ def loss_upper(inst: ProblemInstance, route: Route) -> LossBreakdown:
     """Upper bound on the expected overall loss of a route, in the instance's regime."""
     t = len(route.order)
     if t != inst.t_regions:
-        raise ValueError(f"route length {t} != t_regions {inst.t_regions}")
+        raise ParameterError(f"route length {t} != t_regions {inst.t_regions}")
     objective = inst.objective
     return LossBreakdown(
         objective.forgetting(route.order),

@@ -232,7 +232,7 @@ def verify_closed_form(
         raise ParameterError(f"trials must be >= 100, got {trials}")
     kind = classify_regime(truth.m_features, n_samples)
     if len(route) != truth.t_regions:
-        raise ValueError(f"route length {len(route)} != regions {truth.t_regions}")
+        raise ParameterError(f"route length {len(route)} != regions {truth.t_regions}")
 
     simulate = _under_losses if kind is RegimeKind.UNDER else _over_losses
     losses = simulate(truth, route, n_samples, trials, rng)

@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from . import shp
-from .instance import ProblemInstance, Route
+from .instance import ParameterError, ProblemInstance, Route
 from .loss import LossBreakdown, best_final_region, loss_upper
 
 
@@ -96,7 +96,10 @@ def plan(inst: ProblemInstance, strategy: Strategy | str, seed: int | None = Non
     """Run one strategy, named by its member or its value ("alg1", ...)."""
     # an if chain, not a table built at import: each planner is looked up by
     # its module-level name at call time, so a wrapper bound to that name runs
-    strategy = Strategy(strategy)
+    try:
+        strategy = Strategy(strategy)
+    except ValueError as exc:
+        raise ParameterError(str(exc)) from exc
     if strategy is Strategy.ALGORITHM1:
         return plan_algorithm1(inst)
     if strategy is Strategy.EXACT:

@@ -118,6 +118,31 @@ def travel_only(inst: ProblemInstance) -> ProblemInstance:
     )
 
 
+def scalar_triangle_violation(c: np.ndarray) -> str | None:
+    """The first violated ordered triple of distinct regions, as a scalar
+    loop over i, then j, then k in Python floats; None when there is none.
+
+    The reference for ``instance._check_triangle``: the same test with the
+    same additions in the same order, and the message it reports. A Python
+    float sum overflows to inf without a warning.
+    """
+    t = c.shape[0]
+    c = c.tolist()
+    for i in range(t):
+        for j in range(t):
+            if i == j:
+                continue
+            for k in range(t):
+                if k == i or k == j:
+                    continue
+                if c[i][j] > c[i][k] + c[k][j] + 1e-12 * max(1.0, c[i][j]):
+                    return (
+                        f"triangle inequality: c_{{{i + 1},{j + 1}}}={c[i][j]:g} > "
+                        f"c_{{{i + 1},{k + 1}}}+c_{{{k + 1},{j + 1}}}={c[i][k] + c[k][j]:g}"
+                    )
+    return None
+
+
 def scan_all_routes(inst: ProblemInstance, objective: str) -> tuple[float, tuple[int, ...]]:
     """Minimum objective over all T! routes, formulas written out directly."""
     t = inst.t_regions

@@ -337,7 +337,7 @@ LIBRARY_ROWS = {  # id: (call, exception, message)
         lambda: classify_regime(0, 10), RegimeError, "m and n must be >= 1, got m=0, n=10"),
     **{
         f"route-{name}": (
-            lambda order=order: Route(order), ValueError,
+            lambda order=order: Route(order), ParameterError,
             f"route must be a permutation of 0..2, got {order}")
         for name, order in (("repeat", (0, 0, 1)), ("out-of-range", (1, 2, 3)))
     },
@@ -376,10 +376,13 @@ LIBRARY_ROWS = {  # id: (call, exception, message)
         "c must be finite: c_{1,3}=-inf; sigma2 must be finite, got nan"),
     "instance-delta-shape": (
         lambda: ProblemInstance(3, np.zeros((2, 2)), np.zeros(3), np.zeros((3, 3)), 4, 10, 1.0),
-        ValueError, "delta must be 3x3, got (2, 2)"),
+        ParameterError, "delta must be 3x3, got (2, 2)"),
     "instance-delta0-length": (
         lambda: ProblemInstance(2, np.zeros((2, 2)), np.zeros(3), np.zeros((2, 2)), 4, 10, 1.0),
-        ValueError, "delta0 must have length 2, got (3,)"),
+        ParameterError, "delta0 must have length 2, got (3,)"),
+    "instance-costs-shape": (
+        lambda: ProblemInstance(2, np.zeros((2, 2)), np.zeros(2), np.zeros((3, 2)), 4, 10, 1.0),
+        ParameterError, "costs must be 2x2, got (3, 2)"),
     "generate-t-one": (
         lambda: generate_instance(1, seed=0), ParameterError, "t must be >= 2, got 1"),
     **{
@@ -399,10 +402,11 @@ LIBRARY_ROWS = {  # id: (call, exception, message)
         edit(("delta", 0, 1, -1.0), ("delta", 1, 0, -1.0))),
     "read-wrong-type": read_row(FormatError, 'field "t" has wrong type', edit(("t", "three"))),
     "loss_upper-route-length": (
-        lambda: loss_upper(worked_under(), Route((1, 0))), ValueError,
+        lambda: loss_upper(worked_under(), Route((1, 0))), ParameterError,
         "route length 2 != t_regions 3"),
     "plan-not-a-strategy": (
-        lambda: plan(worked_under(), "greedy"), ValueError, "'greedy' is not a valid Strategy"),
+        lambda: plan(worked_under(), "greedy"), ParameterError,
+        "'greedy' is not a valid Strategy"),
     "plan-exact-size-limit": (
         lambda: plan_exact(generate_instance(HELD_KARP_MAX_T + 1, seed=2)),
         SizeLimitError, SIZE_LIMIT),
@@ -463,7 +467,7 @@ LIBRARY_ROWS = {  # id: (call, exception, message)
         verify_row(lambda: simplex_ground_truth(2, 4), 10, trials=99), ParameterError,
         "trials must be >= 100, got 99"),
     "verify-route-length": (
-        verify_row(lambda: simplex_ground_truth(3, 4), 10), ValueError,
+        verify_row(lambda: simplex_ground_truth(3, 4), 10), ParameterError,
         "route length 2 != regions 3"),
     # n = m + 1 is the undefined band below the first under process (n = m + 2),
     # n = m - 1 the one above the last over process (n = m - 2)
@@ -497,7 +501,8 @@ NAMED_ROWS = {
     "test_no_invalid_instance_can_be_built": (  # run as ids, less the build- prefix
         "build-triangle", "build-asymmetric", "build-m-equals-n", "build-m-overflow",
         "build-costs-overflow"),
-    "test_problem_instance_shape_checks": ("instance-delta-shape", "instance-delta0-length"),
+    "test_problem_instance_shape_checks": (
+        "instance-delta-shape", "instance-delta0-length", "instance-costs-shape"),
     "test_generate_rejects_bad_parameters": (
         "generate-t-one", "generate-range-reversed", "generate-range-lo-zero",
         "generate-range-hi-inf"),

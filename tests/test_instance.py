@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clroute import (
     Objective,
     RegimeKind,
     Route,
+    ValidationError,
     classify_regime,
     generate_instance,
     metric_closure,
@@ -14,7 +20,8 @@ from clroute import (
     validate_instance,
     write_instance,
 )
-from helpers import manual_instance
+from clroute.instance import _check_square_metric_free
+from helpers import manual_instance, scalar_triangle_violation
 from test_boundary import NAMED_ROWS, assert_library_rejects
 
 
@@ -59,6 +66,63 @@ def test_validate_reports_triangle_violation_verbatim(tmp_path, monkeypatch):
     assert_library_rejects(
         tmp_path, monkeypatch, *NAMED_ROWS["test_validate_reports_triangle_violation_verbatim"]
     )
+
+
+@st.composite
+def corrupted_costs(draw):
+    """A metric cost matrix, scaled by 1e-3, 1 or 1.6e307 (where sums of two
+    costs overflow), with one to four corruptions: an off-diagonal entry set
+    to within a few ulps of the tolerance of one of its triangles, or to any
+    value, on one side or both, or a nonzero diagonal entry."""
+    t = draw(st.integers(3, 10))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1.6e307]))
+    upper = np.triu_indices(t, 1)
+    pairs = len(upper[0])
+    raw = np.zeros((t, t))
+    raw[upper] = draw(st.lists(st.floats(1.0, 10.0), min_size=pairs, max_size=pairs))
+    c = metric_closure(raw + raw.T) * scale
+    for _ in range(draw(st.integers(1, 4))):
+        i, j, k = draw(st.permutations(range(t)))[:3]
+        kind = draw(st.sampled_from(["tight", "value", "diagonal"]))
+        if kind == "diagonal":
+            c[i, i] = draw(st.floats(-2.0, 11.0)) * scale
+            continue
+        if kind == "tight":
+            via = float(c[i, k]) + float(c[k, j])  # a Python sum overflows silently
+            x = via + 1e-12 * max(1.0, via)
+            steps = draw(st.integers(-4, 4))
+            for _step in range(abs(steps)):
+                x = math.nextafter(x, math.copysign(math.inf, steps))
+            x = min(x, sys.float_info.max)
+        else:
+            x = draw(st.floats(-2.0, 11.0)) * scale
+        c[i, j] = x
+        if draw(st.booleans()):
+            c[j, i] = x
+    return c
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(costs=corrupted_costs())
+def test_triangle_message_matches_the_scalar_loop(costs):
+    # the full message: the asymmetry, diagonal and sign faults the triangle
+    # check does not report, then the scalar loop's first violated triple
+    t = costs.shape[0]
+    expected: list[str] = []
+    _check_square_metric_free("c", costs, expected)
+    violation = scalar_triangle_violation(costs)
+    if violation is not None:
+        expected.append(violation)
+    try:
+        manual_instance(np.zeros((t, t)), np.ones(t), costs, 4, 10)
+    except ValidationError as exc:
+        message = str(exc)
+    else:
+        message = None
+    if expected:
+        assert message == "; ".join(expected)
+    else:  # a metric matrix whose costs sum past a float is rejected after validation
+        assert message is None or message.startswith("c too large:")
 
 
 def test_validate_flags_undefined_regime(tmp_path, monkeypatch):
