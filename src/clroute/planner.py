@@ -4,8 +4,8 @@ Four strategies produce a route and its loss breakdown:
 
 * ``alg1`` — the approximation pipeline, :func:`clroute.shp.fixed_end_path`
   ending at the best final region: travel cost within 3/2 of the optimal
-  Hamiltonian path. Its exact odd-set matching takes time exponential in
-  T; replacing it with a polynomial one is ROADMAP item 1.
+  Hamiltonian path, in polynomial time. Its exact odd-set matching is
+  Edmonds' blossom algorithm, O(k^3) in the odd-set size k.
 * ``exact`` — subset dynamic programming, exact but limited to T <= 20.
 * ``forgetting`` — the travel-oblivious continual-learning baseline that
   minimizes only the forgetting term, by rearrangement: descending row
@@ -53,7 +53,8 @@ def plan_algorithm1(inst: ProblemInstance) -> PlanResult:
     """Run the full approximation pipeline; the route always ends at the
     minimum-row-sum region.
 
-    Exponential in T through the exact odd-set matching; see ROADMAP item 1.
+    Polynomial: the exact odd-set matching, the costliest stage, is O(k^3)
+    in the odd-set size k.
     """
     t0 = time.perf_counter()
     route, _, _ = shp.fixed_end_path(inst.costs, best_final_region(inst))

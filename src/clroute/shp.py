@@ -4,13 +4,14 @@
 dummy: one vertex, T, joined to every region at weight zero (the cost
 matrix padded with a zero row and column) and attached to the tree at the
 chosen final region, so the tree + matching + Euler-circuit cycle
-construction yields a path with that end. It alone holds the dummy's tie
-rule: the matching takes vertices in the order given and gets the dummy
-first, so among equally cheap optima the dummy pairs with the lowest odd
-region. The stages are plain functions over one weight matrix and tuples
-of (u, v) edges. Every operation is deterministic: ties are broken
-lexicographically and the Euler walk consumes neighbors in ascending
-vertex order.
+construction yields a path with that end. It is polynomial: the exact
+odd-set matching, Edmonds' blossom algorithm, is O(k^3) in the odd-set size
+k, and the other stages are at most O(T^2 log T). The stages are plain
+functions over one weight matrix and tuples of (u, v) edges. Every
+operation is deterministic. The tree breaks ties lexicographically and the
+Euler walk consumes neighbors in ascending vertex order; among equally
+cheap matchings the blossom returns some optimum of that weight, so on
+ties the dummy may pair with any odd region.
 
 ``held_karp_min_path`` is the exact oracle: a subset dynamic program over
 (visited set, last vertex) that minimizes the instance's own objective,
@@ -22,7 +23,6 @@ time, every (subset, last region) pair of that size at once, up to T = 20.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 
 import numpy as np
@@ -78,39 +78,25 @@ def min_weight_perfect_matching(
 ) -> tuple[tuple[tuple[int, int], ...], float]:
     """Exact minimum-weight perfect matching on the vertices in ``odd``.
 
-    Returns the pairs and their total weight. The vertices are taken in
-    the order given: a memoized recursion pairs a subset's first vertex
-    with each later member, the first cheapest on ties. It solves only the
-    Fib(k+1) ~ 1.62^k subsets it reaches for k vertices, still exponential
-    in k.
+    Returns the pairs and their total weight. The matching is the
+    maximum-weight perfect matching of the weights W + 1 - w, W the largest
+    weight among ``odd``, found by Edmonds' blossom algorithm
+    (:func:`clroute.blossom.max_weight_mates`) in O(k^3) time for k
+    vertices. Each pair is listed from its vertex that comes first in
+    ``odd``, the pairs in the order of those vertices. Among equally cheap
+    optima it returns one of them, the same one for the same input.
     """
     if len(odd) % 2 != 0:
         raise InvariantViolation("cannot perfectly match an odd number of vertices")
+    if not odd:
+        return (), 0.0
+    from .blossom import max_weight_mates  # compiled on first use, not at import
 
-    sub = w[np.ix_(odd, odd)].tolist()
-
-    @functools.cache
-    def best(mask: int) -> tuple[float, int]:
-        """(weight, partner of the first vertex) of the subset ``mask``."""
-        if not mask:
-            return 0.0, -1
-        i = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << i)
-        return min(
-            (best(rest ^ (1 << j))[0] + sub[i][j], j)
-            for j in range(i + 1, rest.bit_length())
-            if (rest >> j) & 1
-        )
-
-    pairs: list[tuple[int, int]] = []
-    mask = (1 << len(odd)) - 1
-    weight = best(mask)[0]
-    while mask:
-        i = (mask & -mask).bit_length() - 1
-        j = best(mask)[1]
-        pairs.append((odd[i], odd[j]))
-        mask ^= (1 << i) | (1 << j)
-    return tuple(pairs), weight
+    idx = np.array(odd)
+    sub = w[idx[:, None], idx]
+    mate = max_weight_mates(sub.max() + 1.0 - sub)
+    pairs = [(i, j) for i, j in enumerate(mate) if i < j]
+    return tuple((odd[i], odd[j]) for i, j in pairs), float(sum(sub[i, j] for i, j in pairs))
 
 
 def eulerian_circuit(edges: tuple[tuple[int, int], ...], start: int) -> tuple[int, ...]:
@@ -182,14 +168,17 @@ def fixed_end_path(costs: np.ndarray, end: int) -> tuple[Route, float, float]:
     odd-degree vertices, Euler circuit from the dummy, shortcut. Under
     metric costs the route's travel is at most the tree weight plus the
     matching weight, within 3/2 of the shortest Hamiltonian path's.
-    Returns the route and the weights of the tree and of the matching.
+    Polynomial: the matching is O(k^3) in the odd-set size k. Among equally
+    cheap matchings any optimum may come back, so on ties the dummy pairs
+    with some odd region, not a chosen one; the route still ends at
+    ``end``. Returns the route and the weights of the tree and of the
+    matching.
     """
     dummy = costs.shape[0]
     mst_edges, tree_weight = minimum_spanning_tree(costs)
     tree = mst_edges + ((end, dummy),)
-    # the dummy first: among equally cheap optima it pairs with the lowest odd region
-    regions = tuple(v for v in odd_degree_vertices(tree) if v != dummy)
-    pairs, matching_weight = min_weight_perfect_matching(np.pad(costs, (0, 1)), (dummy, *regions))
+    odd = odd_degree_vertices(tree)
+    pairs, matching_weight = min_weight_perfect_matching(np.pad(costs, (0, 1)), odd)
     circuit = eulerian_circuit(tree + pairs, dummy)
     return shortcut_to_hamiltonian(circuit, end), tree_weight, matching_weight
 

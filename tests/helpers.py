@@ -221,10 +221,11 @@ def bitmask_matching(
 ) -> tuple[tuple[tuple[int, int], ...], float]:
     """Minimum-weight perfect matching as a bitmask table over all 2^k subsets.
 
-    The reference for ``min_weight_perfect_matching``: the vertices in the
-    order given, the same additions and the same tie rule (a subset's first
-    vertex in that order takes the first cheapest later partner), filled
-    bottom-up for every even subset.
+    The weight oracle for ``min_weight_perfect_matching``, which takes the
+    blossom algorithm instead: filled bottom-up for every even subset, a
+    subset's first vertex in the order given taking the first cheapest
+    later partner. On ties its pairs may differ from the blossom's; the
+    weight may not.
     """
     if len(odd) % 2 != 0:
         raise ValueError("cannot perfectly match an odd number of vertices")

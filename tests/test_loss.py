@@ -205,10 +205,6 @@ def _closed_form(w_star, w0, sigma2: float, n: int) -> float:
     return verify_closed_form(truth, route, n, 100, np.random.default_rng(0)).closed_form
 
 
-def test_closed_form_under_single_task():
-    assert _closed_form(np.zeros((1, 4)), np.zeros(4), 1.0, 10) == pytest.approx(0.8, rel=1e-12)
-
-
 def test_closed_form_under_identical_params():
     val = _closed_form(np.ones((5, 4)), np.zeros(4), 2.0, 10)  # w0 plays no part
     assert val == pytest.approx(2 * 0.8, rel=1e-12)
@@ -222,11 +218,6 @@ def test_closed_form_under_single_pair():
 def test_closed_form_under_regime_check():
     # n = m + 2 is the first underparameterized n
     assert _closed_form(np.zeros((2, 10)), np.zeros(10), 1.0, 12) == pytest.approx(10.0)
-
-
-def test_closed_form_over_single_task_noise_only():
-    val = _closed_form(np.zeros((1, 10)), np.zeros(10), 1.0, 4)
-    assert val == pytest.approx(0.8, rel=1e-12)  # (1-r) * m sigma2/(m-n-1) = 0.4*10/5
 
 
 def test_closed_form_over_everything_coincides():

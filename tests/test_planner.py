@@ -38,7 +38,7 @@ def test_algorithm1_worked_instance_is_optimal():
 
 
 # sha256 of the JSON list of (route order, repr of the total) over GOLDEN_CASES
-ALG1_GOLDEN_SHA256 = "571c8540371b324c45d661e814bdf21772f43d9f43e720fcdbe09950fa4c0df7"
+ALG1_GOLDEN_SHA256 = "bcd52c0398246b67f6a8707ae779afbba040efa9651d6ac45d0e3b005cc07876"
 GOLDEN_CASES = 300
 
 

@@ -8,6 +8,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree as scipy_mst
 
 from clroute import (
     Route,
+    best_final_region,
     generate_instance,
     held_karp_min_path,
     loss_upper,
@@ -134,14 +135,30 @@ def test_matching_equals_brute_force_on_random_graphs():
         assert weight == pytest.approx(brute_min_matching_weight(w, odd), rel=1e-12)
         matched = sorted(v for pair in pairs for v in pair)
         assert matched == sorted(odd)
+    # small non-metric integer weights: odd cycles of tight edges, so blossoms
+    # form inside blossoms and the augmenting path passes through them
+    for _ in range(300):
+        k = 2 * int(rng.integers(2, 6))
+        w = np.triu(rng.integers(0, 4, (k, k)).astype(float), 1)
+        w += w.T
+        odd = tuple(int(v) for v in rng.permutation(k))
+        pairs, weight = min_weight_perfect_matching(w, odd)
+        assert weight == brute_min_matching_weight(w, odd)
+        assert sorted(v for pair in pairs for v in pair) == sorted(odd)
 
 
 def test_matching_takes_vertices_in_the_order_given():
-    # all-zero costs: every matching weighs 0, and each subset's first
-    # vertex takes its first partner in the order given
+    # all-zero costs: every matching weighs 0, so any perfect matching is
+    # optimal; each pair is listed from its vertex that comes first in the
+    # order given, and the pairs in the order of those vertices
     w = np.zeros((5, 5))
-    assert min_weight_perfect_matching(w, (0, 1, 2, 4)) == (((0, 1), (2, 4)), 0.0)
-    assert min_weight_perfect_matching(w, (4, 0, 1, 2)) == (((4, 0), (1, 2)), 0.0)
+    for odd in [(0, 1, 2, 4), (4, 0, 1, 2), (2, 4, 1, 0)]:
+        pairs, weight = min_weight_perfect_matching(w, odd)
+        assert weight == 0.0
+        assert sorted(v for pair in pairs for v in pair) == sorted(odd)
+        firsts = [odd.index(a) for a, _ in pairs]
+        assert firsts == sorted(firsts)
+        assert all(odd.index(a) < odd.index(b) for a, b in pairs)
 
 
 @st.composite
@@ -166,12 +183,31 @@ def tie_heavy_matchings(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(case=tie_heavy_matchings())
-def test_matching_matches_the_bitmask_oracle_bit_for_bit(case):
+def test_matching_weight_equals_the_bitmask_oracle(case):
+    # on ties the blossom may return another optimum than the oracle's
     w, odd = case
     pairs, weight = min_weight_perfect_matching(w, odd)
-    oracle_pairs, oracle_weight = bitmask_matching(w, odd)
-    assert pairs == oracle_pairs
-    assert repr(weight) == repr(oracle_weight)
+    assert sorted(v for pair in pairs for v in pair) == sorted(odd)
+    assert weight == pytest.approx(sum(float(w[a, b]) for a, b in pairs), rel=1e-12)
+    assert weight == pytest.approx(bitmask_matching(w, odd)[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [24, 40, 80, 120, 200])
+def test_matching_weight_equals_networkx_on_generated_odd_sets(t, monkeypatch):
+    # the odd set alg1 builds on a generated instance; k is about 0.6 T
+    import networkx as nx
+
+    calls = record_calls(monkeypatch, shp, "min_weight_perfect_matching")
+    inst = generate_instance(t, seed=t, m=80, n=100)
+    fixed_end_path(inst.costs, best_final_region(inst))
+    [((w, odd), (pairs, weight))] = calls
+    assert sorted(v for pair in pairs for v in pair) == sorted(odd)
+    graph = nx.Graph()
+    graph.add_weighted_edges_from(
+        (a, b, float(w[a, b])) for i, a in enumerate(odd) for b in odd[i + 1 :]
+    )
+    reference = sum(float(w[a, b]) for a, b in nx.min_weight_matching(graph))
+    assert weight == pytest.approx(reference, rel=1e-12)
 
 
 def test_euler_worked_instance_circuit():
@@ -274,15 +310,19 @@ def test_fixed_end_path_ends_where_asked_within_tree_plus_matching():
             assert route_travel_cost(inst, route) <= tree_weight + matching_weight + 1e-9
 
 
-def test_matching_dummy_prefers_lowest_region_on_ties(monkeypatch):
+def test_fixed_end_path_on_ties_matches_optimally_and_ends_at_end(monkeypatch):
     # zero costs: every matching weighs 0. The star tree from region 0 plus
-    # the dummy 4 at region 3 leaves 0, 1, 2 and 4 odd; fixed_end_path puts
-    # the dummy first, so it pairs with region 0, and the circuit
-    # (4, 0, 1, 2, 0, 3, 4) shortcuts to (1, 2, 0, 3)
+    # the dummy 4 at an end region of 1, 2 or 3 leaves 0, 4 and the other two
+    # odd; the dummy may pair with any of them, and the route ends at the end
     calls = record_calls(monkeypatch, shp, "min_weight_perfect_matching")
-    route, _, _ = fixed_end_path(np.zeros((4, 4)), 3)
-    assert [pairs for _, (pairs, _) in calls] == [((4, 0), (1, 2))]
-    assert route.order == (1, 2, 0, 3)
+    for end in (1, 2, 3):
+        calls.clear()
+        route, tree_weight, matching_weight = fixed_end_path(np.zeros((4, 4)), end)
+        [((_, odd), (pairs, weight))] = calls
+        assert set(odd) == {0, 1, 2, 3, 4} - {end}
+        assert sorted(v for pair in pairs for v in pair) == sorted(odd)
+        assert weight == matching_weight == tree_weight == 0.0
+        assert sorted(route.order) == [0, 1, 2, 3] and route.final_region == end
 
 
 def test_held_karp_worked_instance():
