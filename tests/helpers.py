@@ -8,6 +8,7 @@ matching enumeration, with the objective formulas written out on their own
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 
 import numpy as np
@@ -79,6 +80,62 @@ def tie_heavy_instances(draw, max_t=12):
     delta = symmetric(draw(st.sampled_from([[1.0], [0.0, 1.0, 2.0]])))
     m = draw(st.sampled_from([60, 80, 120, 180]))
     return manual_instance(delta, np.ones(t), costs, m, 100)
+
+
+# zeros of both signs, the smallest subnormal and a larger one, integral
+# floats whose repr has no exponent and one that has, and an entry near the
+# top of what every sum the objective takes still fits
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e-310, 1.0, 3.0, 1e16, 1e300]
+
+
+@st.composite
+def special_float_instances(draw, max_t=10):
+    """Valid instances whose entries are drawn from SPECIAL_FLOATS or from
+    [0, 10]; costs are a metric closure and either regime is drawn.
+
+    Every zero of delta and of costs, the diagonals included, is stored as
+    0.0 or -0.0 independently of its mirror, so ±0.0 pairs, which the
+    symmetry check accepts, and -0.0 diagonals occur.
+    """
+    t = draw(st.integers(2, max_t))
+    upper = np.triu_indices(t, 1)
+    pairs = len(upper[0])
+    entry = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(0.0, 10.0))
+
+    def symmetric():
+        mat = np.zeros((t, t))
+        mat[upper] = draw(st.lists(entry, min_size=pairs, max_size=pairs))
+        return mat + mat.T
+
+    def signed_zeros(mat):
+        for i, j in zip(*np.nonzero(mat == 0.0)):
+            mat[i, j] = draw(st.sampled_from([0.0, -0.0]))
+        return mat
+
+    delta = signed_zeros(symmetric())
+    costs = signed_zeros(metric_closure(symmetric()))
+    delta0 = draw(st.lists(entry, min_size=t, max_size=t))
+    m = draw(st.sampled_from([60, 80, 120, 180]))
+    return manual_instance(delta, delta0, costs, m, 100, sigma2=draw(entry))
+
+
+def instance_json_oracle(inst: ProblemInstance) -> str:
+    """The text of an instance file, built the plain way: the payload dict
+    through ``json.dumps(indent=2)``, CPython's pure-Python encoder, which
+    writes every float as its ``repr``.
+
+    The reference for ``write_instance``, which must write these bytes.
+    """
+    payload = {
+        "t": inst.t_regions,
+        "m": inst.m_features,
+        "n": inst.n_samples,
+        "sigma2": inst.sigma2,
+        "delta": inst.delta.tolist(),
+        "delta0": inst.delta0.tolist(),
+        "costs": inst.costs.tolist(),
+    }
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def correlated_ground_truth(rng: np.random.Generator, t: int, m: int) -> TaskGroundTruth:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -21,7 +23,12 @@ from clroute import (
     write_instance,
 )
 from clroute.instance import _check_square_metric_free
-from helpers import manual_instance, scalar_triangle_violation
+from helpers import (
+    instance_json_oracle,
+    manual_instance,
+    scalar_triangle_violation,
+    special_float_instances,
+)
 from test_boundary import NAMED_ROWS, assert_library_rejects
 
 
@@ -277,3 +284,48 @@ def test_serialized_floats_round_trip_exactly(tmp_path):
     back = read_instance(path)
     assert back.delta.tobytes() == inst.delta.tobytes()
     assert back.costs.tobytes() == inst.costs.tobytes()
+
+
+# sha256 of the file write_instance writes for
+# generate_instance(t, seed, m=m, n=100, sigma2=sigma2): the gen file layout
+# is fixed, so a change that moves one is an output change, re-pinned openly
+GEN_FILE_SHA256 = {
+    (2, 1, 80, 1.0): "3fee92af752e6be997b8e92fe8fb6300f1d2b62ebc58afe0fbb0f36958c2b3e2",
+    (2, 1, 120, 0.5): "7bee426d67029aa62f60c0ee299090f9d570c2559df9901a7b5e1662a89d96cf",
+    (2, 2, 80, 1.0): "c83465daf57192959836faa803f57b41be68c81111cf4268985ea04f3b5bdb0c",
+    (2, 2, 120, 0.5): "b85a20d55095011331af24cf2191d7aa9a8f72b24bad5b90fa5eb249a7ad3021",
+    (8, 1, 80, 1.0): "8d0667824978bebcfc2f251a7cf04e1ee7d4266a627b417f7e45b6d093b5eca2",
+    (8, 1, 120, 0.5): "4fa376e7c39e397e82c0e3e81799d51a80f101f2aa38d3adb3979f0c888af1d9",
+    (8, 2, 80, 1.0): "5d75af00c09962bb700f8cc0e15b0fa7503ffae1793dd769c52b1653e1f6e0d9",
+    (8, 2, 120, 0.5): "d1aca0fac744644abfa84c84af411e7f85904536b07082ae6b6be5929d3f7965",
+    (24, 1, 80, 1.0): "fd0bb665e3c5d77f79f744c9194d15f7159a4aaa7f5a43f1de0199f788a70eb2",
+    (24, 1, 120, 0.5): "c35a14e1b92e2ec8cf8e252387f514d315e43d8b0b931bc2715b873ede125c7a",
+    (24, 2, 80, 1.0): "df427bc4dcc8ef403224c3672816aa8b4d5e43f5a81c469e273783f9628b4ad4",
+    (24, 2, 120, 0.5): "2c3d2ddad5f732e110db8e3b703c8b564f4f2959ae0eb0a04069acea8f269248",
+    (80, 1, 80, 1.0): "820121c1f88a718b15a232b975c45f73b08173c2e592e01999c0ac63f7e57a79",
+    (80, 1, 120, 0.5): "9f7471a48777614dacdd3a5937c6965c785af987622813850490e33a61a1510d",
+    (80, 2, 80, 1.0): "c092b95e61943680dfe1e818b7689f345e75c89d99c1ccd73d45edd14e2b589e",
+    (80, 2, 120, 0.5): "2d2395e923cdeb3a5f5e6bc197e42683f6e9b669271766e9308effeb00cd5246",
+}
+
+
+@pytest.mark.parametrize("t,seed,m,sigma2", sorted(GEN_FILE_SHA256))
+def test_gen_file_bytes_are_pinned(tmp_path, t, seed, m, sigma2):
+    path = tmp_path / "inst.json"
+    write_instance(generate_instance(t, seed, m=m, n=100, sigma2=sigma2), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GEN_FILE_SHA256[t, seed, m, sigma2]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(inst=special_float_instances())
+def test_write_instance_matches_the_encoder_oracle(inst):
+    # the same bytes as json.dumps(indent=2), and every float read back bit for bit
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/inst.json"
+        write_instance(inst, path)
+        with open(path, "rb") as f:
+            assert f.read() == instance_json_oracle(inst).encode()
+        back = read_instance(path)
+    for name in ("delta", "delta0", "costs"):
+        assert getattr(back, name).tobytes() == getattr(inst, name).tobytes()
+    assert np.float64(back.sigma2).tobytes() == np.float64(inst.sigma2).tobytes()
