@@ -82,15 +82,9 @@ def tie_heavy_instances(draw, max_t=12):
     return manual_instance(delta, np.ones(t), costs, m, 100)
 
 
-# zeros of both signs, the smallest subnormal and a larger one, integral
-# floats whose repr has no exponent and one that has, and an entry near the
-# top of what every sum the objective takes still fits
-SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 1e-310, 1.0, 3.0, 1e16, 1e300]
-
-
 @st.composite
 def special_float_instances(draw, max_t=10):
-    """Valid instances whose entries are drawn from SPECIAL_FLOATS or from
+    """Valid instances whose entries are special floats or drawn from
     [0, 10]; costs are a metric closure and either regime is drawn.
 
     Every zero of delta and of costs, the diagonals included, is stored as
@@ -100,7 +94,11 @@ def special_float_instances(draw, max_t=10):
     t = draw(st.integers(2, max_t))
     upper = np.triu_indices(t, 1)
     pairs = len(upper[0])
-    entry = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(0.0, 10.0))
+    # zeros of both signs, the smallest subnormal and a larger one, integral
+    # floats whose repr has no exponent and one whose repr has, and an entry
+    # near the top of what every sum the objective takes still fits
+    special = [0.0, -0.0, 5e-324, 1e-310, 1.0, 3.0, 1e16, 1e300]
+    entry = st.one_of(st.sampled_from(special), st.floats(0.0, 10.0))
 
     def symmetric():
         mat = np.zeros((t, t))
