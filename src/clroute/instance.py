@@ -164,7 +164,8 @@ def _check_triangle(c: np.ndarray, out: list[str]) -> None:
     """Report the first violated ordered triple of distinct regions.
 
     Triple (i, j, k) is violated when
-    ``c[i, j] > (c[i, k] + c[k, j]) + 1e-12 * max(1, c[i, j])``. Triples are
+    ``c[i, j] > (c[i, k] + c[k, j]) + 1e-12 * c[i, j]``, a tolerance relative
+    to the direct cost alone, so costs of every scale are checked. Triples are
     scanned in lexicographic order: region i, then the endpoint j, then the
     intermediate k; the first violated one is reported. Each i takes one
     T x T comparison over all (j, k) with the same float operations in the
@@ -180,7 +181,7 @@ def _check_triangle(c: np.ndarray, out: list[str]) -> None:
     for i in range(t):
         direct = c[i, :, None]  # direct[j] = c[i, j]
         np.add(c[i], ct, out=via)  # via[j, k] = c[i, k] + c[k, j]
-        via += 1e-12 * np.maximum(1.0, direct)
+        via += 1e-12 * direct
         np.greater(direct, via, out=bad)
         bad[i, :] = False
         bad[:, i] = False

@@ -93,9 +93,10 @@ class McReport:
         """|difference| in std-error units; 0 for agreement to rounding even at zero spread.
 
         Agreement to rounding is a difference of at most 1e-12·max(1, |closed
-        form|), the tolerance of the triangle check: a noiseless least-squares
-        fit recovers w* exactly, so its std error falls to rounding level too
-        and would make a rounding-level difference look large.
+        form|), relative but never below 1e-12, where a closed form near zero
+        would shrink a relative bound to nothing: a noiseless least-squares fit
+        recovers w* exactly, so its std error falls to rounding level too and
+        would make a rounding-level difference look large.
         """
         diff = abs(self.empirical_mean - self.closed_form)
         if diff <= 1e-12 * max(1.0, abs(self.closed_form)):

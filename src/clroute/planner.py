@@ -42,11 +42,18 @@ class PlanResult:
     breakdown: LossBreakdown
     strategy: Strategy
     elapsed: float
+    stages: shp.PathStages | None = None  # alg1's stages; None for every other strategy
 
 
-def _finish(inst: ProblemInstance, route: Route, strategy: Strategy, t0: float) -> PlanResult:
+def _finish(
+    inst: ProblemInstance,
+    route: Route,
+    strategy: Strategy,
+    t0: float,
+    stages: shp.PathStages | None = None,
+) -> PlanResult:
     breakdown = loss_upper(inst, route)
-    return PlanResult(route, breakdown, strategy, time.perf_counter() - t0)
+    return PlanResult(route, breakdown, strategy, time.perf_counter() - t0, stages)
 
 
 def plan_algorithm1(inst: ProblemInstance) -> PlanResult:
@@ -57,8 +64,8 @@ def plan_algorithm1(inst: ProblemInstance) -> PlanResult:
     in the odd-set size k.
     """
     t0 = time.perf_counter()
-    route, _, _ = shp.fixed_end_path(inst.costs, best_final_region(inst))
-    return _finish(inst, route, Strategy.ALGORITHM1, t0)
+    stages = shp.fixed_end_path(inst.costs, best_final_region(inst))
+    return _finish(inst, stages.route, Strategy.ALGORITHM1, t0, stages)
 
 
 def plan_exact(inst: ProblemInstance) -> PlanResult:

@@ -11,7 +11,8 @@ functions over one weight matrix and tuples of (u, v) edges. Every
 operation is deterministic. The tree breaks ties lexicographically and the
 Euler walk consumes neighbors in ascending vertex order; among equally
 cheap matchings the blossom returns some optimum of that weight, so on
-ties the dummy may pair with any odd region.
+ties the dummy may pair with any odd region. What each stage built, the
+route included, comes back in one ``PathStages`` record.
 
 ``held_karp_min_path`` is the exact oracle: a subset dynamic program over
 (visited set, last vertex) that minimizes the instance's own objective,
@@ -24,6 +25,7 @@ time, every (subset, last region) pair of that size at once, up to T = 20.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,7 +163,20 @@ def shortcut_to_hamiltonian(circuit: tuple[int, ...], v_prime: int) -> Route:
     return Route(tuple(reversed(first_visits)))
 
 
-def fixed_end_path(costs: np.ndarray, end: int) -> tuple[Route, float, float]:
+@dataclass(frozen=True)
+class PathStages:
+    """What ``fixed_end_path`` built, stage by stage; vertex T is the dummy."""
+
+    route: Route
+    tree: tuple[tuple[int, int], ...]  # the spanning tree's edges, then (end, T)
+    tree_weight: float
+    odd: tuple[int, ...]  # the tree's odd-degree vertices, ascending
+    pairs: tuple[tuple[int, int], ...]  # their matching
+    matching_weight: float
+    circuit: tuple[int, ...]  # the Euler circuit of tree + pairs, from T back to T
+
+
+def fixed_end_path(costs: np.ndarray, end: int) -> PathStages:
     """Algorithm 1's route over every region, ending at region ``end``.
 
     Spanning tree, the dummy attached at ``end``, exact matching of the
@@ -171,8 +186,7 @@ def fixed_end_path(costs: np.ndarray, end: int) -> tuple[Route, float, float]:
     Polynomial: the matching is O(k^3) in the odd-set size k. Among equally
     cheap matchings any optimum may come back, so on ties the dummy pairs
     with some odd region, not a chosen one; the route still ends at
-    ``end``. Returns the route and the weights of the tree and of the
-    matching.
+    ``end``. Returns the route with every stage that led to it.
     """
     dummy = costs.shape[0]
     mst_edges, tree_weight = minimum_spanning_tree(costs)
@@ -180,7 +194,8 @@ def fixed_end_path(costs: np.ndarray, end: int) -> tuple[Route, float, float]:
     odd = odd_degree_vertices(tree)
     pairs, matching_weight = min_weight_perfect_matching(np.pad(costs, (0, 1)), odd)
     circuit = eulerian_circuit(tree + pairs, dummy)
-    return shortcut_to_hamiltonian(circuit, end), tree_weight, matching_weight
+    route = shortcut_to_hamiltonian(circuit, end)
+    return PathStages(route, tree, tree_weight, odd, pairs, matching_weight, circuit)
 
 
 def held_karp_min_path(inst: ProblemInstance) -> tuple[Route, float]:

@@ -16,7 +16,6 @@ import pytest
 from clroute import (
     ProblemInstance,
     Strategy,
-    best_final_region,
     generate_instance,
     held_karp_min_path,
     plan_algorithm1,
@@ -25,7 +24,6 @@ from clroute import (
 )
 from clroute.cli import ExperimentConfig, Row, run_experiment
 from clroute.planner import PlanResult
-from clroute.shp import fixed_end_path
 from helpers import travel_only
 
 ACCEPTANCE_LINES: list[str] = []
@@ -47,9 +45,6 @@ class PipelineRecord:
     approx: PlanResult
     exact: PlanResult
     opt_travel: float
-    mst_weight: float
-    matching_weight: float
-    route_travel: float
 
     @property
     def ratio(self) -> float:
@@ -64,10 +59,10 @@ def ensemble_t(seed: int) -> int:
 def build_pipeline_ensemble(m: int) -> tuple[list[PipelineRecord], float]:
     """Solve 500 generated instances (seeds 1..500) at feature count m.
 
-    Each record carries the approximation route, the exact optimum, the
-    travel-only optimum, and the approximation pipeline's intermediate
-    weights (spanning tree, odd-set matching, final path travel). Returns
-    the records and the wall-clock seconds spent.
+    Each record carries the approximation's plan, whose ``stages`` hold
+    every stage alg1 built (spanning tree, odd-set matching, Euler circuit),
+    the exact optimum, and the travel of the travel-only optimum. alg1 runs
+    once per instance. Returns the records and the wall-clock seconds spent.
     """
     t0 = time.perf_counter()
     records = []
@@ -76,18 +71,8 @@ def build_pipeline_ensemble(m: int) -> tuple[list[PipelineRecord], float]:
         approx = plan_algorithm1(inst)
         exact = plan_exact(inst)
         opt_route, _ = held_karp_min_path(travel_only(inst))
-        _, mst_weight, matching_weight = fixed_end_path(inst.costs, best_final_region(inst))
         records.append(
-            PipelineRecord(
-                seed,
-                inst,
-                approx,
-                exact,
-                route_travel_cost(inst, opt_route),
-                mst_weight,
-                matching_weight,
-                route_travel_cost(inst, approx.route),
-            )
+            PipelineRecord(seed, inst, approx, exact, route_travel_cost(inst, opt_route))
         )
     return records, time.perf_counter() - t0
 

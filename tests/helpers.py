@@ -190,7 +190,7 @@ def scalar_triangle_violation(c: np.ndarray) -> str | None:
             for k in range(t):
                 if k == i or k == j:
                     continue
-                if c[i][j] > c[i][k] + c[k][j] + 1e-12 * max(1.0, c[i][j]):
+                if c[i][j] > c[i][k] + c[k][j] + 1e-12 * c[i][j]:
                     return (
                         f"triangle inequality: c_{{{i + 1},{j + 1}}}={c[i][j]:g} > "
                         f"c_{{{i + 1},{k + 1}}}+c_{{{k + 1},{j + 1}}}={c[i][k] + c[k][j]:g}"
@@ -346,19 +346,3 @@ def graph_edge_multiset(edges: tuple[tuple[int, int], ...]) -> Counter:
 def circuit_edge_multiset(circuit: tuple[int, ...]) -> Counter:
     return Counter(edge_key(a, b) for a, b in zip(circuit[:-1], circuit[1:]))
 
-
-def record_calls(monkeypatch, module, name: str) -> list[tuple[tuple, object]]:
-    """Wrap ``module.name`` for the test; each call appends ``(args, result)`` to the list returned.
-
-    Only callers that look the name up on the module at call time are seen.
-    """
-    calls: list[tuple[tuple, object]] = []
-    real = getattr(module, name)
-
-    def recorded(*args):
-        result = real(*args)
-        calls.append((args, result))
-        return result
-
-    monkeypatch.setattr(module, name, recorded)
-    return calls

@@ -24,7 +24,7 @@ from clroute import (
     generate_instance,
     metric_closure,
     plan_algorithm1,
-    shp,
+    route_travel_cost,
     simplex_ground_truth,
     verify_closed_form,
 )
@@ -34,7 +34,6 @@ from helpers import (
     circuit_edge_multiset,
     correlated_ground_truth,
     graph_edge_multiset,
-    record_calls,
 )
 
 
@@ -208,10 +207,14 @@ def test_acceptance_07_over_closed_form_monte_carlo():
 def test_acceptance_08_travel_weight_chain(under_ensemble):
     records, _ = under_ensemble
     tol = 1e-9
-    mst_bad = sum(rec.mst_weight > rec.opt_travel + tol for rec in records)
-    match_bad = sum(rec.matching_weight > 0.5 * rec.opt_travel + tol for rec in records)
-    path_bad = sum(rec.route_travel > 1.5 * rec.opt_travel + tol for rec in records)
-    worst_path = max(rec.route_travel / rec.opt_travel for rec in records)
+    chain = [
+        (rec.approx.stages, route_travel_cost(rec.inst, rec.approx.route), rec.opt_travel)
+        for rec in records
+    ]
+    mst_bad = sum(stages.tree_weight > opt + tol for stages, _, opt in chain)
+    match_bad = sum(stages.matching_weight > 0.5 * opt + tol for stages, _, opt in chain)
+    path_bad = sum(path > 1.5 * opt + tol for _, path, opt in chain)
+    worst_path = max(path / opt for _, path, opt in chain)
     ok = mst_bad == 0 and match_bad == 0 and path_bad == 0
     _report(
         8,
@@ -222,10 +225,8 @@ def test_acceptance_08_travel_weight_chain(under_ensemble):
     )
 
 
-def test_acceptance_09_structural_property_sweep(monkeypatch):
-    # the matching and Euler checks run on the calls plan_algorithm1 itself makes
-    matchings = record_calls(monkeypatch, shp, "min_weight_perfect_matching")
-    circuits = record_calls(monkeypatch, shp, "eulerian_circuit")
+def test_acceptance_09_structural_property_sweep():
+    # the matching and Euler checks run on the stages plan_algorithm1 itself built
     t0 = time.perf_counter()
     rng = np.random.default_rng(909)
     cases = 0
@@ -233,17 +234,16 @@ def test_acceptance_09_structural_property_sweep(monkeypatch):
     for _ in range(2500):
         t = int(rng.integers(2, 9))
         inst = generate_instance(t, int(rng.integers(1 << 30)), m=80, n=100)
-        matchings.clear()
-        circuits.clear()
-        route = plan_algorithm1(inst).route
-        [((w, odd), (_, weight))] = matchings
-        if abs(weight - brute_min_matching_weight(w, odd)) > 1e-9:
+        stages = plan_algorithm1(inst).stages
+        w = np.pad(inst.costs, (0, 1))
+        if abs(stages.matching_weight - brute_min_matching_weight(w, stages.odd)) > 1e-9:
             mismatches["matching"] += 1
         cases += 1
-        [((multigraph, _), circuit)] = circuits
-        if circuit_edge_multiset(circuit) != graph_edge_multiset(multigraph):
+        multigraph = graph_edge_multiset(stages.tree + stages.pairs)
+        if circuit_edge_multiset(stages.circuit) != multigraph:
             mismatches["euler"] += 1
         cases += 1
+        route = stages.route
         if sorted(route.order) != list(range(t)) or route.final_region != best_final_region(inst):
             mismatches["route"] += 1
         cases += 1

@@ -49,6 +49,9 @@ SIZE_LIMIT = (
     f"T={HELD_KARP_MAX_T + 1} exceeds the exact-solver limit ({HELD_KARP_MAX_T}); "
     "use the approximation algorithm instead"
 )
+# every cost below 1e-12, so only a tolerance relative to c_{1,2} sees its triangle break
+TINY_T3 = (np.array([[0, 1, 1e-3], [1, 0, 1e-3], [1e-3, 1e-3, 0]]) * 1e-13).tolist()
+TINY_TRIANGLE = "triangle inequality: c_{1,2}=1e-13 > c_{1,3}+c_{3,2}=2e-16"
 
 
 class _Raw(str):
@@ -197,6 +200,10 @@ FLAG_ROWS = [  # test_cli.py::test_verify_rejects_negative_and_non_finite_inputs
 CLI_ROWS = [  # test_cli_rejects_bad_input, below
     # the file's contents
     file_row("costs-shape", 3, "costs must be 4x4, got (2, 2)", ("costs", [[0.0, 1.0]] * 2)),
+    file_row(
+        "costs-tiny-triangle", 2, TINY_TRIANGLE,
+        ("t", 3), ("delta", TINY_T3), ("delta0", [1, 1, 1]), ("costs", TINY_T3),
+    ),
     file_row(
         "t-one", 2, "t must be >= 2, got 1",
         ("t", 1), ("delta", [[0.0]]), ("delta0", [1.0]), ("costs", [[0.0]]),
@@ -347,6 +354,7 @@ LIBRARY_ROWS = {  # id: (call, exception, message)
     "build-triangle": (
         unit_t3([[0, 1, 50], [1, 0, 1], [50, 1, 0]]), ValidationError,
         "triangle inequality: c_{1,3}=50 > c_{1,2}+c_{2,3}=2"),
+    "build-tiny-triangle": (unit_t3(TINY_T3), ValidationError, TINY_TRIANGLE),
     "build-asymmetric": (
         unit_t3([[0, 1, 2], [3, 0, 1], [2, 1, 0]]), ValidationError,
         "c not symmetric: c_{1,2}=1 != c_{2,1}=3"),
@@ -499,8 +507,8 @@ NAMED_ROWS = {
     "test_validate_reports_asymmetry_and_negative_entries": ("instance-asymmetric-and-negative",),
     "test_validate_reports_each_non_finite_field_once": ("instance-non-finite",),
     "test_no_invalid_instance_can_be_built": (  # run as ids, less the build- prefix
-        "build-triangle", "build-asymmetric", "build-m-equals-n", "build-m-overflow",
-        "build-costs-overflow"),
+        "build-triangle", "build-tiny-triangle", "build-asymmetric", "build-m-equals-n",
+        "build-m-overflow", "build-costs-overflow"),
     "test_problem_instance_shape_checks": (
         "instance-delta-shape", "instance-delta0-length", "instance-costs-shape"),
     "test_generate_rejects_bad_parameters": (

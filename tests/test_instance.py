@@ -96,7 +96,7 @@ def corrupted_costs(draw):
             continue
         if kind == "tight":
             via = float(c[i, k]) + float(c[k, j])  # a Python sum overflows silently
-            x = via + 1e-12 * max(1.0, via)
+            x = via + 1e-12 * via
             steps = draw(st.integers(-4, 4))
             for _step in range(abs(steps)):
                 x = math.nextafter(x, math.copysign(math.inf, steps))

@@ -14,9 +14,9 @@ from clroute import (
     loss_upper,
     metric_closure,
     minimum_spanning_tree,
+    plan,
     route_travel_cost,
 )
-from clroute import shp
 from clroute.shp import (
     eulerian_circuit,
     fixed_end_path,
@@ -30,7 +30,6 @@ from helpers import (
     circuit_edge_multiset,
     graph_edge_multiset,
     manual_instance,
-    record_calls,
     scalar_held_karp,
     scan_all_routes,
     tie_heavy_instances,
@@ -71,14 +70,10 @@ def test_mst_weight_matches_reference_on_random_instances():
 
 
 def test_dummy_attachment_and_degrees_worked_instance():
-    inst = worked_under()
-    edges, _ = minimum_spanning_tree(inst.costs)
-    w = np.pad(inst.costs, (0, 1))
-    assert w.shape == (4, 4)
-    assert w[0, 3] == w[3, 0] == 0.0
-    tree = edges + ((0, 3),)
+    stages = fixed_end_path(worked_under().costs, 0)
+    assert stages.tree == ((0, 1), (1, 2), (0, 3))
     # degrees v0:1, region1:2, region2:2, region3:1 -> O = {region3, v0}
-    assert odd_degree_vertices(tree) == (2, 3)
+    assert stages.odd == (2, 3)
 
 
 def test_odd_vertices_path_tree_with_dummy_at_endpoint():
@@ -193,21 +188,20 @@ def test_matching_weight_equals_the_bitmask_oracle(case):
 
 
 @pytest.mark.parametrize("t", [24, 40, 80, 120, 200])
-def test_matching_weight_equals_networkx_on_generated_odd_sets(t, monkeypatch):
+def test_matching_weight_equals_networkx_on_generated_odd_sets(t):
     # the odd set alg1 builds on a generated instance; k is about 0.6 T
     import networkx as nx
 
-    calls = record_calls(monkeypatch, shp, "min_weight_perfect_matching")
     inst = generate_instance(t, seed=t, m=80, n=100)
-    fixed_end_path(inst.costs, best_final_region(inst))
-    [((w, odd), (pairs, weight))] = calls
-    assert sorted(v for pair in pairs for v in pair) == sorted(odd)
+    s = fixed_end_path(inst.costs, best_final_region(inst))
+    w, odd = np.pad(inst.costs, (0, 1)), s.odd
+    assert sorted(v for pair in s.pairs for v in pair) == sorted(odd)
     graph = nx.Graph()
     graph.add_weighted_edges_from(
         (a, b, float(w[a, b])) for i, a in enumerate(odd) for b in odd[i + 1 :]
     )
     reference = sum(float(w[a, b]) for a, b in nx.min_weight_matching(graph))
-    assert weight == pytest.approx(reference, rel=1e-12)
+    assert s.matching_weight == pytest.approx(reference, rel=1e-12)
 
 
 def test_euler_worked_instance_circuit():
@@ -265,13 +259,9 @@ def test_shortcut_rejects_broken_anchor(tmp_path, monkeypatch):
 
 
 def test_shortcut_worked_cycle():
-    inst = worked_under()
-    edges, _ = minimum_spanning_tree(inst.costs)
-    tree = edges + ((0, 3),)
-    pairs, _ = min_weight_perfect_matching(np.pad(inst.costs, (0, 1)), odd_degree_vertices(tree))
-    circuit = eulerian_circuit(tree + pairs, 3)
-    assert circuit == (3, 0, 1, 2, 3)
-    assert shortcut_to_hamiltonian(circuit, 0).order == (2, 1, 0)
+    stages = fixed_end_path(worked_under().costs, 0)
+    assert stages.circuit == (3, 0, 1, 2, 3)
+    assert stages.route.order == (2, 1, 0)
 
 
 def test_shortcut_two_regions():
@@ -300,29 +290,36 @@ def test_shortcut_rejects_interior_dummy(tmp_path, monkeypatch):
 
 
 def test_fixed_end_path_ends_where_asked_within_tree_plus_matching():
+    # the record holds what the stage functions return when called directly
     rng = np.random.default_rng(11)
     for _ in range(20):
         t = int(rng.integers(2, 10))
         inst = generate_instance(t, seed=int(rng.integers(1 << 30)))
         for end in range(t):
-            route, tree_weight, matching_weight = fixed_end_path(inst.costs, end)
-            assert sorted(route.order) == list(range(t)) and route.final_region == end
-            assert route_travel_cost(inst, route) <= tree_weight + matching_weight + 1e-9
+            s = fixed_end_path(inst.costs, end)
+            assert (s.tree[:-1], s.tree_weight) == minimum_spanning_tree(inst.costs)
+            assert s.tree[-1] == (end, t) and s.odd == odd_degree_vertices(s.tree)
+            assert (s.pairs, s.matching_weight) == min_weight_perfect_matching(
+                np.pad(inst.costs, (0, 1)), s.odd
+            )
+            assert s.circuit == eulerian_circuit(s.tree + s.pairs, t)
+            assert s.route == shortcut_to_hamiltonian(s.circuit, end)
+            assert sorted(s.route.order) == list(range(t)) and s.route.final_region == end
+            assert route_travel_cost(inst, s.route) <= s.tree_weight + s.matching_weight + 1e-9
+        for strategy in ("exact", "forgetting", "random"):
+            assert plan(inst, strategy).stages is None
 
 
-def test_fixed_end_path_on_ties_matches_optimally_and_ends_at_end(monkeypatch):
+def test_fixed_end_path_on_ties_matches_optimally_and_ends_at_end():
     # zero costs: every matching weighs 0. The star tree from region 0 plus
     # the dummy 4 at an end region of 1, 2 or 3 leaves 0, 4 and the other two
     # odd; the dummy may pair with any of them, and the route ends at the end
-    calls = record_calls(monkeypatch, shp, "min_weight_perfect_matching")
     for end in (1, 2, 3):
-        calls.clear()
-        route, tree_weight, matching_weight = fixed_end_path(np.zeros((4, 4)), end)
-        [((_, odd), (pairs, weight))] = calls
-        assert set(odd) == {0, 1, 2, 3, 4} - {end}
-        assert sorted(v for pair in pairs for v in pair) == sorted(odd)
-        assert weight == matching_weight == tree_weight == 0.0
-        assert sorted(route.order) == [0, 1, 2, 3] and route.final_region == end
+        s = fixed_end_path(np.zeros((4, 4)), end)
+        assert set(s.odd) == {0, 1, 2, 3, 4} - {end}
+        assert sorted(v for pair in s.pairs for v in pair) == sorted(s.odd)
+        assert s.matching_weight == s.tree_weight == 0.0
+        assert sorted(s.route.order) == [0, 1, 2, 3] and s.route.final_region == end
 
 
 def test_held_karp_worked_instance():
