@@ -254,8 +254,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         reports[name] = verify_closed_form(truth, route, n, args.trials, rng)
 
     ok = all(report.z <= args.threshold for report in reports.values())
-    doc = {name: report.to_json() for name, report in reports.items()}
-    doc.update(threshold=args.threshold, ok=ok)
+    doc = {
+        name: {**reports[name].to_json(), "m": m, "n": n, "route": list(route.one_based())}
+        for name, m, n in slots
+    }
+    doc.update(threshold=args.threshold, ok=ok, seed=args.seed, t=args.t, sigma2=args.sigma2)
     _write_text(json.dumps(doc, indent=2) + "\n", args.out)
     return 0 if ok else 5
 

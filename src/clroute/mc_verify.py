@@ -13,6 +13,9 @@ by the regime of (m, n): ``_under_losses`` simulates only the final
 region, as a least-squares fit does not depend on where it starts, and
 ``_over_losses`` the whole route. ``perfbench/tracing.py`` times each
 regime per 1k trials through the two names, reading ``trials`` at args[3].
+Trials run in chunks of 256, each drawing from its own stream seeded from
+the caller's generator, on a thread pool that is joined before the call
+returns; the losses are the same at any core count.
 
 Ground truths are constructed, never estimated: region parameters and the
 initial predictor are given as vectors, so ``delta_matrix`` and
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +38,7 @@ from .loss import Objective
 
 _log = logging.getLogger(__name__)
 
-_CHUNK = 512
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -89,21 +93,27 @@ class McReport:
     trials: int
 
     @property
-    def z(self) -> float:
-        """|difference| in std-error units; 0 for agreement to rounding even at zero spread.
+    def z_signed(self) -> float:
+        """(empirical − closed form) in std-error units; 0 for agreement to rounding.
 
         Agreement to rounding is a difference of at most 1e-12·max(1, |closed
         form|), relative but never below 1e-12, where a closed form near zero
         would shrink a relative bound to nothing: a noiseless least-squares fit
         recovers w* exactly, so its std error falls to rounding level too and
-        would make a rounding-level difference look large.
+        would make a rounding-level difference look large. Any other
+        difference at zero spread is ±inf, with the difference's sign.
         """
-        diff = abs(self.empirical_mean - self.closed_form)
-        if diff <= 1e-12 * max(1.0, abs(self.closed_form)):
+        diff = self.empirical_mean - self.closed_form
+        if abs(diff) <= 1e-12 * max(1.0, abs(self.closed_form)):
             return 0.0
         if self.std_error == 0.0:
-            return math.inf
+            return math.copysign(math.inf, diff)
         return diff / self.std_error
+
+    @property
+    def z(self) -> float:
+        """|z_signed|, the value a pass/fail threshold is held against."""
+        return abs(self.z_signed)
 
     def to_json(self) -> dict:
         return {
@@ -112,6 +122,7 @@ class McReport:
             "std_error": self.std_error,
             "trials": self.trials,
             "z": self.z,
+            "z_signed": self.z_signed,
         }
 
 
@@ -152,40 +163,74 @@ def delta0_vector(truth: TaskGroundTruth) -> np.ndarray:
     return np.sum(d * d, axis=1)
 
 
+def _chunk_losses(
+    truth: TaskGroundTruth, regions: tuple[int, ...], n: int, b: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Forgetting losses of ``b`` trials after training on ``regions`` in order.
+
+    Each task draws X, then the noise z, both from ``rng`` alone, and applies
+    w += X⁺(X(w* − w) + z), with X⁺ taken through the Gram matrix of X's
+    smaller side, XᵀX when n > m and XXᵀ when m > n. A batch whose Gram
+    matrix is singular is redrawn.
+    """
+    m = truth.m_features
+    sig = math.sqrt(truth.sigma2)
+    w = np.tile(truth.w0, (b, 1))
+    for region in regions:
+        while True:
+            x = rng.standard_normal((b, n, m))
+            z = sig * rng.standard_normal((b, n))
+            xt = x.transpose(0, 2, 1)
+            # y - X w written as X (w* - w) + z, so it is exactly z when w matches the region
+            resid = np.einsum("bnm,bm->bn", x, truth.w_star[region] - w) + z
+            try:
+                if n > m:
+                    step = np.linalg.solve(xt @ x, xt @ resid[..., None])[..., 0]
+                else:
+                    sol = np.linalg.solve(x @ xt, resid[..., None])[..., 0]
+                    step = np.einsum("bnm,bn->bm", x, sol)
+                break
+            except np.linalg.LinAlgError:
+                _log.warning("singular Gram matrix in a batch; redrawing the batch")
+        w += step
+    diff = w[:, None, :] - truth.w_star[None, :, :]
+    return np.mean(np.sum(diff * diff, axis=2), axis=1)
+
+
 def _losses(
     truth: TaskGroundTruth, regions: tuple[int, ...], n: int, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Per-trial forgetting losses after training on ``regions`` in order.
 
-    Each task draws X, then the noise z, and applies w += X⁺(X(w* − w) + z),
-    with X⁺ taken through the Gram matrix of X's smaller side, XᵀX when
-    n > m and XXᵀ when m > n. A batch whose Gram matrix is singular is redrawn.
+    The trials run in chunks of ``_CHUNK``. Chunk c draws from its own
+    stream, ``default_rng(seeds[c])``, where ``seeds`` is one draw of
+    ``rng.integers(2**63, size=chunks)``; Ziggurat sampling takes a varying
+    number of raw draws, so one stream cannot be split by jumping ahead.
+    The chunks run on a thread pool of min(chunks, usable CPUs) lanes, lane
+    w taking chunks w, w + lanes, ..., each written to its own slice of the
+    output; numpy's generator fills and linear algebra release the GIL, so
+    the lanes run in parallel. The pool is joined before the call returns,
+    and the losses are the same at any lane count.
     """
-    m = truth.m_features
-    sig = math.sqrt(truth.sigma2)
+    # imported here so that commands which never simulate do not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    seeds = rng.integers(2**63, size=-(-trials // _CHUNK))
+    # the CPUs this process may run on (taskset, cpusets); where that call is missing, all of them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    lanes = min(len(seeds), cpus or 1)
     out = np.empty(trials)
-    for lo in range(0, trials, _CHUNK):
-        b = min(_CHUNK, trials - lo)
-        w = np.tile(truth.w0, (b, 1))
-        for region in regions:
-            while True:
-                x = rng.standard_normal((b, n, m))
-                z = sig * rng.standard_normal((b, n))
-                xt = x.transpose(0, 2, 1)
-                # y - X w written as X (w* - w) + z, so it is exactly z when w matches the region
-                resid = np.einsum("bnm,bm->bn", x, truth.w_star[region] - w) + z
-                try:
-                    if n > m:
-                        step = np.linalg.solve(xt @ x, xt @ resid[..., None])[..., 0]
-                    else:
-                        sol = np.linalg.solve(x @ xt, resid[..., None])[..., 0]
-                        step = np.einsum("bnm,bn->bm", x, sol)
-                    break
-                except np.linalg.LinAlgError:
-                    _log.warning("singular Gram matrix in a batch; redrawing the batch")
-            w += step
-        diff = w[:, None, :] - truth.w_star[None, :, :]
-        out[lo : lo + b] = np.mean(np.sum(diff * diff, axis=2), axis=1)
+
+    def lane(first: int) -> None:
+        for c in range(first, len(seeds), lanes):
+            lo = c * _CHUNK
+            b = min(_CHUNK, trials - lo)
+            out[lo : lo + b] = _chunk_losses(truth, regions, n, b, np.random.default_rng(seeds[c]))
+
+    with ThreadPoolExecutor(lanes) as pool:
+        futures = [pool.submit(lane, w) for w in range(lanes)]
+    for future in futures:
+        future.result()
     return out
 
 
@@ -220,9 +265,11 @@ def verify_closed_form(
     The closed form is ``Objective.build`` on the truth's exact distances,
     forgetting part plus noise constant: to the last bit what ``loss_upper``
     reports for an instance holding those distances, and defined at T = 1,
-    where no instance exists. Per-trial losses are collected into one array
-    and reduced with numpy's pairwise summation, so the report is a pure
-    function of the RNG state and the trial count.
+    where no instance exists. The trials run in chunks of 256 on a thread
+    pool, each chunk on its own stream seeded from ``rng``; per-trial
+    losses are collected into one array in trial order and reduced with
+    numpy's pairwise summation, so the report is a pure function of the RNG
+    state and the trial count, the same at any core count.
 
     The z-score needs a finite per-trial variance, which by the
     inverse-Wishart second moments holds only for |n − m| >= 4. At the

@@ -274,12 +274,35 @@ def test_verify_passes_and_reports(tmp_path):
     out = tmp_path / "verify.json"
     code = main(["verify", "--trials", "2000", "--seed", "0", "--out", str(out)])
     doc = json.loads(out.read_text())
-    assert set(doc) == {"under", "over", "threshold", "ok"}
+    assert set(doc) == {"under", "over", "threshold", "ok", "seed", "t", "sigma2"}
     for part in ("under", "over"):
-        assert set(doc[part]) == {"empirical", "closed_form", "std_error", "trials", "z"}
+        assert set(doc[part]) == {
+            "empirical", "closed_form", "std_error", "trials", "z", "z_signed", "m", "n", "route"
+        }
         assert doc[part]["trials"] == 2000
+        assert doc[part]["route"] == [1, 2, 3]
+    assert [(doc[part]["m"], doc[part]["n"]) for part in ("under", "over")] == [(4, 10), (12, 4)]
+    assert (doc["seed"], doc["t"], doc["sigma2"]) == (0, 3, 1.0)
     assert doc["ok"] is True
     assert code == 0
+
+
+def test_verify_replays_from_its_own_report(capsys):
+    argv = ["verify", "--t", "3", "--trials", "600", "--sigma2", "0.7", "--seed", "12",
+            "--threshold", "4.5", "--under-m", "3", "--under-n", "9", "--over-m", "14",
+            "--over-n", "5"]  # fmt: skip
+    main(argv)
+    first = capsys.readouterr().out
+    doc = json.loads(first)
+    # verify simulates the identity route over --t regions
+    assert doc["under"]["route"] == doc["over"]["route"] == list(range(1, doc["t"] + 1))
+    replay = ["verify", "--t", str(doc["t"]), "--trials", str(doc["under"]["trials"]),
+              "--sigma2", repr(doc["sigma2"]), "--seed", str(doc["seed"]),
+              "--threshold", repr(doc["threshold"])]  # fmt: skip
+    for part in ("under", "over"):
+        replay += [f"--{part}-m", str(doc[part]["m"]), f"--{part}-n", str(doc[part]["n"])]
+    main(replay)
+    assert capsys.readouterr().out == first
 
 
 @pytest.mark.parametrize("argv,fault,code,message", FLAG_ROWS)

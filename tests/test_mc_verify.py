@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from clroute import Route
 from clroute.mc_verify import (
     McReport,
     TaskGroundTruth,
+    _chunk_losses,
     _over_losses,
     _under_losses,
     delta0_vector,
@@ -50,8 +53,28 @@ def test_mc_report_z_edge_cases():
     assert McReport(1.0, 2.0, 0.0, 100).z == math.inf
     assert McReport(1.5, 1.0, 0.25, 100).z == pytest.approx(2.0)
     doc = McReport(1.5, 1.0, 0.25, 100).to_json()
-    assert set(doc) == {"empirical", "closed_form", "std_error", "trials", "z"}
+    assert set(doc) == {"empirical", "closed_form", "std_error", "trials", "z", "z_signed"}
     assert doc["trials"] == 100
+
+
+@pytest.mark.parametrize(
+    "empirical, closed, std_error, z_signed",
+    [
+        (1.0, 1.0, 0.0, 0.0),
+        (1.0, 1.0 + 1e-13, 0.0, 0.0),
+        (1.0, 2.0, 0.0, -math.inf),
+        (2.0, 1.0, 0.0, math.inf),
+        (1.5, 1.0, 0.25, 2.0),
+        (0.5, 1.0, 0.25, -2.0),
+    ],
+)
+def test_mc_report_z_signed_keeps_the_sign_of_the_difference(
+    empirical, closed, std_error, z_signed
+):
+    report = McReport(empirical, closed, std_error, 100)
+    assert report.z_signed == z_signed
+    assert report.z == abs(z_signed)
+    assert report.to_json()["z_signed"] == z_signed
 
 
 def test_mc_report_z_is_zero_only_for_rounding_level_differences():
@@ -92,7 +115,8 @@ def test_simulate_sequence_over_interpolates_each_task():
     n, trials = 4, 5
     losses = _over_losses(truth, route, n, trials, np.random.default_rng(7))
 
-    replay = np.random.default_rng(7)
+    # the trials fit in one chunk, which draws from the first chunk seed's stream
+    replay = np.random.default_rng(np.random.default_rng(7).integers(2**63, size=1)[0])
     w = np.tile(truth.w0, (trials, 1))
     for region in route.order:
         x = replay.standard_normal((trials, n, truth.m_features))
@@ -104,6 +128,33 @@ def test_simulate_sequence_over_interpolates_each_task():
             assert resid <= 1e-8 * max(np.linalg.norm(y[k]), 1.0)
     expected = [np.mean(np.sum((truth.w_star - wk) ** 2, axis=1)) for wk in w]
     np.testing.assert_allclose(losses, expected, rtol=1e-10)
+
+
+@pytest.mark.parametrize("simulate, m, n", [(_under_losses, 4, 10), (_over_losses, 12, 4)])
+def test_losses_do_not_depend_on_the_worker_count(simulate, m, n):
+    # 1000 trials are chunks of 256, 256, 256 and 232; whichever lanes run
+    # them, the losses equal one plain loop over the same per-chunk streams.
+    # A short switch interval interleaves the lanes as finely as it can.
+    truth = simplex_ground_truth(3, m, scales=np.array([1.0, 2.0, 3.0]), sigma2=0.5)
+    route = Route((2, 0, 1))
+    regions = route.order[-1:] if simulate is _under_losses else route.order
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        losses = simulate(truth, route, n, 1000, np.random.default_rng(31))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+
+    seeds = np.random.default_rng(31).integers(2**63, size=4)
+    sizes = (256, 256, 256, 232)
+    chunks = [np.random.default_rng(s) for s in seeds]
+    expected = np.concatenate(
+        [_chunk_losses(truth, regions, n, b, rng) for rng, b in zip(chunks, sizes)]
+    )
+    assert losses.shape == (1000,)
+    assert losses.tobytes() == expected.tobytes()
 
 
 def test_simulate_sequence_over_noise_floor():
