@@ -45,7 +45,7 @@ from .instance import (
 )
 from .mc_verify import simplex_ground_truth, verify_closed_form
 from .planner import Strategy, plan, plan_exact
-from .shp import SizeLimitError
+from .shp import SizeLimitError, check_exact_size
 
 CSV_HEADER = "sweep_var,value,strategy,mean_R,min_R,max_R,instances"
 
@@ -95,10 +95,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[Row], list[str]]:
     ``cfg.seed + point_index * cfg.instances + instance_index``, so every
     strategy at a sweep point sees the same instances (paired comparison)
     and reruns are byte-reproducible. The exact optimum is solved once per
-    instance and shared across strategies.
+    instance and shared across strategies; a point too large for it raises
+    ``SizeLimitError`` before any instance is generated.
     """
     rows: list[Row] = []
     warnings: list[str] = []
+    points = []
     for idx, value in enumerate(cfg.values):
         m = value if cfg.sweep_var == "m" else cfg.m
         t = value if cfg.sweep_var == "t" else cfg.t
@@ -107,6 +109,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[Row], list[str]]:
         except RegimeError as exc:
             warnings.append(f"skipping {cfg.sweep_var}={value}: {exc}")
             continue
+        points.append((idx, value, m, t))
+    for *_, t in points:
+        check_exact_size(t)
+    for idx, value, m, t in points:
         ratios: dict[Strategy, list[float]] = {s: [] for s in cfg.strategies}
         for i in range(cfg.instances):
             seed = cfg.seed + idx * cfg.instances + i

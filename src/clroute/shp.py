@@ -18,8 +18,9 @@ route included, comes back in one ``PathStages`` record.
 (visited set, last vertex) that minimizes the instance's own objective,
 ``inst.objective``. The objective has one forgetting weight per position,
 so the stage index of the program (the subset size) fixes each region's
-weight, the final region's included. Numpy fills it one subset size at a
-time, every (subset, last region) pair of that size at once, up to T = 20.
+weight, the final region's included. Its table is region-major, one row
+per last region, and numpy fills it one subset size at a time, in 512 KiB
+blocks of (predecessor, last region, subset) candidates, up to T = 20.
 """
 
 from __future__ import annotations
@@ -32,10 +33,20 @@ import numpy as np
 from .instance import ProblemInstance, Route
 
 HELD_KARP_MAX_T = 20
+_BLOCK = 1 << 16  # float64 candidates per Held–Karp block: 512 KiB, cache-sized
 
 
 class SizeLimitError(ValueError):
     """Instance too large for the exact solver."""
+
+
+def check_exact_size(t: int) -> None:
+    """Raise ``SizeLimitError`` when the exact oracle cannot solve ``t`` regions."""
+    if t > HELD_KARP_MAX_T:
+        raise SizeLimitError(
+            f"T={t} exceeds the exact-solver limit ({HELD_KARP_MAX_T}); "
+            "use the approximation algorithm instead"
+        )
 
 
 class InvariantViolation(RuntimeError):
@@ -211,16 +222,15 @@ def held_karp_min_path(inst: ProblemInstance) -> tuple[Route, float]:
     travel-only optimum is that of a copy of the instance with zero
     dissimilarities and zero noise (``tests/helpers.py::travel_only``).
 
+    The table is region-major, dp[v, S], and each subset size is one pass
+    over 512 KiB blocks of (predecessor, last region, subset) candidates.
+
     Cost is O(2^T * T^2), memory 2^T * T float64 values (160 MiB at T=20);
     refuses T > 20 — use the approximation pipeline in ``planner`` beyond
     that.
     """
     t = inst.t_regions
-    if t > HELD_KARP_MAX_T:
-        raise SizeLimitError(
-            f"T={t} exceeds the exact-solver limit ({HELD_KARP_MAX_T}); "
-            "use the approximation algorithm instead"
-        )
+    check_exact_size(t)
     objective = inst.objective
 
     c = inst.costs * (1.0 / t)
@@ -228,26 +238,34 @@ def held_karp_min_path(inst: ProblemInstance) -> tuple[Route, float]:
     gain = np.outer(objective.position_weights, objective.row_sums) / objective.forgetting_divisor
 
     full = (1 << t) - 1
-    size = np.zeros(full + 1, dtype=np.uint8)  # popcount of each subset
-    for v in range(t):
+    size = np.zeros(1 << (t - 1), dtype=np.uint8)  # popcount of each subset of T-1 regions
+    for v in range(t - 1):
         size[1 << v : 2 << v] = size[: 1 << v] + 1
-    dp = np.full((full + 1, t), np.inf)
-    dp[1 << np.arange(t), np.arange(t)] = 0.0 + gain[0]  # a first visit has no predecessor
+    ar = np.arange(t)
+    bits = 1 << ar
+    dp = np.full((t, full + 1), np.inf)  # dp[v, S]: region-major, each row one last region
+    dp[ar, bits] = 0.0 + gain[0]  # a first visit has no predecessor
+    step = max(1, _BLOCK // (t * t))
     for s in range(2, t + 1):
-        layer = np.flatnonzero(size == s)
-        for v in range(t):
-            sel = layer[(layer >> v) & 1 == 1]
-            # regions outside sel ^ (1 << v), v included, are inf there and never win
-            cand = dp[sel ^ (1 << v)]
-            cand += c[:, v]  # in place: one (subsets x T) temporary, not two
-            arg = cand.argmin(axis=1)  # the first minimum: lowest index on ties
-            dp[sel, v] = cand[np.arange(len(sel)), arg] + gain[s - 1, v]
+        # row v: the subsets of size s that hold v, ascending. Inserting bit v into
+        # each (s-1)-subset r of the other T-1 regions gives r + (r & -2^v) + 2^v.
+        rest = np.flatnonzero(size == s - 1)
+        sel = rest & -bits[:, None]
+        sel += rest
+        sel += bits[:, None]
+        for lo in range(0, sel.shape[1], step):
+            part = sel[:, lo : lo + step]
+            # cand[u, v, i] = dp[u, part[v, i] minus v] + c[u, v]; rows u outside that
+            # subset, v included, are inf and never win
+            cand = np.take(dp, part ^ bits[:, None], axis=1)
+            cand += c[:, :, None]
+            dp[ar[:, None], part] = np.minimum.reduce(cand, axis=0) + gain[s - 1, :, None]
 
-    v = int(np.argmin(dp[full]))
-    value = float(dp[full, v]) + objective.offset + objective.noise
+    v = int(np.argmin(dp[:, full]))
+    value = float(dp[v, full]) + objective.offset + objective.noise
     order, mask = [v], full
     while mask != 1 << v:
         mask ^= 1 << v
-        v = int(np.argmin(dp[mask] + c[:, v]))  # the same sums, the same first minimum
+        v = int(np.argmin(dp[:, mask] + c[:, v]))  # the same sums, the same first minimum
         order.append(v)
     return Route(tuple(reversed(order))), value

@@ -82,6 +82,22 @@ def tie_heavy_instances(draw, max_t=12):
     return manual_instance(delta, np.ones(t), costs, m, 100)
 
 
+def tie_heavy_instance(t: int, m: int, seed: int) -> ProblemInstance:
+    """One fixed member of the ``tie_heavy_instances`` family, drawn from
+    ``seed``: costs in {1, 2} before the closure, dissimilarities in
+    {0, 1, 2}."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu_indices(t, 1)
+
+    def symmetric(values):
+        mat = np.zeros((t, t))
+        mat[upper] = rng.choice(values, len(upper[0]))
+        return mat + mat.T
+
+    costs = metric_closure(symmetric([1.0, 2.0]))
+    return manual_instance(symmetric([0.0, 1.0, 2.0]), np.ones(t), costs, m, 100)
+
+
 @st.composite
 def special_float_instances(draw, max_t=10):
     """Valid instances whose entries are special floats or drawn from

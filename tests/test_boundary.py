@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from clroute import (
     verify_closed_form,
     write_instance,
 )
-from clroute.cli import ExperimentConfig, main
+from clroute.cli import ExperimentConfig, main, run_experiment
 from clroute.shp import eulerian_circuit, min_weight_perfect_matching, shortcut_to_hamiltonian
 from helpers import manual_instance, worked_under
 
@@ -225,6 +226,10 @@ CLI_ROWS = [  # test_cli_rejects_bad_input, below
     row("gen-t-one", "gen --t 1 --out x.json", 2, "t must be >= 2, got 1"),
     row("plan-exact-size-limit", "plan <oversized-file> --strategy exact", 4, SIZE_LIMIT),
     row(
+        "experiment-size-limit", f"experiment --sweep t --values 3,{HELD_KARP_MAX_T + 1} "
+        "--instances 1", 4, SIZE_LIMIT,
+    ),
+    row(
         "experiment-no-instances", "experiment --sweep t --values 5 --instances 0", 2,
         "instances must be >= 1, got 0",
     ),
@@ -326,6 +331,17 @@ def read_row(error, message, fault):
     return call, error, f"inst.json: {message}"
 
 
+def before_any_instance(call):
+    """call() with clroute.cli unable to generate an instance: any draw raises AssertionError."""
+
+    def run():
+        drawn = AssertionError("an instance was generated")
+        with mock.patch("clroute.cli.generate_instance", side_effect=drawn):
+            call()
+
+    return run
+
+
 def verify_row(truth, n, trials=500):
     """verify_closed_form on a fresh truth(), visiting region 0 and then region 1."""
     return lambda: verify_closed_form(truth(), Route((0, 1)), n, trials, np.random.default_rng(1))
@@ -421,6 +437,15 @@ LIBRARY_ROWS = {  # id: (call, exception, message)
     "held-karp-size-limit": (
         lambda: held_karp_min_path(generate_instance(HELD_KARP_MAX_T + 1, seed=1)),
         SizeLimitError, SIZE_LIMIT),
+    # the first point is small; the sweep fails before it draws that point's instance
+    **{
+        f"experiment-size-limit-sweep-{var}": (
+            before_any_instance(lambda config=config: run_experiment(config)),
+            SizeLimitError, SIZE_LIMIT)
+        for var, config in (
+            ("t", _config(values=(3, HELD_KARP_MAX_T + 1))),
+            ("m", _config(sweep_var="m", values=(60, 80), t=HELD_KARP_MAX_T + 1)))
+    },
     "matching-odd-count": (
         lambda: min_weight_perfect_matching(np.zeros((4, 4)), (0, 1, 2)), InvariantViolation,
         "cannot perfectly match an odd number of vertices"),

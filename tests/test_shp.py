@@ -32,6 +32,7 @@ from helpers import (
     manual_instance,
     scalar_held_karp,
     scan_all_routes,
+    tie_heavy_instance,
     tie_heavy_instances,
     travel_only,
     worked_under,
@@ -368,6 +369,31 @@ def test_held_karp_matches_the_scalar_oracle_bit_for_bit(inst, travel):
     oracle_route, oracle_value = scalar_held_karp(inst)
     assert route == oracle_route
     assert repr(value) == repr(oracle_value)
+
+
+# From T=13 on, some subset sizes span several of Held–Karp's blocks.
+@pytest.mark.parametrize("t,m", [(13, 80), (13, 120), (14, 60), (14, 180), (15, 80), (16, 120)])
+def test_held_karp_matches_the_scalar_oracle_across_blocks(t, m):
+    inst = tie_heavy_instance(t, m, seed=t)
+    for case in (inst, travel_only(inst)):
+        route, value = held_karp_min_path(case)
+        oracle_route, oracle_value = scalar_held_karp(case)
+        assert route == oracle_route
+        assert repr(value) == repr(oracle_value)
+
+
+# At T=18 the scalar oracle is too slow for Tier-1; one instance per regime, pinned
+# from the forward pass that looped over last regions
+HELD_KARP_T18 = {
+    (1, 80): ((10, 13, 3, 7, 17, 16, 5, 11, 4, 12, 1, 8, 9, 2, 15, 14, 0, 6), "9.488011655687107"),
+    (2, 120): ((11, 10, 1, 8, 14, 2, 5, 16, 4, 6, 7, 15, 3, 17, 0, 12, 9, 13), "12.65250562165077"),
+}
+
+
+@pytest.mark.parametrize("seed,m", list(HELD_KARP_T18))
+def test_held_karp_results_at_t18_are_pinned(seed, m):
+    route, value = held_karp_min_path(generate_instance(18, seed=seed, m=m, n=100))
+    assert (route.order, repr(value)) == HELD_KARP_T18[seed, m]
 
 
 def test_held_karp_size_guard(tmp_path, monkeypatch):
