@@ -182,24 +182,25 @@ def cmd_plan(args: argparse.Namespace) -> int:
     strategy = Strategy(args.strategy)
     result = plan(inst, strategy, seed=args.seed)
     b = result.breakdown
+    parts = {
+        "forgetting": b.forgetting_part,
+        "travel": b.travel_part,
+        "constant": b.constant_part,
+        "total": b.total,
+    }
     if args.format == "json":
         doc = {
             "route": list(result.route.one_based()),
             "strategy": strategy.value,
-            "forgetting": b.forgetting_part,
-            "travel": b.travel_part,
-            "constant": b.constant_part,
-            "total": b.total,
+            **parts,
             "elapsed": result.elapsed,
         }
         print(json.dumps(doc, indent=2))
     else:
-        print("route:", " ".join(str(v) for v in result.route.one_based()))
+        print("route:", *result.route.one_based())
         print(f"strategy: {strategy.value}")
-        print(f"forgetting: {b.forgetting_part:.6g}")
-        print(f"travel: {b.travel_part:.6g}")
-        print(f"constant: {b.constant_part:.6g}")
-        print(f"total: {b.total:.6g}")
+        for name, value in parts.items():
+            print(f"{name}: {value:.6g}")
         print(f"elapsed: {result.elapsed:.6f}s")
     return 0
 

@@ -65,12 +65,9 @@ class LossBreakdown:
 
 def r_powers(r: float, t: int) -> np.ndarray:
     """[r^0, r^1, ..., r^t] by iterated multiplication (no pow), low to high."""
-    out = np.empty(t + 1)
-    p = 1.0
-    for k in range(t + 1):
-        out[k] = p
-        p *= r
-    return out
+    powers = np.full(t + 1, r)
+    powers[0] = 1.0
+    return np.multiply.accumulate(powers)
 
 
 def _finite(name: str, value: float) -> float:

@@ -14,8 +14,8 @@ region, as a least-squares fit does not depend on where it starts, and
 ``_over_losses`` the whole route. ``perfbench/tracing.py`` times each
 regime per 1k trials through the two names, reading ``trials`` at args[3].
 Trials run in chunks of 256, each drawing from its own stream seeded from
-the caller's generator, on a thread pool that is joined before the call
-returns; the losses are the same at any core count.
+the caller's generator and each one task on a thread pool that is joined
+before the call returns; the losses are the same at any core count.
 
 Ground truths are constructed, never estimated: region parameters and the
 initial predictor are given as vectors, so ``delta_matrix`` and
@@ -206,11 +206,11 @@ def _losses(
     stream, ``default_rng(seeds[c])``, where ``seeds`` is one draw of
     ``rng.integers(2**63, size=chunks)``; Ziggurat sampling takes a varying
     number of raw draws, so one stream cannot be split by jumping ahead.
-    The chunks run on a thread pool of min(chunks, usable CPUs) lanes, lane
-    w taking chunks w, w + lanes, ..., each written to its own slice of the
-    output; numpy's generator fills and linear algebra release the GIL, so
-    the lanes run in parallel. The pool is joined before the call returns,
-    and the losses are the same at any lane count.
+    Each chunk is one task on a thread pool of min(chunks, usable CPUs)
+    workers, and the results are joined in chunk order; numpy's generator
+    fills and linear algebra release the GIL, so the tasks run in parallel.
+    A task's exception reaches the caller, the pool is joined before the
+    call returns, and the losses are the same at any worker count.
     """
     # imported here so that commands which never simulate do not pay for it
     from concurrent.futures import ThreadPoolExecutor
@@ -218,20 +218,13 @@ def _losses(
     seeds = rng.integers(2**63, size=-(-trials // _CHUNK))
     # the CPUs this process may run on (taskset, cpusets); where that call is missing, all of them
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    lanes = min(len(seeds), cpus or 1)
-    out = np.empty(trials)
 
-    def lane(first: int) -> None:
-        for c in range(first, len(seeds), lanes):
-            lo = c * _CHUNK
-            b = min(_CHUNK, trials - lo)
-            out[lo : lo + b] = _chunk_losses(truth, regions, n, b, np.random.default_rng(seeds[c]))
+    def chunk(c: int) -> np.ndarray:
+        b = min(_CHUNK, trials - c * _CHUNK)
+        return _chunk_losses(truth, regions, n, b, np.random.default_rng(seeds[c]))
 
-    with ThreadPoolExecutor(lanes) as pool:
-        futures = [pool.submit(lane, w) for w in range(lanes)]
-    for future in futures:
-        future.result()
-    return out
+    with ThreadPoolExecutor(min(len(seeds), cpus or 1)) as pool:
+        return np.concatenate(list(pool.map(chunk, range(len(seeds)))))
 
 
 def _under_losses(

@@ -264,7 +264,7 @@ def held_karp_min_path(inst: ProblemInstance) -> tuple[Route, float]:
     v = int(np.argmin(dp[:, full]))
     value = float(dp[v, full]) + objective.offset + objective.noise
     order, mask = [v], full
-    while mask != 1 << v:
+    for _ in range(t - 1):
         mask ^= 1 << v
         v = int(np.argmin(dp[:, mask] + c[:, v]))  # the same sums, the same first minimum
         order.append(v)

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+import os
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from clroute import Route
+from clroute import Route, mc_verify
 from clroute.mc_verify import (
     McReport,
     TaskGroundTruth,
@@ -132,9 +133,10 @@ def test_simulate_sequence_over_interpolates_each_task():
 
 @pytest.mark.parametrize("simulate, m, n", [(_under_losses, 4, 10), (_over_losses, 12, 4)])
 def test_losses_do_not_depend_on_the_worker_count(simulate, m, n):
-    # 1000 trials are chunks of 256, 256, 256 and 232; whichever lanes run
-    # them, the losses equal one plain loop over the same per-chunk streams.
-    # A short switch interval interleaves the lanes as finely as it can.
+    # 1000 trials are chunks of 256, 256, 256 and 232, one pool task each;
+    # whichever workers run them, the losses equal one plain loop over the
+    # same per-chunk streams. A short switch interval interleaves the
+    # workers as finely as it can.
     truth = simplex_ground_truth(3, m, scales=np.array([1.0, 2.0, 3.0]), sigma2=0.5)
     route = Route((2, 0, 1))
     regions = route.order[-1:] if simulate is _under_losses else route.order
@@ -155,6 +157,38 @@ def test_losses_do_not_depend_on_the_worker_count(simulate, m, n):
     )
     assert losses.shape == (1000,)
     assert losses.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("simulate, m, n", [(_under_losses, 4, 10), (_over_losses, 12, 4)])
+def test_losses_are_the_same_on_one_worker_and_on_three(simulate, m, n, monkeypatch):
+    # the worker count follows the usable CPUs; one worker runs the four chunks
+    # one after another, and three cannot share them evenly
+    truth = simplex_ground_truth(3, m, scales=np.array([1.0, 2.0, 3.0]), sigma2=0.5)
+    route = Route((2, 0, 1))
+    regions = route.order[-1:] if simulate is _under_losses else route.order
+    seeds = np.random.default_rng(31).integers(2**63, size=4)
+    expected = np.concatenate(
+        [
+            _chunk_losses(truth, regions, n, b, np.random.default_rng(s))
+            for s, b in zip(seeds, (256, 256, 256, 232))
+        ]
+    )
+    workers = set()
+
+    def chunk_losses(*args):
+        workers.add(threading.get_ident())
+        return _chunk_losses(*args)
+
+    monkeypatch.setattr(mc_verify, "_chunk_losses", chunk_losses)
+    threads = threading.active_count()
+    for cpus in (1, 3):
+        workers.clear()
+        affinity = set(range(cpus))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        losses = simulate(truth, route, n, 1000, np.random.default_rng(31))
+        assert losses.tobytes() == expected.tobytes()
+        assert 1 <= len(workers) <= cpus
+        assert threading.active_count() == threads
 
 
 def test_simulate_sequence_over_noise_floor():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree as scipy_mst
 
 from clroute import (
+    ParameterError,
     Route,
     best_final_region,
     generate_instance,
@@ -394,6 +395,19 @@ HELD_KARP_T18 = {
 def test_held_karp_results_at_t18_are_pinned(seed, m):
     route, value = held_karp_min_path(generate_instance(18, seed=seed, m=m, n=100))
     assert (route.order, repr(value)) == HELD_KARP_T18[seed, m]
+
+
+def test_held_karp_read_back_on_a_broken_table_raises(monkeypatch):
+    # every candidate inf leaves each column of the table inf below the first visits;
+    # the walk back takes T - 1 steps and Route rejects what it found
+    inst = generate_instance(6, seed=3)
+
+    def all_inf(a, indices, axis):
+        return np.full(a.shape[:axis] + np.shape(indices), np.inf)
+
+    monkeypatch.setattr(np, "take", all_inf)
+    with pytest.raises(ParameterError, match="route must be a permutation"):
+        held_karp_min_path(inst)
 
 
 def test_held_karp_size_guard(tmp_path, monkeypatch):
