@@ -15,14 +15,17 @@ from .shp import InvariantViolation
 def max_weight_mates(p: np.ndarray) -> list[int]:
     """Each vertex's mate in a maximum-weight perfect matching of the
     complete graph on ``len(p)`` vertices, an even number, with the
-    symmetric edge weights ``p`` (the diagonal is ignored).
+    symmetric edge weights ``p`` (the diagonal is ignored). The weights
+    may have any sign, so a minimum-weight matching of w is the maximum of
+    ``-w``, with no offset to round away low bits.
 
     Edmonds' primal-dual algorithm (Edmonds 1965; Galil 1986, "Efficient
     algorithms for finding maximum matching in graphs"). Duals y on the
     vertices and z on the blossoms (odd cycles shrunk to one vertex) keep
     every slack y_u + y_v + z(blossoms holding both) - p_uv at or above
-    zero, and matched edges at zero. It starts from y_v = max_u p_uv / 2
-    with every mutually heaviest pair matched, and roots an alternating
+    zero, and matched edges at zero. It starts from y_v = max_u p_uv / 2,
+    which leaves every slack at or above zero whatever the signs, with
+    every mutually heaviest pair matched, and roots an alternating
     tree at each unmatched vertex: S blossoms at even depth, T at odd.
     Each step moves the duals of the trees by the least amount that makes
     one of these happen:

@@ -92,12 +92,14 @@ def min_weight_perfect_matching(
     """Exact minimum-weight perfect matching on the vertices in ``odd``.
 
     Returns the pairs and their total weight. The matching is the
-    maximum-weight perfect matching of the weights W + 1 - w, W the largest
-    weight among ``odd``, found by Edmonds' blossom algorithm
-    (:func:`clroute.blossom.max_weight_mates`) in O(k^3) time for k
-    vertices. Each pair is listed from its vertex that comes first in
-    ``odd``, the pairs in the order of those vertices. Among equally cheap
-    optima it returns one of them, the same one for the same input.
+    maximum-weight perfect matching of the weights -w, found by Edmonds'
+    blossom algorithm (:func:`clroute.blossom.max_weight_mates`) in O(k^3)
+    time for k vertices. Negation is exact in floating point, so no low
+    bits are lost at any cost scale, and weights scaled by a power of two
+    give the same pairs. Each pair is listed from its vertex that comes
+    first in ``odd``, the pairs in the order of those vertices. Among
+    equally cheap optima it returns one of them, the same one for the same
+    input.
     """
     if len(odd) % 2 != 0:
         raise InvariantViolation("cannot perfectly match an odd number of vertices")
@@ -107,7 +109,7 @@ def min_weight_perfect_matching(
 
     idx = np.array(odd)
     sub = w[idx[:, None], idx]
-    mate = max_weight_mates(sub.max() + 1.0 - sub)
+    mate = max_weight_mates(-sub)
     pairs = [(i, j) for i, j in enumerate(mate) if i < j]
     return tuple((odd[i], odd[j]) for i, j in pairs), float(sum(sub[i, j] for i, j in pairs))
 

@@ -20,6 +20,7 @@ from clroute import (
     TaskGroundTruth,
     delta0_vector,
     delta_matrix,
+    generate_instance,
     loss_upper,
     metric_closure,
 )
@@ -131,6 +132,66 @@ def special_float_instances(draw, max_t=10):
     delta0 = draw(st.lists(entry, min_size=t, max_size=t))
     m = draw(st.sampled_from([60, 80, 120, 180]))
     return manual_instance(delta, delta0, costs, m, 100, sigma2=draw(entry))
+
+
+EDGE_KINDS = ("scaled", "clusters", "duplicates", "collinear")
+
+
+def scale_costs(inst: ProblemInstance, k: int) -> ProblemInstance:
+    """A copy of ``inst`` with every cost times 2^k; exact while the costs
+    stay clear of overflow and of the subnormal range."""
+    return manual_instance(
+        inst.delta,
+        inst.delta0,
+        np.ldexp(inst.costs, k),
+        inst.m_features,
+        inst.n_samples,
+        inst.sigma2,
+    )
+
+
+@st.composite
+def edge_corpus_instances(draw, kinds=EDGE_KINDS, max_t=12):
+    """Valid instances at the edges of cost scale and geometry, T from 3 to
+    max_t, either regime. The costs are of one of four kinds:
+
+    * ``scaled``: a generated instance's, or the metric closure of costs
+      in {1, 2, 3}, times 2^k for k in -60..60;
+    * ``clusters``: Euclidean distances of 2-D points in [0, 10]^2, split
+      into two clusters 1e16 apart;
+    * ``duplicates``: a generated instance's, with some regions repeated
+      at zero cost from their copy;
+    * ``collinear``: distances of points on a line, at integer or at
+      uniform positions.
+
+    The dissimilarities are uniform on [1, 10].
+    """
+    kind = draw(st.sampled_from(kinds))
+    t = draw(st.integers(3, max_t))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "scaled":
+        if draw(st.booleans()):
+            costs = generate_instance(t, int(rng.integers(2**31))).costs
+        else:
+            raw = np.triu(rng.integers(1, 4, (t, t)), 1).astype(float)
+            costs = metric_closure(raw + raw.T)
+        costs = np.ldexp(costs, draw(st.integers(-60, 60)))
+    elif kind == "duplicates":
+        base = draw(st.integers(2, t - 1))
+        copies = rng.permutation(np.concatenate([np.arange(base), rng.integers(0, base, t - base)]))
+        costs = generate_instance(base, int(rng.integers(2**31))).costs[np.ix_(copies, copies)]
+    else:
+        points = rng.uniform(0.0, 10.0, (t, 2))
+        if kind == "clusters":
+            points[rng.permutation(t) < draw(st.integers(1, t - 1)), 0] += 1e16
+        else:
+            points[:, 1] = 0.0
+            if draw(st.booleans()):
+                points[:, 0] = rng.integers(0, t, t)
+        costs = np.hypot(*(points[:, None] - points[None]).transpose(2, 0, 1))
+    upper = np.triu(rng.uniform(1.0, 10.0, (t, t)), 1)
+    m = draw(st.sampled_from([60, 80, 120, 180]))
+    return manual_instance(upper + upper.T, rng.uniform(1.0, 10.0, t), costs, m, 100)
 
 
 def instance_json_oracle(inst: ProblemInstance) -> str:

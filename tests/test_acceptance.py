@@ -269,12 +269,12 @@ def test_acceptance_09_structural_property_sweep():
 
 # sha256 of each artifact's CSV text; a change that moves one re-pins it openly
 ARTIFACT_SHA256 = {
-    "under_ensemble": "fee46cc4813a29a4eea7bdace34696cc37b16dcd5f33f8ab2c1840cef90a64cd",
-    "over_ensemble": "740ebdf5816a1052d6984dd03c0ebeb04263329cc12d83180972b279e37eef8d",
+    "under_ensemble": "6f805e1d31d6df21c752d0fce4421fa03a486b6dfd366bc8b8d8a1a6c0c2765d",
+    "over_ensemble": "2f1e6f40feb97ae8e9c8bedd22db1ffdb6bcd05cc071cf8b33fc3167034965bc",
     "two_region": "b0d276e30b580d62270677b3d1979bc22978b91edacdc8ed0e2a6bc4abc6e1c8",
-    "feature_sweep": "abab5c0230f717421e3d4ce963079b1c38a66eab252a8e5a183afd6ebec2ac3c",
-    "regions_sweep_m80": "8d6e06ac6e97666bce3dddbd1b6c66a76c414e66b5ad1b3ac4cb0449701540b5",
-    "regions_sweep_m120": "fde011769e2f14c758b63b5c6b22b3ab7ec21b60e2c657edd8d51bd11c5df150",
+    "feature_sweep": "530d0651a7e9df83423344cb15d71f11c7e638aef19d20b7454c65f397903e97",
+    "regions_sweep_m80": "0a3c36c6a332f4fb4004083944b6bead4eb820560b8062cdd4e45de99feb8890",
+    "regions_sweep_m120": "64110a11dfa784547647fab95831b5f5473e873b0a2ff6285a374625731c7522",
 }
 
 

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 
 from clroute import (
     Route,
+    ValidationError,
     best_final_region,
     generate_instance,
+    held_karp_min_path,
     loss_upper,
     route_travel_cost,
 )
@@ -24,7 +26,15 @@ from clroute.planner import (
     plan_forgetting_baseline,
     plan_random,
 )
-from helpers import manual_instance, scan_all_routes, tie_heavy_instances, worked_under
+from helpers import (
+    edge_corpus_instances,
+    manual_instance,
+    scale_costs,
+    scan_all_routes,
+    tie_heavy_instances,
+    travel_only,
+    worked_under,
+)
 from test_boundary import NAMED_ROWS, assert_library_rejects
 
 
@@ -38,7 +48,7 @@ def test_algorithm1_worked_instance_is_optimal():
 
 
 # sha256 of the JSON list of (route order, repr of the total) over GOLDEN_CASES
-ALG1_GOLDEN_SHA256 = "bcd52c0398246b67f6a8707ae779afbba040efa9651d6ac45d0e3b005cc07876"
+ALG1_GOLDEN_SHA256 = "7649331747396956d42d2a546986ff237263c6e8353cd6ed60e229232cf4af34"
 GOLDEN_CASES = 300
 
 
@@ -52,6 +62,26 @@ def test_algorithm1_routes_and_totals_are_pinned():
         out.append((result.route.order, repr(result.breakdown.total)))
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
     assert digest == ALG1_GOLDEN_SHA256
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(inst=edge_corpus_instances())
+def test_verdict_and_routes_do_not_depend_on_the_unit_of_cost(inst):
+    # scaling every cost by 2^k is exact, so it moves no triangle inequality
+    # and no optimal route: the verdict on a valid instance and on a broken
+    # copy, alg1's route and the travel-only exact route stay the same
+    broken = inst.costs.copy()
+    broken[0, 1] = broken[1, 0] = 2.0 * (broken[0, 2] + broken[2, 1]) + max(broken.max(), 1.0)
+    route = plan_algorithm1(inst).route
+    exact, _ = held_karp_min_path(travel_only(inst))
+    for k in (0, -60, -40, 40, 60):
+        with pytest.raises(ValidationError):
+            manual_instance(
+                inst.delta, inst.delta0, np.ldexp(broken, k), inst.m_features, inst.n_samples
+            )
+        scaled = scale_costs(inst, k)
+        assert plan_algorithm1(scaled).route == route
+        assert held_karp_min_path(travel_only(scaled))[0] == exact
 
 
 def test_algorithm1_route_ends_at_best_final_region():

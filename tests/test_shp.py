@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from clroute import (
     metric_closure,
     minimum_spanning_tree,
     plan,
+    plan_algorithm1,
     route_travel_cost,
 )
 from clroute.shp import (
@@ -26,9 +29,11 @@ from clroute.shp import (
     shortcut_to_hamiltonian,
 )
 from helpers import (
+    EDGE_KINDS,
     bitmask_matching,
     brute_min_matching_weight,
     circuit_edge_multiset,
+    edge_corpus_instances,
     graph_edge_multiset,
     manual_instance,
     scalar_held_karp,
@@ -189,6 +194,24 @@ def test_matching_weight_equals_the_bitmask_oracle(case):
     assert weight == pytest.approx(bitmask_matching(w, odd)[1], rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", EDGE_KINDS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_matching_weight_equals_the_bitmask_oracle_on_the_edge_corpus(kind, data):
+    # both sides summed exactly: near 1e16 the order of a float sum alone
+    # moves its last bit. The blossom's float duals may still settle a tie
+    # that rounding split by an ulp (closure sums and zero-cost copies make
+    # such ties) the other way, hence the relative tolerance; an offset that
+    # loses low bits misses by far more
+    inst = data.draw(edge_corpus_instances((kind,), max_t=14))
+    s = fixed_end_path(inst.costs, best_final_region(inst))
+    w = np.pad(inst.costs, (0, 1))
+    oracle, _ = bitmask_matching(w, s.odd)
+    assert sorted(v for pair in s.pairs for v in pair) == sorted(s.odd)
+    weight = math.fsum(w[a, b] for a, b in s.pairs)
+    assert weight == pytest.approx(math.fsum(w[a, b] for a, b in oracle), rel=1e-12)
+
+
 @pytest.mark.parametrize("t", [24, 40, 80, 120, 200])
 def test_matching_weight_equals_networkx_on_generated_odd_sets(t):
     # the odd set alg1 builds on a generated instance; k is about 0.6 T
@@ -322,6 +345,19 @@ def test_fixed_end_path_on_ties_matches_optimally_and_ends_at_end():
         assert sorted(v for pair in s.pairs for v in pair) == sorted(s.odd)
         assert s.matching_weight == s.tree_weight == 0.0
         assert sorted(s.route.order) == [0, 1, 2, 3] and s.route.final_region == end
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(inst=edge_corpus_instances())
+def test_travel_chain_holds_on_the_edge_corpus(inst):
+    # tree <= OPT, matching <= OPT/2 and path <= 1.5 OPT at every cost scale
+    # and geometry of the corpus, OPT the travel-only optimum
+    s = plan_algorithm1(inst).stages
+    opt = route_travel_cost(inst, held_karp_min_path(travel_only(inst))[0])
+    bound = opt * (1.0 + 1e-12)
+    assert s.tree_weight <= bound
+    assert s.matching_weight <= 0.5 * bound
+    assert route_travel_cost(inst, s.route) <= 1.5 * bound
 
 
 def test_held_karp_worked_instance():
