@@ -23,10 +23,18 @@ def max_weight_mates(p: np.ndarray) -> list[int]:
     algorithms for finding maximum matching in graphs"). Duals y on the
     vertices and z on the blossoms (odd cycles shrunk to one vertex) keep
     every slack y_u + y_v + z(blossoms holding both) - p_uv at or above
-    zero, and matched edges at zero. It starts from y_v = max_u p_uv / 2,
-    which leaves every slack at or above zero whatever the signs, with
-    every mutually heaviest pair matched, and roots an alternating
-    tree at each unmatched vertex: S blossoms at even depth, T at odd.
+    zero, and matched edges at zero.
+
+    The start sets aside the hub h, the vertex that is most often another's
+    heaviest neighbour; under -w, alg1's zero-cost dummy is every region's.
+    Each other vertex takes y_v = max p_uv / 2 over u outside {v, h}, and h
+    takes y_h = max_v (p_hv - y_v). Each half then covers an edge between
+    two others and y_h covers h's edges, so every slack is at or above zero
+    whatever the signs, and every mutually heaviest pair outside h starts
+    matched. The plain start, y_v = max_u p_uv / 2, would put the dual of
+    every region in an alg1 odd set at 0 and match only the dummy's pair;
+    two vertices keep it. An alternating tree is rooted at each unmatched
+    vertex: S blossoms at even depth, T at odd.
     Each step moves the duals of the trees by the least amount that makes
     one of these happen:
 
@@ -55,7 +63,16 @@ def max_weight_mates(p: np.ndarray) -> list[int]:
     p = p.copy()
     p[ar, ar] = -inf  # no vertex pairs with itself
     near = p.argmax(axis=1)
-    yb = p[ar, near] / 2.0
+    if n > 2:  # the hub h takes its dual last
+        h = np.bincount(near).argmax()
+        q = p.copy()
+        q[:, h] = -inf
+        near = q.argmax(axis=1)
+        yb = q[ar, near] / 2.0
+        near[h] = (p[h] - yb).argmax()
+        yb[h] = p[h, near[h]] - yb[near[h]]
+    else:
+        yb = p[ar, near] / 2.0
     free = near[near] != ar  # mutually heaviest pairs are tight at these duals
     mate = np.where(free, -1, near).tolist()
     parent = [-1] * size  # the enclosing blossom; -1 at the top level

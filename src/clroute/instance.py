@@ -14,6 +14,7 @@ internally everything is 0-based.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -24,6 +25,9 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .loss import Objective
+
+
+_BLOCK = 1 << 16  # (i, j, k) candidates per triangle-check block: 512 KiB of float64
 
 
 class ParameterError(ValueError):
@@ -167,27 +171,41 @@ def _check_triangle(c: np.ndarray, out: list[str]) -> None:
     ``c[i, j] > (c[i, k] + c[k, j]) + 1e-12 * c[i, j]``, a tolerance relative
     to the direct cost alone, so costs of every scale are checked. Triples are
     scanned in lexicographic order: region i, then the endpoint j, then the
-    intermediate k; the first violated one is reported. Each i takes one
-    T x T comparison over all (j, k) with the same float operations in the
-    same order, so memory stays O(T^2). ``c`` need not be symmetric and its
-    diagonal is never read. Sums may overflow to inf; the caller silences
-    that warning.
+    intermediate k; the first violated one is reported. Rows i go in blocks
+    of at most 2^16 (i, j, k) candidates, one row where a row alone is more,
+    so T <= 40 is one block and memory stays O(T^2) at large T; each block
+    does the same float operations in the same order. On a symmetric ``c``
+    the scan takes only j > i: c[j, k] + c[k, i] is c[i, k] + c[k, j] bit
+    for bit, so (j, i, k) is violated exactly when (i, j, k) is, and the
+    first violated triple has i < j. An asymmetric ``c`` is scanned in full.
+    Its diagonal is never read. Sums may overflow to inf; the caller
+    silences that warning.
     """
     t = c.shape[0]
+    if t < 3:
+        return  # no triple of distinct regions
     ct = np.ascontiguousarray(c.T)  # ct[j, k] = c[k, j]
-    # reused for every i: fresh T x T temporaries double the time at T >= 400
-    via = np.empty((t, t))
-    bad = np.empty((t, t), dtype=bool)
-    for i in range(t):
-        direct = c[i, :, None]  # direct[j] = c[i, j]
-        np.add(c[i], ct, out=via)  # via[j, k] = c[i, k] + c[k, j]
+    half = np.array_equal(c, ct)
+    step = max(1, _BLOCK // (t * t))
+    # reused for every block: fresh temporaries double the time at T >= 400
+    buf = np.empty(step * t * t)
+    flags = np.empty(step * t * t, dtype=bool)
+    for lo in range(0, t, step):
+        rows = np.arange(lo, min(lo + step, t))
+        j0 = lo + 1 if half else 0
+        shape = (len(rows), t - j0, t)
+        direct = c[rows, j0:, None]  # direct[b, j - j0] = c[i, j]
+        via = buf[: direct.size * t].reshape(shape)
+        np.add(c[rows, None, :], ct[j0:], out=via)  # via[b, j - j0, k] = c[i, k] + c[k, j]
         via += 1e-12 * direct
-        np.greater(direct, via, out=bad)
-        bad[i, :] = False
-        bad[:, i] = False
-        np.fill_diagonal(bad, False)
+        bad = np.greater(direct, via, out=flags[: via.size].reshape(shape))
+        js = np.arange(j0, t)
+        bad[np.arange(len(rows)), :, rows] = False  # k = i
+        bad[:, js - j0, js] = False  # k = j
+        bad[js <= rows[:, None] if half else js == rows[:, None]] = False  # j = i, or j < i
         if bad.any():
-            j, k = divmod(int(bad.argmax()), t)
+            b, j, k = np.unravel_index(int(bad.argmax()), shape)
+            i, j = int(rows[b]), int(j) + j0
             out.append(
                 f"triangle inequality: c_{{{i + 1},{j + 1}}}={c[i, j]:g} > "
                 f"c_{{{i + 1},{k + 1}}}+c_{{{k + 1},{j + 1}}}={c[i, k] + c[k, j]:g}"
@@ -383,13 +401,20 @@ def read_instance(path: str | Path) -> ProblemInstance:
 
     numbers = {}
     for name in ("delta", "delta0", "costs", "sigma2"):
-        # an object array keeps each entry's JSON type: a list entry means
-        # ragged nesting, and bool and str would otherwise cast to float
-        value = np.array(doc[name], dtype=object)
-        if not set(map(type, value.ravel().tolist())) <= {int, float}:
-            raise FormatError(f"{path}: field \"{name}\" is not a rectangular array of numbers")
+        # the JSON types level by level: lists down to a level of numbers
+        # alone, as bool, str and null would otherwise cast to float; the
+        # conversion then rejects ragged nesting
+        level = [doc[name]]
+        while (kinds := set(map(type, level))) == {list}:
+            level = list(itertools.chain.from_iterable(level))
         try:
-            numbers[name] = value.astype(float)
+            if not kinds <= {int, float}:
+                raise ValueError(f"entries of type {kinds}")
+            numbers[name] = np.array(doc[name], dtype=float)
+        except ValueError as exc:
+            raise FormatError(
+                f"{path}: field \"{name}\" is not a rectangular array of numbers"
+            ) from exc
         except OverflowError as exc:
             raise ValidationError(f"{path}: field \"{name}\" does not fit a float: {exc}") from exc
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -248,6 +249,37 @@ def travel_only(inst: ProblemInstance) -> ProblemInstance:
     return manual_instance(
         np.zeros((t, t)), np.zeros(t), inst.costs, inst.m_features, inst.n_samples, sigma2=0.0
     )
+
+
+def fsum_travel(inst: ProblemInstance, route: Route) -> float:
+    """A route's raw travel, summed exactly by ``math.fsum``."""
+    return math.fsum(inst.costs[a, b] for a, b in zip(route.order, route.order[1:]))
+
+
+def sorted_kruskal(costs: np.ndarray) -> tuple[tuple[tuple[int, int], ...], float]:
+    """Kruskal over ``sorted()`` of (weight, i, j) tuples, summing the tree
+    weight in the order the edges are taken.
+
+    The reference for ``shp.minimum_spanning_tree``, which sorts with one
+    ``np.lexsort`` instead: the same edges in the same order, the same bits.
+    """
+    t = costs.shape[0]
+    parent = list(range(t))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    chosen: list[tuple[int, int]] = []
+    weight = 0.0
+    for w, i, j in sorted((float(costs[i, j]), i, j) for i in range(t) for j in range(i + 1, t)):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            chosen.append((i, j))
+            weight += w
+    return tuple(chosen), weight
 
 
 def scalar_triangle_violation(c: np.ndarray) -> str | None:

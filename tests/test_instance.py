@@ -109,11 +109,9 @@ def corrupted_costs(draw):
     return c
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=400)
-@given(costs=corrupted_costs())
-def test_triangle_message_matches_the_scalar_loop(costs):
-    # the full message: the asymmetry, diagonal and sign faults the triangle
-    # check does not report, then the scalar loop's first violated triple
+def assert_message_matches_the_scalar_loop(costs):
+    """The full message: the asymmetry, diagonal and sign faults the triangle
+    check does not report, then the scalar loop's first violated triple."""
     t = costs.shape[0]
     expected: list[str] = []
     _check_square_metric_free("c", costs, expected)
@@ -130,6 +128,40 @@ def test_triangle_message_matches_the_scalar_loop(costs):
         assert message == "; ".join(expected)
     else:  # a metric matrix whose costs sum past a float is rejected after validation
         assert message is None or message.startswith("c too large:")
+    return message
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(costs=corrupted_costs())
+def test_triangle_message_matches_the_scalar_loop(costs):
+    assert_message_matches_the_scalar_loop(costs)
+
+
+@pytest.mark.parametrize("t", [41, 90])
+@pytest.mark.parametrize("both", [False, True])
+def test_triangle_message_matches_the_scalar_loop_across_row_blocks(t, both):
+    # the check takes 38 rows per block at T=41 and 8 at T=90. Entry (i, j)
+    # is set in the last block's first row, or in a row of the block before
+    # it, below or above the diagonal; on both sides it keeps the costs
+    # symmetric, which are then scanned at j > i only
+    start = {41: 38, 90: 88}[t]
+    rng = np.random.default_rng(t)
+    raw = np.triu(rng.uniform(1.0, 10.0, (t, t)), 1)
+    metric = metric_closure(raw + raw.T)
+    triangles = 0
+    for i, j in [(start, start + 1), (start - 1, t - 1), (start - 1, start - 2)]:
+        via = np.delete(metric[i] + metric[:, j], [i, j]).min()  # the tightest triangle
+        for steps in (-3, 3, None):  # a few ulps either side of its tolerance, or far over
+            c = metric.copy()
+            x = 25.0 if steps is None else via + 1e-12 * via
+            for _ in range(abs(steps or 0)):
+                x = math.nextafter(x, math.copysign(math.inf, steps))
+            c[i, j] = x
+            if both:
+                c[j, i] = x
+            message = assert_message_matches_the_scalar_loop(c)
+            triangles += message is not None and "triangle inequality" in message
+    assert triangles == 6
 
 
 def test_validate_flags_undefined_regime(tmp_path, monkeypatch):

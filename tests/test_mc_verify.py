@@ -89,6 +89,29 @@ def test_mc_report_z_is_zero_only_for_rounding_level_differences():
     assert McReport(1e-9, 0.0, 1e-16, 200).z > 3.0
 
 
+@pytest.mark.parametrize("closed", [6.2552558691411235, 0.3])
+def test_mc_report_z_is_zero_up_to_1e12_of_the_larger_of_1_and_the_closed_form(closed):
+    # the rounding edge: half of it reads as agreement, twice it as a
+    # difference; below 1 the edge is 1e-12 itself
+    edge = 1e-12 * max(1.0, closed)
+    for sign in (1.0, -1.0):
+        assert McReport(closed + sign * 0.5 * edge, closed, 1e-13, 200).z_signed == 0.0
+        assert McReport(closed + sign * 2.0 * edge, closed, 1e-13, 200).z_signed * sign > 10.0
+
+
+@pytest.mark.parametrize("m, n, route", [(4, 10, (2, 0, 1)), (12, 4, (1, 2, 0))])
+def test_std_error_is_the_sample_deviation_over_root_trials(m, n, route):
+    # the report's losses replayed from the same seed; the sample deviation
+    # divides by trials - 1
+    truth = simplex_ground_truth(3, m, scales=np.array([1.0, 2.0, 3.0]), sigma2=0.5)
+    report = verify_closed_form(truth, Route(route), n, 300, np.random.default_rng(5))
+    regions = route if m > n else route[-1:]
+    losses = mc_verify._losses(truth, regions, n, 300, np.random.default_rng(5))
+    assert report.empirical_mean == losses.mean()
+    assert report.std_error == np.std(losses, ddof=1) / math.sqrt(300)
+    assert report.std_error != np.std(losses) / math.sqrt(300)
+
+
 def test_simulate_task_under_noiseless_recovers_truth():
     # without noise the fit recovers the final region exactly, so every
     # trial's loss is that region's mean squared distance to all regions

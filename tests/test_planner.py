@@ -48,7 +48,7 @@ def test_algorithm1_worked_instance_is_optimal():
 
 
 # sha256 of the JSON list of (route order, repr of the total) over GOLDEN_CASES
-ALG1_GOLDEN_SHA256 = "7649331747396956d42d2a546986ff237263c6e8353cd6ed60e229232cf4af34"
+ALG1_GOLDEN_SHA256 = "8bd5d2e560b455740762c937409a1bdaee9d8ad024d2a1d5f120980ba18ff721"
 GOLDEN_CASES = 300
 
 

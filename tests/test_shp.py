@@ -34,10 +34,12 @@ from helpers import (
     brute_min_matching_weight,
     circuit_edge_multiset,
     edge_corpus_instances,
+    fsum_travel,
     graph_edge_multiset,
     manual_instance,
     scalar_held_karp,
     scan_all_routes,
+    sorted_kruskal,
     tie_heavy_instance,
     tie_heavy_instances,
     travel_only,
@@ -74,6 +76,20 @@ def test_mst_weight_matches_reference_on_random_instances():
         _, weight = minimum_spanning_tree(inst.costs)
         ref = scipy_mst(inst.costs).sum()
         assert weight == pytest.approx(ref, rel=1e-9)
+
+
+def test_mst_matches_the_sorted_edge_loop_bit_for_bit():
+    # costs in {1, 2, 3} tie often, so the (weight, i, j) order decides the tree
+    rng = np.random.default_rng(3)
+    for t in [2, 3, 5, 8, 13, 24, 40] * 5:
+        if rng.integers(2):
+            costs = generate_instance(t, seed=int(rng.integers(1 << 30))).costs
+        else:
+            costs = np.triu(rng.integers(1, 4, (t, t)), 1).astype(float)
+            costs += costs.T
+        edges, weight = minimum_spanning_tree(costs)
+        reference, reference_weight = sorted_kruskal(costs)
+        assert edges == reference and weight.hex() == reference_weight.hex()
 
 
 def test_dummy_attachment_and_degrees_worked_instance():
@@ -212,6 +228,59 @@ def test_matching_weight_equals_the_bitmask_oracle_on_the_edge_corpus(kind, data
     assert weight == pytest.approx(math.fsum(w[a, b] for a, b in oracle), rel=1e-12)
 
 
+def hub_start_case(name):
+    """Costs whose nearest-neighbour counts shape the blossom's start: the
+    hub it sets aside is the vertex most often another's nearest."""
+    rng = np.random.default_rng(len(name))
+    k = {"n2": 2, "n4": 4}.get(name, 8)
+    low, high = (-5.0, 5.0) if name == "mixed_sign" else (5.0, 10.0)
+    w = np.triu(rng.uniform(low, high, (k, k)), 1)
+    near = {
+        "no_hub": [(0, 1), (2, 3), (4, 5), (6, 7)],  # each vertex is one other's nearest
+        "tied_hubs": [(0, 2), (0, 3), (1, 4), (1, 5), (6, 7)],  # 0 and 1 are two others' each
+    }.get(name, [])
+    for a, b in near:
+        w[a, b] = rng.uniform(1.0, 2.0)
+    if name == "hub_partner_in_mutual_pair":
+        # points on a line and a zero-cost hub 7: the region farthest from its
+        # nearest other, 5, pairs best with the hub, but 5 and 6 are mutual
+        x = np.array([0.0, 1.1, 2.3, 3.6, 5.0, 100.0, 105.0])
+        w = np.pad(abs(x[:, None] - x), (0, 1))
+    return w + w.T
+
+
+@pytest.mark.parametrize(
+    "name", ["no_hub", "tied_hubs", "hub_partner_in_mutual_pair", "n2", "n4", "mixed_sign"]
+)
+def test_matching_from_the_hub_start_equals_the_bitmask_oracle(name):
+    w = hub_start_case(name)
+    k = len(w)
+    counts = np.bincount((w + np.diag(np.full(k, np.inf))).argmin(axis=1), minlength=k)
+    if name == "no_hub":
+        assert counts.max() == 1
+    elif name == "tied_hubs":
+        assert counts[0] == counts[1] == counts.max() == 2
+    elif name == "hub_partner_in_mutual_pair":
+        assert counts.argmax() == 7 and w[5, :7].argsort()[1] == 6 and w[6, :7].argsort()[1] == 5
+    pairs, weight = min_weight_perfect_matching(w, tuple(range(k)))
+    assert sorted(v for pair in pairs for v in pair) == list(range(k))
+    oracle, _ = bitmask_matching(w, tuple(range(k)))
+    assert math.fsum(w[a, b] for a, b in pairs) == math.fsum(w[a, b] for a, b in oracle)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(inst=edge_corpus_instances(max_t=14), data=st.data())
+def test_matching_without_the_dummy_equals_the_bitmask_oracle_on_the_edge_corpus(inst, data):
+    # the regions alone, with no zero-cost dummy: the hub is whichever
+    # region is most often another's nearest
+    t = inst.t_regions
+    odd = tuple(data.draw(st.permutations(range(t)))[: t - t % 2])
+    pairs, _ = min_weight_perfect_matching(inst.costs, odd)
+    oracle, _ = bitmask_matching(inst.costs, odd)
+    weight = math.fsum(inst.costs[a, b] for a, b in pairs)
+    assert weight == pytest.approx(math.fsum(inst.costs[a, b] for a, b in oracle), rel=1e-12)
+
+
 @pytest.mark.parametrize("t", [24, 40, 80, 120, 200])
 def test_matching_weight_equals_networkx_on_generated_odd_sets(t):
     # the odd set alg1 builds on a generated instance; k is about 0.6 T
@@ -330,7 +399,8 @@ def test_fixed_end_path_ends_where_asked_within_tree_plus_matching():
             assert s.circuit == eulerian_circuit(s.tree + s.pairs, t)
             assert s.route == shortcut_to_hamiltonian(s.circuit, end)
             assert sorted(s.route.order) == list(range(t)) and s.route.final_region == end
-            assert route_travel_cost(inst, s.route) <= s.tree_weight + s.matching_weight + 1e-9
+            bound = math.fsum((s.tree_weight, s.matching_weight)) * (1 + 1e-12)
+            assert fsum_travel(inst, s.route) <= bound
         for strategy in ("exact", "forgetting", "random"):
             assert plan(inst, strategy).stages is None
 
