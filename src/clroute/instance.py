@@ -169,43 +169,38 @@ def _check_triangle(c: np.ndarray, out: list[str]) -> None:
 
     Triple (i, j, k) is violated when
     ``c[i, j] > (c[i, k] + c[k, j]) + 1e-12 * c[i, j]``, a tolerance relative
-    to the direct cost alone, so costs of every scale are checked. Triples are
-    scanned in lexicographic order: region i, then the endpoint j, then the
-    intermediate k; the first violated one is reported. Rows i go in blocks
-    of at most 2^16 (i, j, k) candidates, one row where a row alone is more,
-    so T <= 40 is one block and memory stays O(T^2) at large T; each block
-    does the same float operations in the same order. On a symmetric ``c``
-    the scan takes only j > i: c[j, k] + c[k, i] is c[i, k] + c[k, j] bit
-    for bit, so (j, i, k) is violated exactly when (i, j, k) is, and the
-    first violated triple has i < j. An asymmetric ``c`` is scanned in full.
-    Its diagonal is never read. Sums may overflow to inf; the caller
-    silences that warning.
+    to the direct cost alone, so costs of every scale are checked; the first
+    in (i, j, k) order is reported. As x -> fl(x + a) is monotone, a pair
+    (i, j) has a violated triple exactly when its least detour, the least
+    c[i, k] + c[k, j], does, so only the first such pair's k are scanned one
+    by one. Detours are summed over a copy with +inf on its diagonal, so
+    k = i and k = j sum to +inf and need no mask. Rows go in blocks of at
+    most 2^16 sums, one row where a row alone is more. On a symmetric ``c``
+    a block takes the columns after its first row only: the sums are then
+    symmetric bit for bit, so (i, j) with j < i is flagged only after
+    (j, i), and the first violated triple has i < j. Sums may overflow to
+    inf; the caller silences that warning.
     """
     t = c.shape[0]
     if t < 3:
         return  # no triple of distinct regions
-    ct = np.ascontiguousarray(c.T)  # ct[j, k] = c[k, j]
-    half = np.array_equal(c, ct)
+    e = c.copy()
+    np.fill_diagonal(e, np.inf)
+    half = np.array_equal(c, c.T)
     step = max(1, _BLOCK // (t * t))
     # reused for every block: fresh temporaries double the time at T >= 400
     buf = np.empty(step * t * t)
-    flags = np.empty(step * t * t, dtype=bool)
     for lo in range(0, t, step):
         rows = np.arange(lo, min(lo + step, t))
         j0 = lo + 1 if half else 0
-        shape = (len(rows), t - j0, t)
-        direct = c[rows, j0:, None]  # direct[b, j - j0] = c[i, j]
-        via = buf[: direct.size * t].reshape(shape)
-        np.add(c[rows, None, :], ct[j0:], out=via)  # via[b, j - j0, k] = c[i, k] + c[k, j]
-        via += 1e-12 * direct
-        bad = np.greater(direct, via, out=flags[: via.size].reshape(shape))
-        js = np.arange(j0, t)
-        bad[np.arange(len(rows)), :, rows] = False  # k = i
-        bad[:, js - j0, js] = False  # k = j
-        bad[js <= rows[:, None] if half else js == rows[:, None]] = False  # j = i, or j < i
+        detour = buf[: rows.size * t * (t - j0)].reshape(rows.size, t, t - j0)
+        np.add(e[rows, :, None], e[None, :, j0:], out=detour)  # e[i, k] + e[k, j] at [b, k, j - j0]
+        direct = c[rows, j0:]
+        bad = (direct > detour.min(axis=1) + 1e-12 * direct) & (rows[:, None] != np.arange(j0, t))
         if bad.any():
-            b, j, k = np.unravel_index(int(bad.argmax()), shape)
+            b, j = np.unravel_index(int(bad.argmax()), bad.shape)
             i, j = int(rows[b]), int(j) + j0
+            k = int(np.argmax(c[i, j] > e[i] + e[:, j] + 1e-12 * c[i, j]))
             out.append(
                 f"triangle inequality: c_{{{i + 1},{j + 1}}}={c[i, j]:g} > "
                 f"c_{{{i + 1},{k + 1}}}+c_{{{k + 1},{j + 1}}}={c[i, k] + c[k, j]:g}"

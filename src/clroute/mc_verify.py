@@ -15,7 +15,11 @@ region, as a least-squares fit does not depend on where it starts, and
 regime per 1k trials through the two names, reading ``trials`` at args[3].
 Trials run in chunks of 256, each drawing from its own stream seeded from
 the caller's generator and each one task on a thread pool that is joined
-before the call returns; the losses are the same at any core count.
+before the call returns, with numpy's bundled OpenBLAS on one thread
+meanwhile. The losses are then a function of the ground truth, the route,
+n, the trial count, the generator's state and the numpy build alone, the
+same at any core count; where numpy links another BLAS, its thread count
+is an input too.
 
 Ground truths are constructed, never estimated: region parameters and the
 initial predictor are given as vectors, so ``delta_matrix`` and
@@ -197,6 +201,26 @@ def _chunk_losses(
     return np.mean(np.sum(diff * diff, axis=2), axis=1)
 
 
+def _openblas():
+    """numpy's bundled OpenBLAS, with its thread-count calls typed; None where
+    numpy links another BLAS, which lacks them."""
+    # imported here so that commands which never simulate do not pay for them
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    try:
+        # numpy's linear algebra links the library, so its handle finds the calls
+        blas = ctypes.CDLL(_umath_linalg.__file__)
+        blas.scipy_openblas_get_num_threads64_.argtypes = []
+        blas.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+        blas.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+        blas.scipy_openblas_set_num_threads64_.restype = None
+    except (OSError, AttributeError):
+        return None
+    return blas
+
+
 def _losses(
     truth: TaskGroundTruth, regions: tuple[int, ...], n: int, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -211,6 +235,15 @@ def _losses(
     fills and linear algebra release the GIL, so the tasks run in parallel.
     A task's exception reaches the caller, the pool is joined before the
     call returns, and the losses are the same at any worker count.
+
+    OpenBLAS threads a product or solve when more than one CPU is usable,
+    and its threaded kernels round differently: at m=120 the per-trial
+    losses on one core and on two differ in their last bits. So while the
+    pool runs, numpy's bundled OpenBLAS is set to one thread, process-wide,
+    and its count is restored after a return or a raise; with the chunks
+    already parallel, this is also 2-3x faster at m=120. Where numpy links
+    another BLAS, nothing is set and its thread count is an input of the
+    losses too.
     """
     # imported here so that commands which never simulate do not pay for it
     from concurrent.futures import ThreadPoolExecutor
@@ -223,8 +256,16 @@ def _losses(
         b = min(_CHUNK, trials - c * _CHUNK)
         return _chunk_losses(truth, regions, n, b, np.random.default_rng(seeds[c]))
 
-    with ThreadPoolExecutor(min(len(seeds), cpus or 1)) as pool:
-        return np.concatenate(list(pool.map(chunk, range(len(seeds)))))
+    blas = _openblas()
+    if blas is not None:
+        threads = blas.scipy_openblas_get_num_threads64_()
+        blas.scipy_openblas_set_num_threads64_(1)
+    try:
+        with ThreadPoolExecutor(min(len(seeds), cpus or 1)) as pool:
+            return np.concatenate(list(pool.map(chunk, range(len(seeds)))))
+    finally:
+        if blas is not None:
+            blas.scipy_openblas_set_num_threads64_(threads)
 
 
 def _under_losses(
@@ -261,8 +302,11 @@ def verify_closed_form(
     where no instance exists. The trials run in chunks of 256 on a thread
     pool, each chunk on its own stream seeded from ``rng``; per-trial
     losses are collected into one array in trial order and reduced with
-    numpy's pairwise summation, so the report is a pure function of the RNG
-    state and the trial count, the same at any core count.
+    numpy's pairwise summation. The report is a pure function of the truth,
+    the route, ``n_samples``, ``trials`` and the state of ``rng`` for one numpy
+    build (its generators and its BLAS), the same at any core count: the
+    chunks run with numpy's bundled OpenBLAS on one thread. Where numpy links
+    another BLAS, its thread count is an input too.
 
     The z-score needs a finite per-trial variance, which by the
     inverse-Wishart second moments holds only for |n − m| >= 4. At the

@@ -55,12 +55,13 @@ class InvariantViolation(RuntimeError):
 
 def minimum_spanning_tree(costs: np.ndarray) -> tuple[tuple[tuple[int, int], ...], float]:
     """Kruskal on the complete graph; ties broken by (weight, i, j) edge order,
-    which one ``np.lexsort`` over the upper triangle gives."""
+    which one ``np.lexsort`` over the upper triangle gives. The sorted edges
+    become Python numbers T at a time, and the scan stops at T - 1 tree
+    edges: a tree is whole after a few T of the T(T - 1)/2 edges as a rule."""
     t = costs.shape[0]
     rows, cols = np.triu_indices(t, 1)
     weights = costs[rows, cols]
     order = np.lexsort((cols, rows, weights))
-    edges = zip(weights[order].tolist(), rows[order].tolist(), cols[order].tolist())
     parent = list(range(t))
 
     def find(a: int) -> int:
@@ -71,14 +72,16 @@ def minimum_spanning_tree(costs: np.ndarray) -> tuple[tuple[tuple[int, int], ...
 
     chosen: list[tuple[int, int]] = []
     weight = 0.0
-    for w, i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            chosen.append((i, j))
-            weight += w
-            if len(chosen) == t - 1:
-                break
+    for lo in range(0, len(order), t):
+        part = order[lo : lo + t]
+        for w, i, j in zip(weights[part].tolist(), rows[part].tolist(), cols[part].tolist()):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+                chosen.append((i, j))
+                weight += w
+                if len(chosen) == t - 1:
+                    return tuple(chosen), weight
     return tuple(chosen), weight
 
 

@@ -151,17 +151,26 @@ def test_triangle_message_matches_the_scalar_loop_across_row_blocks(t, both):
     triangles = 0
     for i, j in [(start, start + 1), (start - 1, t - 1), (start - 1, start - 2)]:
         via = np.delete(metric[i] + metric[:, j], [i, j]).min()  # the tightest triangle
-        for steps in (-3, 3, None):  # a few ulps either side of its tolerance, or far over
+        below = above = via + 1e-12 * via
+        for _ in range(3):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        # a few ulps either side of its tolerance, far over, or below every detour
+        for x in (below, above, 25.0, -25.0):
             c = metric.copy()
-            x = 25.0 if steps is None else via + 1e-12 * via
-            for _ in range(abs(steps or 0)):
-                x = math.nextafter(x, math.copysign(math.inf, steps))
             c[i, j] = x
             if both:
                 c[j, i] = x
             message = assert_message_matches_the_scalar_loop(c)
             triangles += message is not None and "triangle inequality" in message
-    assert triangles == 6
+    # a diagonal entry is never a detour's leg (k = i or k = j) nor a pair
+    # (j = i): below zero it would undercut every detour through it, above
+    # every detour it would be a violated pair
+    for i in (start, start - 1):
+        for x in (-25.0, 25.0):
+            c = metric.copy()
+            c[i, i] = x
+            assert "triangle inequality" not in assert_message_matches_the_scalar_loop(c)
+    assert triangles == 9
 
 
 def test_validate_flags_undefined_regime(tmp_path, monkeypatch):

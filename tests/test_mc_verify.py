@@ -214,6 +214,37 @@ def test_losses_are_the_same_on_one_worker_and_on_three(simulate, m, n, monkeypa
         assert threading.active_count() == threads
 
 
+def test_losses_run_on_one_blas_thread_and_restore_the_count(monkeypatch):
+    # the chunks run on one BLAS thread; the caller's count comes back after
+    # a return and after a chunk raises
+    blas = mc_verify._openblas()
+    if blas is None:
+        pytest.skip("numpy does not link its bundled OpenBLAS")
+    get = blas.scipy_openblas_get_num_threads64_
+    set_threads = blas.scipy_openblas_set_num_threads64_
+    truth, route = simplex_ground_truth(3, 12, sigma2=0.5), Route((2, 0, 1))
+    counts = []
+
+    def chunk_losses(*args):
+        counts.append(get())
+        if len(counts) > 2:
+            raise RuntimeError("chunk failed")
+        return _chunk_losses(*args)
+
+    monkeypatch.setattr(mc_verify, "_chunk_losses", chunk_losses)
+    caller = get()
+    set_threads(3)
+    try:
+        assert _over_losses(truth, route, 4, 512, np.random.default_rng(5)).shape == (512,)
+        assert get() == 3
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            _over_losses(truth, route, 4, 256, np.random.default_rng(5))
+        assert get() == 3
+    finally:
+        set_threads(caller)
+    assert counts == [1, 1, 1]
+
+
 def test_simulate_sequence_over_noise_floor():
     # T=1, w0 = w*: closed form reduces to (1-r) m sigma2/(m-n-1) = 0.8
     truth = TaskGroundTruth(np.zeros((1, 10)), np.zeros(10), 1.0)
