@@ -80,16 +80,16 @@ def plan_forgetting_baseline(inst: ProblemInstance) -> PlanResult:
 
     By the rearrangement inequality, the regions in descending row sum take
     the ascending position weights; among equal row sums the lower index
-    goes later. The route lists the regions by (assigned weight, index), so
-    it ends at :func:`clroute.loss.best_final_region`, and regions sharing
-    a weight (the underparameterized interior) are in ascending index.
+    goes later, as the reverse of a stable sort (equal sums by index) gives.
+    The route is a stable sort of the assigned weights, so it ends at
+    :func:`clroute.loss.best_final_region`, and regions sharing a weight
+    (the underparameterized interior) are in ascending index.
     """
     t0 = time.perf_counter()
     objective = inst.objective
-    rows = objective.row_sums
-    ranked = sorted(range(inst.t_regions), key=lambda i: (rows[i], i), reverse=True)
-    weight = dict(zip(ranked, objective.position_weights))
-    route = Route(tuple(sorted(ranked, key=lambda i: (weight[i], i))))
+    weight = np.empty(inst.t_regions)
+    weight[np.argsort(objective.row_sums, kind="stable")[::-1]] = objective.position_weights
+    route = Route(tuple(np.argsort(weight, kind="stable").tolist()))
     return _finish(inst, route, Strategy.FORGETTING, t0)
 
 

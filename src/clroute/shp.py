@@ -54,14 +54,14 @@ class InvariantViolation(RuntimeError):
 
 
 def minimum_spanning_tree(costs: np.ndarray) -> tuple[tuple[tuple[int, int], ...], float]:
-    """Kruskal on the complete graph; ties broken by (weight, i, j) edge order,
-    which one ``np.lexsort`` over the upper triangle gives. The sorted edges
-    become Python numbers T at a time, and the scan stops at T - 1 tree
-    edges: a tree is whole after a few T of the T(T - 1)/2 edges as a rule."""
+    """Kruskal on the complete graph; ties broken by (weight, i, j) edge order:
+    ``np.triu_indices`` lists edges by (i, j), which a stable sort by weight
+    keeps. The sorted edges become Python numbers T at a time, and the scan
+    stops at T - 1 tree edges, a few T of the T(T - 1)/2 as a rule."""
     t = costs.shape[0]
     rows, cols = np.triu_indices(t, 1)
     weights = costs[rows, cols]
-    order = np.lexsort((cols, rows, weights))
+    order = np.argsort(weights, kind="stable")
     parent = list(range(t))
 
     def find(a: int) -> int:

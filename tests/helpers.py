@@ -260,8 +260,9 @@ def sorted_kruskal(costs: np.ndarray) -> tuple[tuple[tuple[int, int], ...], floa
     """Kruskal over ``sorted()`` of (weight, i, j) tuples, summing the tree
     weight in the order the edges are taken.
 
-    The reference for ``shp.minimum_spanning_tree``, which sorts with one
-    ``np.lexsort`` instead: the same edges in the same order, the same bits.
+    The reference for ``shp.minimum_spanning_tree``, which takes one stable
+    numpy sort by weight instead: the same edges in the same order, the same
+    bits.
     """
     t = costs.shape[0]
     parent = list(range(t))
@@ -439,9 +440,8 @@ def all_perfect_matchings(verts: tuple[int, ...]):
 
 
 def brute_min_matching_weight(w: np.ndarray, odd: tuple[int, ...]) -> float:
-    return min(
-        sum(float(w[a, b]) for a, b in pairing) for pairing in all_perfect_matchings(odd)
-    )
+    """The least weight over all perfect matchings, each summed exactly."""
+    return min(math.fsum(w[a, b] for a, b in pairing) for pairing in all_perfect_matchings(odd))
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:

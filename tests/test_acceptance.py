@@ -10,6 +10,7 @@ collected by conftest and echoed in a terminal section after the run.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from collections import Counter
 from dataclasses import replace
@@ -228,7 +229,8 @@ def test_acceptance_08_travel_weight_chain(under_ensemble):
 
 
 def test_acceptance_09_structural_property_sweep():
-    # the matching and Euler checks run on the stages plan_algorithm1 itself built
+    # the matching and Euler checks run on the stages plan_algorithm1 itself built;
+    # the matching weights are summed exactly and compared relative, as in 08
     t0 = time.perf_counter()
     rng = np.random.default_rng(909)
     cases = 0
@@ -238,7 +240,8 @@ def test_acceptance_09_structural_property_sweep():
         inst = generate_instance(t, int(rng.integers(1 << 30)), m=80, n=100)
         stages = plan_algorithm1(inst).stages
         w = np.pad(inst.costs, (0, 1))
-        if abs(stages.matching_weight - brute_min_matching_weight(w, stages.odd)) > 1e-9:
+        weight = math.fsum(w[a, b] for a, b in stages.pairs)
+        if not math.isclose(weight, brute_min_matching_weight(w, stages.odd), rel_tol=1e-12):
             mismatches["matching"] += 1
         cases += 1
         multigraph = graph_edge_multiset(stages.tree + stages.pairs)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ctypes
+import logging
 import math
 import os
 import sys
@@ -243,6 +245,52 @@ def test_losses_run_on_one_blas_thread_and_restore_the_count(monkeypatch):
     finally:
         set_threads(caller)
     assert counts == [1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "regions, m, n", [((2,), 4, 10), ((2, 0, 1), 12, 4)], ids=["under", "over"]
+)
+def test_a_singular_gram_matrix_redraws_the_batch_once(regions, m, n, monkeypatch, caplog):
+    # the first solve fails as on a singular Gram matrix; the batch is drawn
+    # again, with one warning, and every trial still gets a finite loss.
+    # 200 trials are one chunk, so one worker calls solve
+    truth = simplex_ground_truth(3, m, sigma2=0.5)
+    solve = np.linalg.solve
+    failures = [np.linalg.LinAlgError("Singular matrix")]
+
+    def solve_failing_once(*args):
+        if failures:
+            raise failures.pop()
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", solve_failing_once)
+    with caplog.at_level(logging.WARNING, logger="clroute.mc_verify"):
+        losses = mc_verify._losses(truth, regions, n, 200, np.random.default_rng(5))
+    records = [r for r in caplog.records if r.name == "clroute.mc_verify"]
+    assert [r.levelno for r in records] == [logging.WARNING]
+    assert not failures
+    assert losses.shape == (200,) and np.isfinite(losses).all()
+
+
+@pytest.mark.parametrize(
+    "regions, m, n", [((2,), 4, 10), ((2, 0, 1), 12, 4)], ids=["under", "over"]
+)
+def test_losses_are_the_same_bytes_where_the_blas_thread_calls_are_missing(
+    regions, m, n, monkeypatch
+):
+    # where numpy links another BLAS, nothing sets its thread count; at
+    # m <= 12 no product or solve is large enough to thread, so the losses
+    # are the bytes the one-thread control gives
+    truth = simplex_ground_truth(3, m, sigma2=0.5)
+    controlled = mc_verify._losses(truth, regions, n, 600, np.random.default_rng(5))
+
+    def no_library(*args, **kwargs):
+        raise OSError("cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
+    assert mc_verify._openblas() is None
+    losses = mc_verify._losses(truth, regions, n, 600, np.random.default_rng(5))
+    assert losses.tobytes() == controlled.tobytes()
 
 
 def test_simulate_sequence_over_noise_floor():

@@ -81,8 +81,9 @@ def test_mst_weight_matches_reference_on_random_instances():
 def test_mst_matches_the_sorted_edge_loop_bit_for_bit():
     # costs in {1, 2, 3} tie often, so the (weight, i, j) order decides the tree
     rng = np.random.default_rng(3)
-    for t in [2, 3, 5, 8, 13, 24, 40] * 5:
-        if rng.integers(2):
+    cases = [(t, rng.integers(2)) for t in [2, 3, 5, 8, 13, 24, 40] * 5]
+    for t, generated in cases + [(80, 1), (80, 0), (200, 1), (200, 0)]:
+        if generated:
             costs = generate_instance(t, seed=int(rng.integers(1 << 30))).costs
         else:
             costs = np.triu(rng.integers(1, 4, (t, t)), 1).astype(float)
@@ -265,6 +266,21 @@ def test_matching_from_the_hub_start_equals_the_bitmask_oracle(name):
     pairs, weight = min_weight_perfect_matching(w, tuple(range(k)))
     assert sorted(v for pair in pairs for v in pair) == list(range(k))
     oracle, _ = bitmask_matching(w, tuple(range(k)))
+    assert math.fsum(w[a, b] for a, b in pairs) == math.fsum(w[a, b] for a, b in oracle)
+
+
+@pytest.mark.parametrize("seed", [152, 376, 684, 927])
+def test_matching_through_nested_blossoms_equals_the_bitmask_oracle(seed):
+    # the first seeds of these k=10 weights to reach three blossom branches:
+    # augment rebases a T blossom on the path (152), expand restores a
+    # sub-blossom's dual (376, 684) and enters a T blossom through a nested
+    # sub-blossom (684); without that rebase, 927 is the first whose mates
+    # are no perfect matching
+    w = np.triu(np.random.default_rng(seed).integers(0, 6, (10, 10)), 1).astype(float)
+    w += w.T
+    pairs, _ = min_weight_perfect_matching(w, tuple(range(10)))
+    assert sorted(v for pair in pairs for v in pair) == list(range(10))
+    oracle, _ = bitmask_matching(w, tuple(range(10)))
     assert math.fsum(w[a, b] for a, b in pairs) == math.fsum(w[a, b] for a, b in oracle)
 
 
