@@ -27,7 +27,9 @@ if TYPE_CHECKING:
     from .loss import Objective
 
 
-_BLOCK = 1 << 16  # (i, j, k) candidates per triangle-check block: 512 KiB of float64
+# float64 candidates per block, 512 KiB: (i, j, k) triples in the triangle
+# check, (predecessor, last region, subset) in Held–Karp (shp.py)
+_BLOCK = 1 << 16
 
 
 class ParameterError(ValueError):

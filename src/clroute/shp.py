@@ -30,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import ProblemInstance, Route
+from .instance import _BLOCK, ProblemInstance, Route
 
 HELD_KARP_MAX_T = 20
-_BLOCK = 1 << 16  # float64 candidates per Held–Karp block: 512 KiB, cache-sized
 
 
 class SizeLimitError(ValueError):
@@ -72,7 +71,7 @@ def minimum_spanning_tree(costs: np.ndarray) -> tuple[tuple[tuple[int, int], ...
 
     chosen: list[tuple[int, int]] = []
     weight = 0.0
-    for lo in range(0, len(order), t):
+    for lo in range(0, len(order), max(t, 1)):
         part = order[lo : lo + t]
         for w, i, j in zip(weights[part].tolist(), rows[part].tolist(), cols[part].tolist()):
             ri, rj = find(i), find(j)

@@ -95,12 +95,10 @@ def file_row(case_id, code, message, *changes, fault=None):
     return row(case_id, "plan <file>", code, message, fault or edit(*changes))
 
 
-# The one table of rejected CLI inputs, in three slices by the test that runs
-# each; every row goes through assert_cli_rejects. tests/test_cli.py runs the
-# first two slices, under the test names those cases have always had.
-PLAN_FILE_ROWS = [  # test_cli.py::test_plan_rejects_non_finite_and_ragged_files
-    file_row("sigma2-nan", 2, "sigma2 must be finite, got nan", ("sigma2", NAN)),
-    file_row("sigma2-inf", 2, "sigma2 must be finite, got inf", ("sigma2", INF)),
+CLI_ROWS = [  # test_cli_rejects_bad_input, below
+    # the file's contents
+    file_row("plan-sigma2-nan", 2, "sigma2 must be finite, got nan", ("sigma2", NAN)),
+    file_row("plan-sigma2-inf", 2, "sigma2 must be finite, got inf", ("sigma2", INF)),
     file_row("delta0-nan", 2, "delta0 must be finite: delta0_{1}=nan", ("delta0", 0, NAN)),
     file_row(
         "delta-inf", 2, "delta must be finite: delta_{1,2}=inf",
@@ -161,45 +159,6 @@ PLAN_FILE_ROWS = [  # test_cli.py::test_plan_rejects_non_finite_and_ragged_files
         "delta0-too-deep", 3, "JSON nested too deeply to parse",
         ("delta0", _Raw("[" * 100_000 + "1.0" + "]" * 100_000)),
     ),
-    row("seed-negative", "plan <file> --seed -3", 2, "--seed must be >= 0, got -3"),
-]
-
-FLAG_ROWS = [  # test_cli.py::test_verify_rejects_negative_and_non_finite_inputs
-    row("gen-seed-negative", "gen --t 3 --seed -1 --out x.json", 2, "--seed must be >= 0, got -1"),
-    row(
-        "gen-sigma2-overflow", "gen --t 3 --sigma2 1e308 --out x.json", 2,
-        "noise constant does not fit a float: inf",
-    ),
-    row(
-        "gen-range-hi-inf", "gen --t 4 --range-hi inf --out x.json", 2,
-        "need 0 < range_lo <= range_hi < inf, got [1.0, inf]",
-    ),
-    row(  # path sums in the metric closure overflow: no numpy warning either
-        "gen-range-sum-overflow", "gen --t 4 --range-lo 1e308 --range-hi 1.7e308 --out x.json", 2,
-        "c too large",
-    ),
-    row(
-        "experiment-seed-negative", f"{SWEEP} --values 3 --seed -7", 2,
-        "--seed must be >= 0, got -7",
-    ),
-    row(
-        "experiment-sigma2-overflow", f"{SWEEP} --values 3 --sigma2 1e308", 2,
-        "noise constant does not fit a float: inf",
-    ),
-    *(
-        row(
-            f"sigma2-{name}", f"{VERIFY} --sigma2 {flag}", 2,
-            f"sigma2 must be finite and >= 0, got {float(flag)}",
-        )
-        for name, flag in (("negative", "-1"), ("nan", "nan"), ("inf", "inf"))
-    ),
-    row("threshold-nan", f"{VERIFY} --threshold nan", 2, "threshold must be finite, got nan"),
-    row("t-negative", f"{VERIFY} --t -1", 2, "t must be >= 1, got -1"),
-    row("seed-negative", f"{VERIFY} --seed -2", 2, "--seed must be >= 0, got -2"),
-]
-
-CLI_ROWS = [  # test_cli_rejects_bad_input, below
-    # the file's contents
     file_row("costs-shape", 3, "costs must be 4x4, got (2, 2)", ("costs", [[0.0, 1.0]] * 2)),
     file_row(
         "costs-tiny-triangle", 2, TINY_TRIANGLE,
@@ -224,7 +183,29 @@ CLI_ROWS = [  # test_cli_rejects_bad_input, below
     file_row("plan-missing-file", 3, "No such file or directory", fault=Path.unlink),
     # flags and paths
     row("gen-t-one", "gen --t 1 --out x.json", 2, "t must be >= 2, got 1"),
+    row("gen-seed-negative", "gen --t 3 --seed -1 --out x.json", 2, "--seed must be >= 0, got -1"),
+    row(
+        "gen-sigma2-overflow", "gen --t 3 --sigma2 1e308 --out x.json", 2,
+        "noise constant does not fit a float: inf",
+    ),
+    row(
+        "gen-range-hi-inf", "gen --t 4 --range-hi inf --out x.json", 2,
+        "need 0 < range_lo <= range_hi < inf, got [1.0, inf]",
+    ),
+    row(  # path sums in the metric closure overflow: no numpy warning either
+        "gen-range-sum-overflow", "gen --t 4 --range-lo 1e308 --range-hi 1.7e308 --out x.json", 2,
+        "c too large",
+    ),
+    row("plan-seed-negative", "plan <file> --seed -3", 2, "--seed must be >= 0, got -3"),
     row("plan-exact-size-limit", "plan <oversized-file> --strategy exact", 4, SIZE_LIMIT),
+    row(
+        "experiment-seed-negative", f"{SWEEP} --values 3 --seed -7", 2,
+        "--seed must be >= 0, got -7",
+    ),
+    row(
+        "experiment-sigma2-overflow", f"{SWEEP} --values 3 --sigma2 1e308", 2,
+        "noise constant does not fit a float: inf",
+    ),
     row(
         "experiment-size-limit", f"experiment --sweep t --values 3,{HELD_KARP_MAX_T + 1} "
         "--instances 1", 4, SIZE_LIMIT,
@@ -251,6 +232,16 @@ CLI_ROWS = [  # test_cli_rejects_bad_input, below
         "experiment-no-points-remain", "experiment --sweep m --values 99,100,101 --instances 1", 2,
         "no valid sweep points remain",
     ),
+    *(
+        row(
+            f"sigma2-{name}", f"{VERIFY} --sigma2 {flag}", 2,
+            f"sigma2 must be finite and >= 0, got {float(flag)}",
+        )
+        for name, flag in (("negative", "-1"), ("nan", "nan"), ("inf", "inf"))
+    ),
+    row("threshold-nan", f"{VERIFY} --threshold nan", 2, "threshold must be finite, got nan"),
+    row("t-negative", f"{VERIFY} --t -1", 2, "t must be >= 1, got -1"),
+    row("seed-negative", f"{VERIFY} --seed -2", 2, "--seed must be >= 0, got -2"),
     row("verify-tiny-trials", "verify --trials 50", 2, "trials must be >= 100, got 50"),
     row(
         "verify-under-slot", f"{VERIFY} --under-m 12 --under-n 4", 2,
@@ -272,7 +263,8 @@ CLI_ROWS = [  # test_cli_rejects_bad_input, below
 ]
 
 
-def assert_cli_rejects(tmp_path, monkeypatch, capsys, argv, fault, code, message):
+@pytest.mark.parametrize("argv,fault,code,message", CLI_ROWS)
+def test_cli_rejects_bad_input(tmp_path, monkeypatch, capsys, argv, fault, code, message):
     """Hold one row of the table to the whole contract of a rejected input."""
     monkeypatch.chdir(tmp_path)  # where --out would write
     path = tmp_path / "inst.json"
@@ -301,11 +293,6 @@ def assert_cli_rejects(tmp_path, monkeypatch, capsys, argv, fault, code, message
             assert err.startswith(f"error: {path}: ")
     assert len(results) == 1  # every strategy and format fails alike
     assert sorted(tmp_path.iterdir()) == before  # nothing written by --out
-
-
-@pytest.mark.parametrize("argv,fault,code,message", CLI_ROWS)
-def test_cli_rejects_bad_input(tmp_path, monkeypatch, capsys, argv, fault, code, message):
-    assert_cli_rejects(tmp_path, monkeypatch, capsys, argv, fault, code, message)
 
 
 def _config(**changes) -> ExperimentConfig:
@@ -367,6 +354,8 @@ LIBRARY_ROWS = {  # id: (call, exception, message)
     "instance-triangle": (
         unit_t3([[0, 1, 5], [1, 0, 1], [5, 1, 0]]), ValidationError,
         "triangle inequality: c_{1,3}=5 > c_{1,2}+c_{2,3}=2"),
+    # the checks, the loss fitting a float included, run at construction,
+    # so no planner ever sees such an instance
     "build-triangle": (
         unit_t3([[0, 1, 50], [1, 0, 1], [50, 1, 0]]), ValidationError,
         "triangle inequality: c_{1,3}=50 > c_{1,2}+c_{2,3}=2"),
@@ -522,55 +511,10 @@ LIBRARY_ROWS = {  # id: (call, exception, message)
 }
 
 
-# Rows that run under the test names those cases have always had, from the
-# file each comment names; test_library_rejects_bad_arguments runs the rest.
-NAMED_ROWS = {
-    # tests/test_instance.py
-    "test_route_must_be_permutation": ("route-repeat", "route-out-of-range"),
-    "test_validate_reports_triangle_violation_verbatim": ("instance-triangle",),
-    "test_validate_flags_undefined_regime": ("instance-t2-m-equals-n",),
-    "test_validate_reports_asymmetry_and_negative_entries": ("instance-asymmetric-and-negative",),
-    "test_validate_reports_each_non_finite_field_once": ("instance-non-finite",),
-    "test_no_invalid_instance_can_be_built": (  # run as ids, less the build- prefix
-        "build-triangle", "build-tiny-triangle", "build-asymmetric", "build-m-equals-n",
-        "build-m-overflow", "build-costs-overflow"),
-    "test_problem_instance_shape_checks": (
-        "instance-delta-shape", "instance-delta0-length", "instance-costs-shape"),
-    "test_generate_rejects_bad_parameters": (
-        "generate-t-one", "generate-range-reversed", "generate-range-lo-zero",
-        "generate-range-hi-inf"),
-    "test_read_missing_field_names_it": ("read-missing-field",),
-    "test_read_rejects_invalid_json_with_line": ("read-invalid-json",),
-    "test_read_rejects_negative_delta": ("read-negative-delta",),
-    "test_read_rejects_wrong_type": ("read-wrong-type",),
-    # tests/test_mc_verify.py
-    "test_simplex_ground_truth_needs_enough_features": (
-        "simplex-too-few-features", "simplex-scales-length"),
-    "test_verify_parameter_guards": (
-        "verify-tiny-trials", "verify-4-3", "verify-4-4", "verify-4-5", "verify-route-length"),
-    # tests/test_planner.py
-    "test_plan_exact_size_limited": ("plan-exact-size-limit",),
-    # tests/test_shp.py
-    "test_matching_odd_count_is_invariant_violation": ("matching-odd-count",),
-    "test_euler_rejects_odd_degree": ("euler-odd-degree",),
-    "test_euler_rejects_disconnected_multigraph": ("euler-disconnected",),
-    "test_euler_rejects_start_without_edges": ("euler-start-without-edges",),
-    "test_shortcut_rejects_broken_anchor": ("shortcut-broken-anchor",),
-    "test_shortcut_rejects_interior_dummy": ("shortcut-interior-dummy",),
-    "test_held_karp_size_guard": ("held-karp-size-limit",),
-}
-_NAMED = {case_id for case_ids in NAMED_ROWS.values() for case_id in case_ids}
-
-
-def assert_library_rejects(tmp_path, monkeypatch, *case_ids):
-    monkeypatch.chdir(tmp_path)  # where the read rows write their file
-    for case_id in case_ids:
-        call, error, message = LIBRARY_ROWS[case_id]
-        with pytest.raises(error) as raised:
-            call()
-        assert type(raised.value) is error and str(raised.value) == message, case_id
-
-
-@pytest.mark.parametrize("case_id", [case_id for case_id in LIBRARY_ROWS if case_id not in _NAMED])
+@pytest.mark.parametrize("case_id", LIBRARY_ROWS)
 def test_library_rejects_bad_arguments(tmp_path, monkeypatch, case_id):
-    assert_library_rejects(tmp_path, monkeypatch, case_id)
+    monkeypatch.chdir(tmp_path)  # where the read rows write their file
+    call, error, message = LIBRARY_ROWS[case_id]
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error and str(raised.value) == message

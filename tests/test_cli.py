@@ -20,7 +20,6 @@ import clroute
 from clroute import Objective, Strategy, generate_instance, plan, read_instance, shp, write_instance
 from clroute.cli import CSV_HEADER, main
 from helpers import worked_under
-from test_boundary import FLAG_ROWS, PLAN_FILE_ROWS, assert_cli_rejects
 
 
 def _worked_file(tmp_path):
@@ -115,13 +114,6 @@ def test_experiment_runs_the_exact_oracle_above_sixteen_regions(capsys):
 
 
 BAD_VALUES = [float("nan"), float("inf"), -float("inf"), -1.0, 1e300, 1e308, 10**400]
-
-
-@pytest.mark.parametrize("argv,fault,code,message", PLAN_FILE_ROWS)
-def test_plan_rejects_non_finite_and_ragged_files(
-    tmp_path, monkeypatch, capsys, argv, fault, code, message
-):
-    assert_cli_rejects(tmp_path, monkeypatch, capsys, argv, fault, code, message)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -303,13 +295,6 @@ def test_verify_replays_from_its_own_report(capsys):
         replay += [f"--{part}-m", str(doc[part]["m"]), f"--{part}-n", str(doc[part]["n"])]
     main(replay)
     assert capsys.readouterr().out == first
-
-
-@pytest.mark.parametrize("argv,fault,code,message", FLAG_ROWS)
-def test_verify_rejects_negative_and_non_finite_inputs(
-    tmp_path, monkeypatch, capsys, argv, fault, code, message
-):
-    assert_cli_rejects(tmp_path, monkeypatch, capsys, argv, fault, code, message)
 
 
 @pytest.mark.parametrize("t,seed", [(1, 0), (2, 1)])

@@ -29,7 +29,6 @@ from helpers import (
     scalar_triangle_violation,
     special_float_instances,
 )
-from test_boundary import NAMED_ROWS, assert_library_rejects
 
 
 def test_classify_regime_boundaries():
@@ -49,11 +48,6 @@ def test_regime_r_value():
     assert Objective.build(np.zeros(3), 0.0, 80, 100, 1.0).position_weights == (0.0, 0.0, 1.0)
 
 
-def test_route_must_be_permutation(tmp_path, monkeypatch):
-    Route((2, 0, 1))
-    assert_library_rejects(tmp_path, monkeypatch, *NAMED_ROWS["test_route_must_be_permutation"])
-
-
 def test_route_accessors():
     route = Route((2, 0, 1))
     assert len(route) == 3
@@ -67,12 +61,6 @@ def test_validate_accepts_metric_under_instance():
     )
     assert validate_instance(inst) is None
     assert classify_regime(inst.m_features, inst.n_samples) is RegimeKind.UNDER
-
-
-def test_validate_reports_triangle_violation_verbatim(tmp_path, monkeypatch):
-    assert_library_rejects(
-        tmp_path, monkeypatch, *NAMED_ROWS["test_validate_reports_triangle_violation_verbatim"]
-    )
 
 
 @st.composite
@@ -173,38 +161,6 @@ def test_triangle_message_matches_the_scalar_loop_across_row_blocks(t, both):
     assert triangles == 9
 
 
-def test_validate_flags_undefined_regime(tmp_path, monkeypatch):
-    assert_library_rejects(
-        tmp_path, monkeypatch, *NAMED_ROWS["test_validate_flags_undefined_regime"]
-    )
-
-
-def test_validate_reports_asymmetry_and_negative_entries(tmp_path, monkeypatch):
-    assert_library_rejects(
-        tmp_path, monkeypatch, *NAMED_ROWS["test_validate_reports_asymmetry_and_negative_entries"]
-    )
-
-
-@pytest.mark.parametrize(
-    "case_id", NAMED_ROWS["test_no_invalid_instance_can_be_built"],
-    ids=lambda case_id: case_id.removeprefix("build-"),
-)
-def test_no_invalid_instance_can_be_built(tmp_path, monkeypatch, case_id):
-    # the checks, the loss fitting a float included, run at construction,
-    # so no planner ever sees such an instance
-    assert_library_rejects(tmp_path, monkeypatch, case_id)
-
-
-def test_validate_reports_each_non_finite_field_once(tmp_path, monkeypatch):
-    assert_library_rejects(
-        tmp_path, monkeypatch, *NAMED_ROWS["test_validate_reports_each_non_finite_field_once"]
-    )
-
-
-def test_problem_instance_shape_checks(tmp_path, monkeypatch):
-    assert_library_rejects(tmp_path, monkeypatch, *NAMED_ROWS["test_problem_instance_shape_checks"])
-
-
 def test_problem_instance_arrays_read_only():
     inst = generate_instance(4, seed=1)
     with pytest.raises(ValueError):
@@ -272,12 +228,6 @@ def test_generate_is_deterministic():
     assert not np.array_equal(a.delta, c.delta)
 
 
-def test_generate_rejects_bad_parameters(tmp_path, monkeypatch):
-    assert_library_rejects(
-        tmp_path, monkeypatch, *NAMED_ROWS["test_generate_rejects_bad_parameters"]
-    )
-
-
 def test_generated_instances_always_validate():
     rng = np.random.default_rng(11)
     for _ in range(25):
@@ -298,24 +248,6 @@ def test_write_read_round_trip(tmp_path):
     assert np.array_equal(back.delta, inst.delta)
     assert np.array_equal(back.delta0, inst.delta0)
     assert np.array_equal(back.costs, inst.costs)
-
-
-def test_read_missing_field_names_it(tmp_path, monkeypatch):
-    assert_library_rejects(tmp_path, monkeypatch, *NAMED_ROWS["test_read_missing_field_names_it"])
-
-
-def test_read_rejects_invalid_json_with_line(tmp_path, monkeypatch):
-    assert_library_rejects(
-        tmp_path, monkeypatch, *NAMED_ROWS["test_read_rejects_invalid_json_with_line"]
-    )
-
-
-def test_read_rejects_negative_delta(tmp_path, monkeypatch):
-    assert_library_rejects(tmp_path, monkeypatch, *NAMED_ROWS["test_read_rejects_negative_delta"])
-
-
-def test_read_rejects_wrong_type(tmp_path, monkeypatch):
-    assert_library_rejects(tmp_path, monkeypatch, *NAMED_ROWS["test_read_rejects_wrong_type"])
 
 
 def test_serialized_floats_round_trip_exactly(tmp_path):

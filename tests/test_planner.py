@@ -35,7 +35,6 @@ from helpers import (
     travel_only,
     worked_under,
 )
-from test_boundary import NAMED_ROWS, assert_library_rejects
 
 
 def test_algorithm1_worked_instance_is_optimal():
@@ -142,10 +141,6 @@ def test_plan_exact_minimizes_travel_when_delta_zero():
     exact = plan_exact(inst)
     best_travel, _ = scan_all_routes(inst, "travel")
     assert route_travel_cost(inst, exact.route) == pytest.approx(best_travel, rel=1e-9)
-
-
-def test_plan_exact_size_limited(tmp_path, monkeypatch):
-    assert_library_rejects(tmp_path, monkeypatch, *NAMED_ROWS["test_plan_exact_size_limited"])
 
 
 def test_forgetting_baseline_under_interior_orders():

@@ -36,7 +36,6 @@ from helpers import (
     edge_corpus_instances,
     fsum_travel,
     graph_edge_multiset,
-    manual_instance,
     scalar_held_karp,
     scan_all_routes,
     sorted_kruskal,
@@ -45,7 +44,6 @@ from helpers import (
     travel_only,
     worked_under,
 )
-from test_boundary import NAMED_ROWS, assert_library_rejects
 
 
 def test_mst_three_vertices():
@@ -82,7 +80,7 @@ def test_mst_matches_the_sorted_edge_loop_bit_for_bit():
     # costs in {1, 2, 3} tie often, so the (weight, i, j) order decides the tree
     rng = np.random.default_rng(3)
     cases = [(t, rng.integers(2)) for t in [2, 3, 5, 8, 13, 24, 40] * 5]
-    for t, generated in cases + [(80, 1), (80, 0), (200, 1), (200, 0)]:
+    for t, generated in cases + [(80, 1), (80, 0), (200, 1), (200, 0), (0, 0), (1, 0)]:
         if generated:
             costs = generate_instance(t, seed=int(rng.integers(1 << 30))).costs
         else:
@@ -132,12 +130,6 @@ def test_matching_four_vertices_hand_checked():
 
 def test_matching_empty_set():
     assert min_weight_perfect_matching(np.zeros((4, 4)), ()) == ((), 0.0)
-
-
-def test_matching_odd_count_is_invariant_violation(tmp_path, monkeypatch):
-    assert_library_rejects(
-        tmp_path, monkeypatch, *NAMED_ROWS["test_matching_odd_count_is_invariant_violation"]
-    )
 
 
 def test_matching_equals_brute_force_on_random_graphs():
@@ -330,22 +322,6 @@ def test_euler_triangle_plus_doubled_dummy():
     assert circuit_edge_multiset(circuit) == graph_edge_multiset(edges)
 
 
-def test_euler_rejects_odd_degree(tmp_path, monkeypatch):
-    assert_library_rejects(tmp_path, monkeypatch, *NAMED_ROWS["test_euler_rejects_odd_degree"])
-
-
-def test_euler_rejects_disconnected_multigraph(tmp_path, monkeypatch):
-    assert_library_rejects(
-        tmp_path, monkeypatch, *NAMED_ROWS["test_euler_rejects_disconnected_multigraph"]
-    )
-
-
-def test_euler_rejects_start_without_edges(tmp_path, monkeypatch):
-    assert_library_rejects(
-        tmp_path, monkeypatch, *NAMED_ROWS["test_euler_rejects_start_without_edges"]
-    )
-
-
 def test_shortcut_no_repeats_unchanged():
     # the route is the circuit's interior, reversed so that it ends at v'
     assert shortcut_to_hamiltonian((4, 0, 2, 1, 3, 4), 0).order == (3, 1, 2, 0)
@@ -360,12 +336,6 @@ def test_shortcut_keeps_v_prime_next_to_dummy_by_reversing():
     route = shortcut_to_hamiltonian((3, 1, 0, 2, 0, 3), 0)
     assert route.order == (1, 2, 0)
     assert route.final_region == 0
-
-
-def test_shortcut_rejects_broken_anchor(tmp_path, monkeypatch):
-    assert_library_rejects(
-        tmp_path, monkeypatch, *NAMED_ROWS["test_shortcut_rejects_broken_anchor"]
-    )
 
 
 def test_shortcut_worked_cycle():
@@ -391,12 +361,6 @@ def test_shortcut_weight_preserved():
         cycle_weight = sum(float(w[a, b]) for a, b in zip(cycle[:-1], cycle[1:]))
         assert route_travel_cost(inst, route) == pytest.approx(cycle_weight, rel=1e-12)
         assert route.final_region == v_prime
-
-
-def test_shortcut_rejects_interior_dummy(tmp_path, monkeypatch):
-    assert_library_rejects(
-        tmp_path, monkeypatch, *NAMED_ROWS["test_shortcut_rejects_interior_dummy"]
-    )
 
 
 def test_fixed_end_path_ends_where_asked_within_tree_plus_matching():
@@ -530,7 +494,3 @@ def test_held_karp_read_back_on_a_broken_table_raises(monkeypatch):
     monkeypatch.setattr(np, "take", all_inf)
     with pytest.raises(ParameterError, match="route must be a permutation"):
         held_karp_min_path(inst)
-
-
-def test_held_karp_size_guard(tmp_path, monkeypatch):
-    assert_library_rejects(tmp_path, monkeypatch, *NAMED_ROWS["test_held_karp_size_guard"])
