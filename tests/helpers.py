@@ -13,18 +13,23 @@ import math
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from clroute import (
+    HELD_KARP_MAX_T,
     ProblemInstance,
     Route,
+    Strategy,
     TaskGroundTruth,
     delta0_vector,
     delta_matrix,
     generate_instance,
     loss_upper,
     metric_closure,
+    write_instance,
 )
+from clroute.cli import main
 
 
 def manual_instance(delta, delta0, costs, m, n, sigma2=1.0) -> ProblemInstance:
@@ -455,3 +460,85 @@ def graph_edge_multiset(edges: tuple[tuple[int, int], ...]) -> Counter:
 def circuit_edge_multiset(circuit: tuple[int, ...]) -> Counter:
     return Counter(edge_key(a, b) for a, b in zip(circuit[:-1], circuit[1:]))
 
+
+# Rejected CLI inputs. tests/test_cli.py holds the tables of file faults and
+# of negative or non-finite flags, tests/test_boundary.py the rest; their rows
+# are built by row and file_row, and every row goes through assert_cli_rejects.
+
+# argv placeholders for an instance file, mapped to its number of regions;
+# the row's fault, if any, then rewrites or deletes the file
+REGIONS = {"<file>": 4, "<oversized-file>": HELD_KARP_MAX_T + 1}
+VERIFY = "verify --trials 200"
+SWEEP = "experiment --sweep t --instances 1"
+LEAKS = ("Traceback", "Warning", "nan != nan", "inhomogeneous")  # never in stderr
+
+
+class Raw(str):
+    """JSON text spliced into the file as is, for nesting json.dumps cannot write."""
+
+
+def edit(*changes):
+    """A fault that sets, for each (*key path, value), that entry of the file's JSON document."""
+
+    def fault(path):
+        doc = json.loads(path.read_text())
+        for *head, last, value in changes:
+            target = doc
+            for key in head:
+                target = target[key]
+            target[last] = value
+        text = json.dumps(doc)  # writes NaN / Infinity, as Python's json accepts
+        for *_, value in changes:
+            if isinstance(value, Raw):
+                text = text.replace(json.dumps(value), value)
+        path.write_text(text)
+
+    return fault
+
+
+def write_file(path, regions, fault=None):
+    """Write the generated instance the table's files start from, then apply the fault."""
+    write_instance(generate_instance(regions, seed=3), path)
+    if fault is not None:
+        fault(path)
+
+
+def row(case_id, argv, code, message, fault=None):
+    """One rejected input: argv as one string of words, then what main must do with it."""
+    return pytest.param(argv.split(), fault, code, message, id=case_id)
+
+
+def file_row(case_id, code, message, *changes, fault=None):
+    """A fault of the file; plan runs every strategy in both formats on it."""
+    return row(case_id, "plan <file>", code, message, fault or edit(*changes))
+
+
+def assert_cli_rejects(tmp_path, monkeypatch, capsys, argv, fault, code, message):
+    """Hold one row of a CLI table to the whole contract of a rejected input."""
+    monkeypatch.chdir(tmp_path)  # where --out would write
+    path = tmp_path / "inst.json"
+    for arg in argv:
+        if arg in REGIONS:
+            write_file(path, REGIONS[arg], fault)
+    argv = [str(path) if arg in REGIONS else arg for arg in argv]
+    before = sorted(tmp_path.iterdir())
+    variants = [argv]
+    if argv[0] == "plan" and "--strategy" not in argv:
+        variants = [
+            [*argv, "--strategy", s.value, "--format", f]
+            for s in Strategy
+            for f in ("text", "json")
+        ]
+    results = set()
+    for variant in variants:
+        exit_code = main(variant)
+        out, err = capsys.readouterr()
+        results.add((exit_code, out, err))
+        assert exit_code == code and out == ""
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert err.count("error:") == 1 and line.startswith("error: ") and message in line
+        assert not any(leak in err for leak in LEAKS)
+        if fault is not None:  # every fault of the file, its loss included, names the file
+            assert err.startswith(f"error: {path}: ")
+    assert len(results) == 1  # every strategy and format fails alike
+    assert sorted(tmp_path.iterdir()) == before  # nothing written by --out

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import clroute
 from clroute import Objective, Strategy, generate_instance, plan, read_instance, shp, write_instance
 from clroute.cli import CSV_HEADER, main
-from helpers import worked_under
+from helpers import SWEEP, VERIFY, Raw, assert_cli_rejects, file_row, row, worked_under
 
 
 def _worked_file(tmp_path):
@@ -113,7 +113,81 @@ def test_experiment_runs_the_exact_oracle_above_sixteen_regions(capsys):
     assert all(float(x) >= 1.0 for r in rows for x in r[3:6])
 
 
-BAD_VALUES = [float("nan"), float("inf"), -float("inf"), -1.0, 1e300, 1e308, 10**400]
+NAN, INF = float("nan"), float("inf")
+BAD_VALUES = [NAN, INF, -INF, -1.0, 1e300, 1e308, 10**400]
+
+PLAN_FILE_ROWS = [  # test_plan_rejects_non_finite_and_ragged_files, below
+    file_row("sigma2-nan", 2, "sigma2 must be finite, got nan", ("sigma2", NAN)),
+    file_row("sigma2-inf", 2, "sigma2 must be finite, got inf", ("sigma2", INF)),
+    file_row("delta0-nan", 2, "delta0 must be finite: delta0_{1}=nan", ("delta0", 0, NAN)),
+    file_row(
+        "delta-inf", 2, "delta must be finite: delta_{1,2}=inf",
+        ("delta", 0, 1, INF), ("delta", 1, 0, INF),
+    ),
+    file_row("delta-nan", 2, "delta must be finite: delta_{1,2}=nan", ("delta", 0, 1, NAN)),
+    file_row(
+        "costs-inf", 2, "c must be finite: c_{2,3}=inf", ("costs", 1, 2, INF), ("costs", 2, 1, INF),
+    ),
+    file_row(
+        "delta-ragged", 3, 'field "delta" is not a rectangular array', ("delta", 1, [0.0, 1.0])
+    ),
+    file_row(
+        "costs-ragged", 3, 'field "costs" is not a rectangular array',
+        ("costs", 2, [1.0, [2.0], 0.0, 3.0]),
+    ),
+    # finite inputs whose loss does not fit a float
+    file_row(
+        "delta-overflow", 2, "row sum of region 1 does not fit a float: inf",
+        *(("delta", i, j, 1e308) for i in range(4) for j in range(4) if i != j),
+    ),
+    file_row("sigma2-overflow", 2, "noise constant does not fit a float: inf", ("sigma2", 1e308)),
+    file_row(
+        "costs-overflow", 2, "c too large: (T-1)*max c = 3*1e+308 does not fit a float",
+        *(("costs", i, j, 1e308) for i in range(4) for j in range(4) if i != j),
+    ),
+    file_row("m-overflow", 2, "noise constant does not fit a float", ("m", 10**400)),
+    # every part fits a float, their sum does not
+    file_row(
+        "total-overflow", 2, "bound on the route total does not fit a float: inf",
+        ("t", 2), ("sigma2", 2e306), ("delta0", [1.0, 1.0]),
+        ("delta", [[0.0, 1.79e308], [1.79e308, 0.0]]),
+        ("costs", [[0.0, 1.79e308], [1.79e308, 0.0]]),
+    ),
+    # integer literals too large for a float, where 1e400 would read as inf
+    file_row("sigma2-huge-int", 2, 'field "sigma2" does not fit a float', ("sigma2", 10**400)),
+    file_row("delta-huge-int", 2, 'field "delta" does not fit a float', ("delta", 0, 1, 10**400)),
+    file_row("delta0-huge-int", 2, 'field "delta0" does not fit a float', ("delta0", 2, 10**400)),
+    file_row("costs-huge-int", 2, 'field "costs" does not fit a float', ("costs", 3, 1, 10**400)),
+    # JSON values that numpy would cast to a float, each valid if it did
+    file_row(
+        "delta-string", 3, 'field "delta" is not a rectangular array of numbers',
+        ("delta", 0, 1, "2.5"), ("delta", 1, 0, "2.5"),
+    ),
+    file_row(
+        "delta0-bool", 3, 'field "delta0" is not a rectangular array of numbers',
+        ("delta0", 1, True),
+    ),
+    file_row(
+        "costs-bool", 3, 'field "costs" is not a rectangular array of numbers',
+        ("costs", 2, 2, False),
+    ),
+    file_row(  # nested deeper than numpy's 64 dimensions
+        "delta0-deep", 3, 'field "delta0" is not a rectangular array of numbers',
+        ("delta0", json.loads("[" * 100 + "1.0" + "]" * 100)),
+    ),
+    file_row(  # nested deeper than the JSON parser's recursion limit
+        "delta0-too-deep", 3, "JSON nested too deeply to parse",
+        ("delta0", Raw("[" * 100_000 + "1.0" + "]" * 100_000)),
+    ),
+    row("seed-negative", "plan <file> --seed -3", 2, "--seed must be >= 0, got -3"),
+]
+
+
+@pytest.mark.parametrize("argv,fault,code,message", PLAN_FILE_ROWS)
+def test_plan_rejects_non_finite_and_ragged_files(
+    tmp_path, monkeypatch, capsys, argv, fault, code, message
+):
+    assert_cli_rejects(tmp_path, monkeypatch, capsys, argv, fault, code, message)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -295,6 +369,48 @@ def test_verify_replays_from_its_own_report(capsys):
         replay += [f"--{part}-m", str(doc[part]["m"]), f"--{part}-n", str(doc[part]["n"])]
     main(replay)
     assert capsys.readouterr().out == first
+
+
+FLAG_ROWS = [  # test_verify_rejects_negative_and_non_finite_inputs, below
+    row("gen-seed-negative", "gen --t 3 --seed -1 --out x.json", 2, "--seed must be >= 0, got -1"),
+    row(
+        "gen-sigma2-overflow", "gen --t 3 --sigma2 1e308 --out x.json", 2,
+        "noise constant does not fit a float: inf",
+    ),
+    row(
+        "gen-range-hi-inf", "gen --t 4 --range-hi inf --out x.json", 2,
+        "need 0 < range_lo <= range_hi < inf, got [1.0, inf]",
+    ),
+    row(  # path sums in the metric closure overflow: no numpy warning either
+        "gen-range-sum-overflow", "gen --t 4 --range-lo 1e308 --range-hi 1.7e308 --out x.json", 2,
+        "c too large",
+    ),
+    row(
+        "experiment-seed-negative", f"{SWEEP} --values 3 --seed -7", 2,
+        "--seed must be >= 0, got -7",
+    ),
+    row(
+        "experiment-sigma2-overflow", f"{SWEEP} --values 3 --sigma2 1e308", 2,
+        "noise constant does not fit a float: inf",
+    ),
+    *(
+        row(
+            f"sigma2-{name}", f"{VERIFY} --sigma2 {flag}", 2,
+            f"sigma2 must be finite and >= 0, got {float(flag)}",
+        )
+        for name, flag in (("negative", "-1"), ("nan", "nan"), ("inf", "inf"))
+    ),
+    row("threshold-nan", f"{VERIFY} --threshold nan", 2, "threshold must be finite, got nan"),
+    row("t-negative", f"{VERIFY} --t -1", 2, "t must be >= 1, got -1"),
+    row("seed-negative", f"{VERIFY} --seed -2", 2, "--seed must be >= 0, got -2"),
+]
+
+
+@pytest.mark.parametrize("argv,fault,code,message", FLAG_ROWS)
+def test_verify_rejects_negative_and_non_finite_inputs(
+    tmp_path, monkeypatch, capsys, argv, fault, code, message
+):
+    assert_cli_rejects(tmp_path, monkeypatch, capsys, argv, fault, code, message)
 
 
 @pytest.mark.parametrize("t,seed", [(1, 0), (2, 1)])
