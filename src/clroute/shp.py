@@ -19,12 +19,16 @@ route included, comes back in one ``PathStages`` record.
 ``inst.objective``. The objective has one forgetting weight per position,
 so the stage index of the program (the subset size) fixes each region's
 weight, the final region's included. Its table is region-major, one row
-per last region, and numpy fills it one subset size at a time, in 512 KiB
+per last region, with the subsets' columns ordered by size, so each size
+is one contiguous slab. numpy fills it one size at a time, in 512 KiB
 blocks of (predecessor, last region, subset) candidates, up to T = 20.
+The column tables that drive those blocks depend on T alone; they are
+built on the first call for a T and kept for the life of the process.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -217,6 +221,42 @@ def fixed_end_path(costs: np.ndarray, end: int) -> PathStages:
     return PathStages(route, tree, tree_weight, odd, pairs, matching_weight, circuit)
 
 
+@functools.cache
+def _held_karp_columns(t: int) -> tuple[np.ndarray, tuple[tuple[int, np.ndarray, np.ndarray], ...]]:
+    """The column layout of Held–Karp's table at ``t`` regions, and its blocks.
+
+    ``rank[S]`` is subset S's column: the subsets ordered by size, then by
+    mask, so the empty set is column 0 and {v} is column v + 1. Each block
+    is (s, src, dst) with int32 columns of shape (t, subsets): row v holds
+    subsets S of size s that contain v, ascending by mask, with
+    ``dst[v, i] = rank[S]`` and ``src[v, i] = rank[S minus v]``. A block
+    holds at most 512 KiB of float64 candidates, t per (v, S). Every call
+    at ``t`` shares these arrays, so they are read-only.
+    """
+    size = np.zeros(1 << t, dtype=np.uint8)  # popcount of each subset
+    for v in range(t):
+        size[1 << v : 2 << v] = size[: 1 << v] + 1
+    rank = np.empty(1 << t, dtype=np.int32)
+    rank[np.argsort(size, kind="stable")] = np.arange(1 << t, dtype=np.int32)
+    bits = (1 << np.arange(t))[:, None]
+    others = size[: 1 << (t - 1)]  # popcount of each subset of T-1 regions
+    step = max(1, _BLOCK // (t * t))
+    blocks = []
+    for s in range(2, t + 1):
+        rest = np.flatnonzero(others == s - 1)
+        for lo in range(0, rest.size, step):
+            # row v: each (s-1)-subset r of the other regions, with bit v inserted
+            # as zero (r + (r & -2^v)), is S minus v; adding 2^v gives S
+            part = rest[lo : lo + step]
+            without = part & -bits
+            without += part
+            blocks.append((s, rank[without], rank[without + bits]))
+    rank.flags.writeable = False
+    for _, src, dst in blocks:
+        src.flags.writeable = dst.flags.writeable = False
+    return rank, tuple(blocks)
+
+
 def held_karp_min_path(inst: ProblemInstance) -> tuple[Route, float]:
     """Exact minimum of the instance's objective by subset dynamic programming.
 
@@ -230,12 +270,17 @@ def held_karp_min_path(inst: ProblemInstance) -> tuple[Route, float]:
     travel-only optimum is that of a copy of the instance with zero
     dissimilarities and zero noise (``tests/helpers.py::travel_only``).
 
-    The table is region-major, dp[v, S], and each subset size is one pass
-    over 512 KiB blocks of (predecessor, last region, subset) candidates.
+    The table is region-major, dp[v, rank[S]], its columns ordered by
+    subset size, and each size is one pass over 512 KiB blocks of
+    (predecessor, last region, subset) candidates: a block reads columns
+    of the previous size's slab and writes columns of its own. The index
+    tables behind those blocks depend on T alone, so the first call at a
+    T builds them and later calls reuse them (``_held_karp_columns``).
 
-    Cost is O(2^T * T^2), memory 2^T * T float64 values (160 MiB at T=20);
-    refuses T > 20 — use the approximation pipeline in ``planner`` beyond
-    that.
+    Cost is O(2^T * T^2), memory 2^T * T float64 values (160 MiB at T=20)
+    per call. The index tables kept per T take about t * 2^(t+2) + 4 * 2^t
+    bytes: 84 MiB at T=20, 19 MiB at T=18, under 1 MiB at T <= 14. Refuses
+    T > 20 — use the approximation pipeline in ``planner`` beyond that.
     """
     t = inst.t_regions
     check_exact_size(t)
@@ -246,34 +291,22 @@ def held_karp_min_path(inst: ProblemInstance) -> tuple[Route, float]:
     gain = np.outer(objective.position_weights, objective.row_sums) / objective.forgetting_divisor
 
     full = (1 << t) - 1
-    size = np.zeros(1 << (t - 1), dtype=np.uint8)  # popcount of each subset of T-1 regions
-    for v in range(t - 1):
-        size[1 << v : 2 << v] = size[: 1 << v] + 1
+    rank, blocks = _held_karp_columns(t)
     ar = np.arange(t)
-    bits = 1 << ar
-    dp = np.full((t, full + 1), np.inf)  # dp[v, S]: region-major, each row one last region
-    dp[ar, bits] = 0.0 + gain[0]  # a first visit has no predecessor
-    step = max(1, _BLOCK // (t * t))
-    for s in range(2, t + 1):
-        # row v: the subsets of size s that hold v, ascending. Inserting bit v into
-        # each (s-1)-subset r of the other T-1 regions gives r + (r & -2^v) + 2^v.
-        rest = np.flatnonzero(size == s - 1)
-        sel = rest & -bits[:, None]
-        sel += rest
-        sel += bits[:, None]
-        for lo in range(0, sel.shape[1], step):
-            part = sel[:, lo : lo + step]
-            # cand[u, v, i] = dp[u, part[v, i] minus v] + c[u, v]; rows u outside that
-            # subset, v included, are inf and never win
-            cand = np.take(dp, part ^ bits[:, None], axis=1)
-            cand += c[:, :, None]
-            dp[ar[:, None], part] = np.minimum.reduce(cand, axis=0) + gain[s - 1, :, None]
+    dp = np.full((t, full + 1), np.inf)  # dp[v, rank[S]]: each row one last region
+    dp[ar, rank[1 << ar]] = 0.0 + gain[0]  # a first visit has no predecessor
+    for s, src, dst in blocks:
+        # cand[u, v, i] = dp[u, S minus v] + c[u, v]; rows u outside that subset,
+        # v included, are inf and never win
+        cand = np.take(dp, src, axis=1)
+        cand += c[:, :, None]
+        dp[ar[:, None], dst] = np.minimum.reduce(cand, axis=0) + gain[s - 1, :, None]
 
-    v = int(np.argmin(dp[:, full]))
+    v = int(np.argmin(dp[:, full]))  # the full set is the last column
     value = float(dp[v, full]) + objective.offset + objective.noise
     order, mask = [v], full
     for _ in range(t - 1):
         mask ^= 1 << v
-        v = int(np.argmin(dp[:, mask] + c[:, v]))  # the same sums, the same first minimum
+        v = int(np.argmin(dp[:, rank[mask]] + c[:, v]))  # the same sums, the same first minimum
         order.append(v)
     return Route(tuple(reversed(order))), value

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import clroute
 from clroute import Objective, Strategy, generate_instance, plan, read_instance, shp, write_instance
-from clroute.cli import CSV_HEADER, main
+from clroute.cli import CSV_HEADER, ExperimentConfig, main, rows_to_csv, run_experiment
 from helpers import SWEEP, VERIFY, Raw, assert_cli_rejects, file_row, row, worked_under
 
 
@@ -282,6 +283,23 @@ def test_experiment_rerun_is_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().endswith("\n")
+
+
+def test_experiment_exclude_constant_drops_the_constant_from_every_ratio(tmp_path):
+    argv = [
+        "experiment", "--sweep", "m", "--values", "80,120", "--t", "5", "--m", "80",
+        "--n", "100", "--sigma2", "1.0", "--instances", "3", "--seed", "7",
+        "--strategies", "alg1,forgetting,random",
+    ]
+    with_constant, without = tmp_path / "with.csv", tmp_path / "without.csv"
+    assert main([*argv, "--out", str(with_constant)]) == 0
+    assert main([*argv, "--exclude-constant", "--out", str(without)]) == 0
+    strategies = (Strategy.ALGORITHM1, Strategy.FORGETTING, Strategy.RANDOM)
+    cfg = ExperimentConfig("m", (80, 120), 5, 80, 100, 1.0, 3, 7, strategies)
+    rows, _ = run_experiment(replace(cfg, include_constant=False))
+    assert without.read_text() == rows_to_csv(rows)
+    assert with_constant.read_text() == rows_to_csv(run_experiment(cfg)[0])
+    assert without.read_text() != with_constant.read_text()
 
 
 def test_experiment_row_order_follows_strategy_list(tmp_path):

@@ -261,18 +261,24 @@ def test_matching_from_the_hub_start_equals_the_bitmask_oracle(name):
     assert math.fsum(w[a, b] for a, b in pairs) == math.fsum(w[a, b] for a, b in oracle)
 
 
-@pytest.mark.parametrize("seed", [152, 376, 684, 927])
-def test_matching_through_nested_blossoms_equals_the_bitmask_oracle(seed):
-    # the first seeds of these k=10 weights to reach three blossom branches:
+@pytest.mark.parametrize(
+    "k,high,seed",
+    [pytest.param(10, 6, seed, id=str(seed)) for seed in (152, 376, 684, 927)]
+    + [(12, 20, 9055), (16, 1000, 9963)],
+)
+def test_matching_through_nested_blossoms_equals_the_bitmask_oracle(k, high, seed):
+    # the first seeds of k=10 weights below 6 to reach three blossom branches:
     # augment rebases a T blossom on the path (152), expand restores a
     # sub-blossom's dual (376, 684) and enters a T blossom through a nested
     # sub-blossom (684); without that rebase, 927 is the first whose mates
-    # are no perfect matching
-    w = np.triu(np.random.default_rng(seed).integers(0, 6, (10, 10)), 1).astype(float)
+    # are no perfect matching. Without expand's restore of a sub-blossom's
+    # dual, 9055 and 9963 match 1 and 26 heavier: the first such seeds among
+    # k = 12, 16, 20, 24 and weights below 3, 6, 20 and 1000 (none below 6)
+    w = np.triu(np.random.default_rng(seed).integers(0, high, (k, k)), 1).astype(float)
     w += w.T
-    pairs, _ = min_weight_perfect_matching(w, tuple(range(10)))
-    assert sorted(v for pair in pairs for v in pair) == list(range(10))
-    oracle, _ = bitmask_matching(w, tuple(range(10)))
+    pairs, _ = min_weight_perfect_matching(w, tuple(range(k)))
+    assert sorted(v for pair in pairs for v in pair) == list(range(k))
+    oracle, _ = bitmask_matching(w, tuple(range(k)))
     assert math.fsum(w[a, b] for a, b in pairs) == math.fsum(w[a, b] for a, b in oracle)
 
 
@@ -467,6 +473,18 @@ def test_held_karp_matches_the_scalar_oracle_across_blocks(t, m):
         oracle_route, oracle_value = scalar_held_karp(case)
         assert route == oracle_route
         assert repr(value) == repr(oracle_value)
+
+
+def test_held_karp_alternating_t_in_one_process_matches_the_scalar_oracle():
+    # the column tables are kept per T; going back and forth between sizes, each
+    # call must read the tables of its own T
+    for i, t in enumerate((13, 9, 13, 16, 9)):
+        for m in (80, 120):
+            inst = tie_heavy_instance(t, m, seed=i)
+            route, value = held_karp_min_path(inst)
+            oracle_route, oracle_value = scalar_held_karp(inst)
+            assert route == oracle_route
+            assert repr(value) == repr(oracle_value)
 
 
 # At T=18 the scalar oracle is too slow for Tier-1; one instance per regime, pinned
