@@ -30,9 +30,11 @@ axes, where those distances also have a simple form.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,6 +223,39 @@ def _openblas():
     return blas
 
 
+# _losses calls running now, and the BLAS thread count the first of them found
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_threads = 0
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread, process-wide.
+
+    Calls may overlap, from threads: the first one in saves the count and
+    sets it to 1, and the last one out restores what the first one saved,
+    after a return or a raise. Where numpy links another BLAS, nothing is set.
+    """
+    global _blas_users, _blas_threads
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_threads = blas.scipy_openblas_get_num_threads64_()
+            blas.scipy_openblas_set_num_threads64_(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                blas.scipy_openblas_set_num_threads64_(_blas_threads)
+
+
 def _losses(
     truth: TaskGroundTruth, regions: tuple[int, ...], n: int, trials: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -244,6 +279,12 @@ def _losses(
     already parallel, this is also 2-3x faster at m=120. Where numpy links
     another BLAS, nothing is set and its thread count is an input of the
     losses too.
+
+    Calls from several threads may overlap. The count stays at one from
+    the first call in to the last call out, which restores the count the
+    first call found, so each call's losses are those it gives alone.
+    Other BLAS work in the process runs on one thread meanwhile, and a
+    count it sets then is overwritten when the last call ends.
     """
     # imported here so that commands which never simulate do not pay for it
     from concurrent.futures import ThreadPoolExecutor
@@ -256,16 +297,9 @@ def _losses(
         b = min(_CHUNK, trials - c * _CHUNK)
         return _chunk_losses(truth, regions, n, b, np.random.default_rng(seeds[c]))
 
-    blas = _openblas()
-    if blas is not None:
-        threads = blas.scipy_openblas_get_num_threads64_()
-        blas.scipy_openblas_set_num_threads64_(1)
-    try:
+    with _one_blas_thread():
         with ThreadPoolExecutor(min(len(seeds), cpus or 1)) as pool:
             return np.concatenate(list(pool.map(chunk, range(len(seeds)))))
-    finally:
-        if blas is not None:
-            blas.scipy_openblas_set_num_threads64_(threads)
 
 
 def _under_losses(
@@ -306,7 +340,9 @@ def verify_closed_form(
     the route, ``n_samples``, ``trials`` and the state of ``rng`` for one numpy
     build (its generators and its BLAS), the same at any core count: the
     chunks run with numpy's bundled OpenBLAS on one thread. Where numpy links
-    another BLAS, its thread count is an input too.
+    another BLAS, its thread count is an input too. Calls may overlap from
+    threads with the same report; meanwhile the process's other BLAS work
+    runs on one thread too (``_losses``).
 
     The z-score needs a finite per-trial variance, which by the
     inverse-Wishart second moments holds only for |n − m| >= 4. At the

@@ -18,17 +18,19 @@ route included, comes back in one ``PathStages`` record.
 (visited set, last vertex) that minimizes the instance's own objective,
 ``inst.objective``. The objective has one forgetting weight per position,
 so the stage index of the program (the subset size) fixes each region's
-weight, the final region's included. Its table is region-major, one row
-per last region, with the subsets' columns ordered by size, so each size
-is one contiguous slab. numpy fills it one size at a time, in 512 KiB
-blocks of (predecessor, last region, subset) candidates, up to T = 20.
-The column tables that drive those blocks depend on T alone; they are
+weight, the final region's included. Its table holds reachable states
+only, T * 2^(T-1) values: per subset size, one row per member (the last
+region) and one column per subset of that size. numpy fills it one size
+at a time, pushing each subset's values along rows of the cost matrix in
+512 KiB blocks of (member, subset, next region) candidates, up to T = 20.
+The index tables that drive those steps depend on T alone; they are
 built on the first call for a T and kept for the life of the process.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -222,39 +224,44 @@ def fixed_end_path(costs: np.ndarray, end: int) -> PathStages:
 
 
 @functools.cache
-def _held_karp_columns(t: int) -> tuple[np.ndarray, tuple[tuple[int, np.ndarray, np.ndarray], ...]]:
-    """The column layout of Held–Karp's table at ``t`` regions, and its blocks.
+def _held_karp_tables(
+    t: int,
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The state layout of Held–Karp's table at ``t`` regions: (pos, members, into).
 
-    ``rank[S]`` is subset S's column: the subsets ordered by size, then by
-    mask, so the empty set is column 0 and {v} is column v + 1. Each block
-    is (s, src, dst) with int32 columns of shape (t, subsets): row v holds
-    subsets S of size s that contain v, ascending by mask, with
-    ``dst[v, i] = rank[S]`` and ``src[v, i] = rank[S minus v]``. A block
-    holds at most 512 KiB of float64 candidates, t per (v, S). Every call
-    at ``t`` shares these arrays, so they are read-only.
+    The subsets of each size k are listed by ascending mask, and ``pos[S]``
+    is S's place among those of its size. ``members[k]``, uint8 of shape
+    (k, C(t, k)), holds in column i the regions of the i-th size-k subset,
+    ascending; ``into[k]``, int32 of the same shape, holds for that subset
+    S and its j-th member v the flat index pos[S minus v] * t + v, where
+    state (S, v) sits in the (C(t, k - 1), t) table pushed from the
+    subsets of size k - 1. Both are empty for k = 0. Every call at ``t``
+    shares these arrays, so they are read-only.
     """
     size = np.zeros(1 << t, dtype=np.uint8)  # popcount of each subset
     for v in range(t):
         size[1 << v : 2 << v] = size[: 1 << v] + 1
-    rank = np.empty(1 << t, dtype=np.int32)
-    rank[np.argsort(size, kind="stable")] = np.arange(1 << t, dtype=np.int32)
-    bits = (1 << np.arange(t))[:, None]
-    others = size[: 1 << (t - 1)]  # popcount of each subset of T-1 regions
-    step = max(1, _BLOCK // (t * t))
-    blocks = []
-    for s in range(2, t + 1):
-        rest = np.flatnonzero(others == s - 1)
-        for lo in range(0, rest.size, step):
-            # row v: each (s-1)-subset r of the other regions, with bit v inserted
-            # as zero (r + (r & -2^v)), is S minus v; adding 2^v gives S
-            part = rest[lo : lo + step]
-            without = part & -bits
-            without += part
-            blocks.append((s, rank[without], rank[without + bits]))
-    rank.flags.writeable = False
-    for _, src, dst in blocks:
-        src.flags.writeable = dst.flags.writeable = False
-    return rank, tuple(blocks)
+    by_size = np.argsort(size, kind="stable")  # the masks by size, then ascending
+    counts = np.bincount(size, minlength=t + 1)  # C(t, k)
+    starts = np.cumsum(counts) - counts
+    pos = np.empty(1 << t, dtype=np.int32)
+    pos[by_size] = np.arange(1 << t) - np.repeat(starts, counts)
+    members, into = [], []
+    for k in range(t + 1):
+        masks = by_size[starts[k] : starts[k] + counts[k]]
+        mem = np.empty((k, masks.size), dtype=np.uint8)
+        idx = np.empty((k, masks.size), dtype=np.int32)
+        rest = masks.copy()
+        for j in range(k):
+            low = rest & -rest  # 2^v for the j-th member v
+            rest ^= low
+            mem[j] = np.frexp(low)[1] - 1
+            idx[j] = pos[masks ^ low] * t + mem[j]
+        members.append(mem)
+        into.append(idx)
+    for table in (pos, *members, *into):
+        table.flags.writeable = False
+    return pos, tuple(members), tuple(into)
 
 
 def held_karp_min_path(inst: ProblemInstance) -> tuple[Route, float]:
@@ -269,18 +276,27 @@ def held_karp_min_path(inst: ProblemInstance) -> tuple[Route, float]:
     and its objective value, route-independent terms included. The
     travel-only optimum is that of a copy of the instance with zero
     dissimilarities and zero noise (``tests/helpers.py::travel_only``).
+    Raises ``InvariantViolation`` if the optimum is not finite, which the
+    instance's own bound on every state rules out.
 
-    The table is region-major, dp[v, rank[S]], its columns ordered by
-    subset size, and each size is one pass over 512 KiB blocks of
-    (predecessor, last region, subset) candidates: a block reads columns
-    of the previous size's slab and writes columns of its own. The index
-    tables behind those blocks depend on T alone, so the first call at a
-    T builds them and later calls reuse them (``_held_karp_columns``).
+    Only reachable states are stored: for each subset size k, values[k][j, i]
+    is the cheapest start over the i-th size-k subset S (ascending mask)
+    that ends at its j-th member u (ascending), t * 2^(t-1) values in all.
+    Each step pushes every size-k subset's values along rows of the cost
+    matrix, in 512 KiB blocks of (member, subset, next region) candidates
+    through one buffer: pushed[S, v] = min_j (c[u_j, v] + values[k][j, S])
+    + gain[k, v]. One flat take through ``into[k + 1]`` then gathers the
+    values of size k + 1 from the entries with v outside S. The tables
+    behind those steps depend on T alone, so the first call at a T builds
+    them and later calls reuse them (``_held_karp_tables``).
 
-    Cost is O(2^T * T^2), memory 2^T * T float64 values (160 MiB at T=20)
-    per call. The index tables kept per T take about t * 2^(t+2) + 4 * 2^t
-    bytes: 84 MiB at T=20, 19 MiB at T=18, under 1 MiB at T <= 14. Refuses
-    T > 20 — use the approximation pipeline in ``planner`` beyond that.
+    Cost is O(2^T * T^2). Memory per call is t * 2^(t-1) float64 values
+    (80 MiB at T=20) and a push table of t * C(t, t/2) (28 MiB at T=20).
+    The tables kept per T take about 5 * t * 2^(t-1) + 4 * 2^t bytes:
+    54 MiB at T=20, 12 MiB at T=18, under 1 MiB at T <= 14. Each T that a
+    process has solved keeps its own, so a sweep over T = 17, ..., 20 in
+    ascending order holds 98 MiB of them while T=20 runs. Refuses T > 20
+    — use the approximation pipeline in ``planner`` beyond that.
     """
     t = inst.t_regions
     check_exact_size(t)
@@ -290,23 +306,38 @@ def held_karp_min_path(inst: ProblemInstance) -> tuple[Route, float]:
     # gain[k, v]: what region v adds when it enters as visit k+1
     gain = np.outer(objective.position_weights, objective.row_sums) / objective.forgetting_divisor
 
-    full = (1 << t) - 1
-    rank, blocks = _held_karp_columns(t)
-    ar = np.arange(t)
-    dp = np.full((t, full + 1), np.inf)  # dp[v, rank[S]]: each row one last region
-    dp[ar, rank[1 << ar]] = 0.0 + gain[0]  # a first visit has no predecessor
-    for s, src, dst in blocks:
-        # cand[u, v, i] = dp[u, S minus v] + c[u, v]; rows u outside that subset,
-        # v included, are inf and never win
-        cand = np.take(dp, src, axis=1)
-        cand += c[:, :, None]
-        dp[ar[:, None], dst] = np.minimum.reduce(cand, axis=0) + gain[s - 1, :, None]
+    pos, members, into = _held_karp_tables(t)
+    values = [None, (0.0 + gain[0])[None, :]]  # a first visit has no predecessor
+    buf = np.empty(_BLOCK)
+    push = np.empty(t * max(mem.shape[1] for mem in members))
+    for k in range(1, t):
+        mem, val = members[k], values[k]
+        n = mem.shape[1]
+        step = max(1, _BLOCK // (k * t))
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            # cand[j, i, v] = c[u_j, v] + values[k][j, i] for subset i's j-th
+            # member u_j; v among the subset's own members gives entries that
+            # no index in into[k + 1] reads
+            cand = buf[: k * (hi - lo) * t].reshape(k, -1, t)
+            np.take(c, mem[:, lo:hi], axis=0, out=cand, mode="clip")
+            cand += val[:, lo:hi, None]
+            pushed = push[lo * t : hi * t].reshape(-1, t)
+            np.minimum.reduce(cand, axis=0, out=pushed)
+            pushed += gain[k]
+        values.append(np.take(push, into[k + 1]))
 
-    v = int(np.argmin(dp[:, full]))  # the full set is the last column
-    value = float(dp[v, full]) + objective.offset + objective.noise
-    order, mask = [v], full
-    for _ in range(t - 1):
+    last = values[t][:, 0]  # the full set's states, its members 0, ..., t-1
+    v = int(np.argmin(last))
+    value = float(last[v]) + objective.offset + objective.noise
+    if not math.isfinite(value):
+        raise InvariantViolation(f"Held–Karp's optimum is {value}, not finite")
+    order, mask = [v], (1 << t) - 1
+    for k in range(t - 1, 0, -1):
         mask ^= 1 << v
-        v = int(np.argmin(dp[:, rank[mask]] + c[:, v]))  # the same sums, the same first minimum
+        i = pos[mask]
+        u = members[k][:, i]
+        # the same sums, the same first minimum over the members ascending
+        v = int(u[np.argmin(values[k][:, i] + c[u, v])])
         order.append(v)
     return Route(tuple(reversed(order))), value

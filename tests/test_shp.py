@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree as scipy_mst
 
 from clroute import (
-    ParameterError,
+    InvariantViolation,
     Route,
     best_final_region,
     generate_instance,
@@ -464,8 +464,12 @@ def test_held_karp_matches_the_scalar_oracle_bit_for_bit(inst, travel):
     assert repr(value) == repr(oracle_value)
 
 
-# From T=13 on, some subset sizes span several of Held–Karp's blocks.
-@pytest.mark.parametrize("t,m", [(13, 80), (13, 120), (14, 60), (14, 180), (15, 80), (16, 120)])
+# Held–Karp pushes each subset size in blocks of at most 2^16 candidates, k * t
+# per size-k subset. Up to T=11 every size is one block; from T=12 on some span
+# several (k=6 at T=12: 924 subsets * 72 candidates).
+@pytest.mark.parametrize(
+    "t,m", [(11, 80), (12, 120), (13, 80), (13, 120), (14, 60), (14, 180), (15, 80), (16, 120)]
+)
 def test_held_karp_matches_the_scalar_oracle_across_blocks(t, m):
     inst = tie_heavy_instance(t, m, seed=t)
     for case in (inst, travel_only(inst)):
@@ -476,7 +480,7 @@ def test_held_karp_matches_the_scalar_oracle_across_blocks(t, m):
 
 
 def test_held_karp_alternating_t_in_one_process_matches_the_scalar_oracle():
-    # the column tables are kept per T; going back and forth between sizes, each
+    # the index tables are kept per T; going back and forth between sizes, each
     # call must read the tables of its own T
     for i, t in enumerate((13, 9, 13, 16, 9)):
         for m in (80, 120):
@@ -502,13 +506,17 @@ def test_held_karp_results_at_t18_are_pinned(seed, m):
 
 
 def test_held_karp_read_back_on_a_broken_table_raises(monkeypatch):
-    # every candidate inf leaves each column of the table inf below the first visits;
-    # the walk back takes T - 1 steps and Route rejects what it found
+    # every gather inf leaves every state inf; the walk back visits only the
+    # remaining members, so it would still find a permutation: the non-finite
+    # optimum must raise before it
     inst = generate_instance(6, seed=3)
 
-    def all_inf(a, indices, axis):
-        return np.full(a.shape[:axis] + np.shape(indices), np.inf)
+    def all_inf(a, indices, axis=None, out=None, mode="raise"):
+        if out is None:
+            return np.full(np.shape(indices), np.inf)
+        out.fill(np.inf)
+        return out
 
     monkeypatch.setattr(np, "take", all_inf)
-    with pytest.raises(ParameterError, match="route must be a permutation"):
+    with pytest.raises(InvariantViolation, match="optimum is inf, not finite"):
         held_karp_min_path(inst)
