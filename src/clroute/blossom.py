@@ -45,6 +45,13 @@ def max_weight_mates(p: np.ndarray) -> list[int]:
       trees are unlabelled;
     * a T blossom's z reaches zero: it is expanded into its children.
 
+    Vertices are 0..k-1 and blossoms k..2k-1, and per-vertex state sits in
+    numpy arrays indexed by vertex. A vertex outside every blossom is its
+    own top-level blossom, with the int v as its leaf set, so relabelling
+    it reads and writes numpy scalars and an S-S meeting there takes v as
+    its end; a blossom's leaf set is an index array, built by concatenating
+    its children's when it shrinks.
+
     The dual move is one running offset d: S duals are stored as y + d and
     T duals as y - d, so a step costs O(k) for k vertices. The least slacks
     from S vertices sit in dense arrays: per vertex (``sk``) and, per S
@@ -79,7 +86,7 @@ def max_weight_mates(p: np.ndarray) -> list[int]:
     kids: list = [None] * size  # a blossom's children in cycle order, from its base's
     links: list = [None] * size  # links[b][i] = (x, y): x in kids[b][i], y in the next child
     base = list(range(n)) + [-1] * n
-    leaves: list = list(ar[:, None]) + [None] * n
+    leaves: list = list(range(n)) + [None] * n  # an int for a vertex, an array for a blossom
     spare = list(range(size - 1, n - 1, -1))
     top = ar.copy()  # the top-level blossom of each vertex
     # labels of top-level blossoms: 0 none, 1 S, 2 T; every unmatched
@@ -172,7 +179,7 @@ def max_weight_mates(p: np.ndarray) -> list[int]:
                 z[c] += 2.0 * d  # the actual dual, frozen while inside b
             outer.discard(c)
             best[c], label[c], parent[c] = inf, 0, b
-        leaves[b] = np.concatenate([leaves[c] for c in ks])
+        leaves[b] = np.concatenate([np.atleast_1d(leaves[c]) for c in ks])
         top[leaves[b]] = b
         base[b], label[b], z[b] = base[lca], 1, -2.0 * d
         relabel(b, 1, edge_in[lca], int(tree[u]), row)
@@ -246,6 +253,7 @@ def max_weight_mates(p: np.ndarray) -> list[int]:
                     rebase(bt, j)
                 mate[j] = s
 
+    slack = np.empty(n)
     while outer:
         # the S blossoms' least slacks, kept up to date until an augmentation
         ids = list(outer)
@@ -257,7 +265,7 @@ def max_weight_mates(p: np.ndarray) -> list[int]:
                 cand[i, leaves[c]] = inf
         best[ids] = cand.min(axis=1)
         while True:
-            slack = sk + yf
+            np.add(sk, yf, out=slack)
             v2 = int(slack.argmin())
             b3 = int(best.argmin())
             b4 = min(inner, key=inner.__getitem__, default=-1)
@@ -273,7 +281,7 @@ def max_weight_mates(p: np.ndarray) -> list[int]:
                 cand = rows[b3] + ys
                 cand[lb] = inf
                 v = int(cand.argmin())
-                u = int(lb[(yb[lb] - p[lb, v]).argmin()])
+                u = b3 if b3 < n else int(lb[(yb[lb] - p[lb, v]).argmin()])
                 lca = common_ancestor(u, v)
                 if lca >= 0:
                     shrink(u, v, lca)
@@ -281,7 +289,7 @@ def max_weight_mates(p: np.ndarray) -> list[int]:
                 ta, tb = tree[u], tree[v]
                 augment(u, v)
                 # unlabel both trees, their duals back to actual values
-                lv = np.flatnonzero((tree == ta) | (tree == tb))
+                lv = ((tree == ta) | (tree == tb)).nonzero()[0]
                 yb[lv] -= d * vsign[lv]
                 yf[lv], ys[lv], tree[lv], vsign[lv] = yb[lv], inf, -1, 0.0
                 for c in set(top[lv].tolist()):

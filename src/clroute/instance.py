@@ -14,6 +14,7 @@ internally everything is 0-based.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -28,8 +29,19 @@ if TYPE_CHECKING:
 
 
 # float64 candidates per block, 512 KiB: (i, j, k) triples in the triangle
-# check, (predecessor, last region, subset) in Held–Karp (shp.py)
+# check, (member, subset, next region) in Held–Karp (shp.py)
 _BLOCK = 1 << 16
+
+
+@functools.lru_cache(maxsize=1)
+def upper_pairs(t: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(t, 1)``, the (i, j) pairs with i < j in row-major
+    order, kept for the last ``t`` asked for: ``generate_instance`` and the
+    spanning tree ask for the same ``t`` in turn. Read-only."""
+    pairs = np.triu_indices(t, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 class ParameterError(ValueError):
@@ -297,7 +309,7 @@ def generate_instance(
 
     rng = np.random.default_rng(seed)
     n_pairs = t * (t - 1) // 2
-    iu = np.triu_indices(t, k=1)
+    iu = upper_pairs(t)
 
     delta = np.zeros((t, t))
     delta[iu] = rng.uniform(range_lo, range_hi, n_pairs)

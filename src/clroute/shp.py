@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import _BLOCK, ProblemInstance, Route
+from .instance import _BLOCK, ProblemInstance, Route, upper_pairs
 
 HELD_KARP_MAX_T = 20
 
@@ -60,11 +60,12 @@ class InvariantViolation(RuntimeError):
 
 def minimum_spanning_tree(costs: np.ndarray) -> tuple[tuple[tuple[int, int], ...], float]:
     """Kruskal on the complete graph; ties broken by (weight, i, j) edge order:
-    ``np.triu_indices`` lists edges by (i, j), which a stable sort by weight
-    keeps. The sorted edges become Python numbers T at a time, and the scan
-    stops at T - 1 tree edges, a few T of the T(T - 1)/2 as a rule."""
+    ``upper_pairs`` (``np.triu_indices``) lists edges by (i, j), which a
+    stable sort by weight keeps. The sorted edges become Python numbers T
+    at a time, and the scan stops at T - 1 tree edges, a few T of the
+    T(T - 1)/2 as a rule."""
     t = costs.shape[0]
-    rows, cols = np.triu_indices(t, 1)
+    rows, cols = upper_pairs(t)
     weights = costs[rows, cols]
     order = np.argsort(weights, kind="stable")
     parent = list(range(t))
@@ -217,26 +218,27 @@ def fixed_end_path(costs: np.ndarray, end: int) -> PathStages:
     mst_edges, tree_weight = minimum_spanning_tree(costs)
     tree = mst_edges + ((end, dummy),)
     odd = odd_degree_vertices(tree)
-    pairs, matching_weight = min_weight_perfect_matching(np.pad(costs, (0, 1)), odd)
+    w = np.zeros((dummy + 1, dummy + 1), dtype=costs.dtype)
+    w[:dummy, :dummy] = costs
+    pairs, matching_weight = min_weight_perfect_matching(w, odd)
     circuit = eulerian_circuit(tree + pairs, dummy)
     route = shortcut_to_hamiltonian(circuit, end)
     return PathStages(route, tree, tree_weight, odd, pairs, matching_weight, circuit)
 
 
 @functools.cache
-def _held_karp_tables(
-    t: int,
-) -> tuple[np.ndarray, tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The state layout of Held–Karp's table at ``t`` regions: (pos, members, into).
+def _held_karp_tables(t: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The state layout of Held–Karp's table at ``t`` regions: (members, into).
 
-    The subsets of each size k are listed by ascending mask, and ``pos[S]``
-    is S's place among those of its size. ``members[k]``, uint8 of shape
+    The subsets of each size k are listed by ascending mask, and pos(S) is
+    S's place among those of its size. ``members[k]``, uint8 of shape
     (k, C(t, k)), holds in column i the regions of the i-th size-k subset,
     ascending; ``into[k]``, int32 of the same shape, holds for that subset
-    S and its j-th member v the flat index pos[S minus v] * t + v, where
+    S and its j-th member v the flat index pos(S minus v) * t + v, where
     state (S, v) sits in the (C(t, k - 1), t) table pushed from the
-    subsets of size k - 1. Both are empty for k = 0. Every call at ``t``
-    shares these arrays, so they are read-only.
+    subsets of size k - 1, so ``into[k][j, i] // t`` is the column of S
+    minus v. Both are empty for k = 0. Every call at ``t`` shares these
+    arrays, so they are read-only.
     """
     size = np.zeros(1 << t, dtype=np.uint8)  # popcount of each subset
     for v in range(t):
@@ -259,9 +261,9 @@ def _held_karp_tables(
             idx[j] = pos[masks ^ low] * t + mem[j]
         members.append(mem)
         into.append(idx)
-    for table in (pos, *members, *into):
+    for table in (*members, *into):
         table.flags.writeable = False
-    return pos, tuple(members), tuple(into)
+    return tuple(members), tuple(into)
 
 
 def held_karp_min_path(inst: ProblemInstance) -> tuple[Route, float]:
@@ -272,8 +274,9 @@ def held_karp_min_path(inst: ProblemInstance) -> tuple[Route, float]:
     position p times its row sum, the cheapest predecessor (lowest index on
     ties) chosen before the gain is added, and travel is divided by T. The
     route is recovered by walking back from the best final state, taking
-    that same first minimum again at each step. Returns the optimal route
-    and its objective value, route-independent terms included. The
+    that same first minimum again at each step; the column of each subset
+    less its last region is read from the gather index. Returns the optimal
+    route and its objective value, route-independent terms included. The
     travel-only optimum is that of a copy of the instance with zero
     dissimilarities and zero noise (``tests/helpers.py::travel_only``).
     Raises ``InvariantViolation`` if the optimum is not finite, which the
@@ -292,10 +295,10 @@ def held_karp_min_path(inst: ProblemInstance) -> tuple[Route, float]:
 
     Cost is O(2^T * T^2). Memory per call is t * 2^(t-1) float64 values
     (80 MiB at T=20) and a push table of t * C(t, t/2) (28 MiB at T=20).
-    The tables kept per T take about 5 * t * 2^(t-1) + 4 * 2^t bytes:
-    54 MiB at T=20, 12 MiB at T=18, under 1 MiB at T <= 14. Each T that a
-    process has solved keeps its own, so a sweep over T = 17, ..., 20 in
-    ascending order holds 98 MiB of them while T=20 runs. Refuses T > 20
+    The tables kept per T take 5 * t * 2^(t-1) bytes: 50 MiB at T=20,
+    11 MiB at T=18, under 1 MiB at T <= 14. Each T that a process has
+    solved keeps its own, so a sweep over T = 17, ..., 20 in ascending
+    order holds 90 MiB of them while T=20 runs. Refuses T > 20
     — use the approximation pipeline in ``planner`` beyond that.
     """
     t = inst.t_regions
@@ -306,7 +309,7 @@ def held_karp_min_path(inst: ProblemInstance) -> tuple[Route, float]:
     # gain[k, v]: what region v adds when it enters as visit k+1
     gain = np.outer(objective.position_weights, objective.row_sums) / objective.forgetting_divisor
 
-    pos, members, into = _held_karp_tables(t)
+    members, into = _held_karp_tables(t)
     values = [None, (0.0 + gain[0])[None, :]]  # a first visit has no predecessor
     buf = np.empty(_BLOCK)
     push = np.empty(t * max(mem.shape[1] for mem in members))
@@ -332,12 +335,12 @@ def held_karp_min_path(inst: ProblemInstance) -> tuple[Route, float]:
     value = float(last[v]) + objective.offset + objective.noise
     if not math.isfinite(value):
         raise InvariantViolation(f"Held–Karp's optimum is {value}, not finite")
-    order, mask = [v], (1 << t) - 1
+    order, i, j = [v], 0, v  # v is the j-th member of the i-th size-t subset
     for k in range(t - 1, 0, -1):
-        mask ^= 1 << v
-        i = pos[mask]
+        i = into[k + 1][j, i] // t  # the column of that subset minus v
         u = members[k][:, i]
         # the same sums, the same first minimum over the members ascending
-        v = int(u[np.argmin(values[k][:, i] + c[u, v])])
+        j = int(np.argmin(values[k][:, i] + c[u, v]))
+        v = int(u[j])
         order.append(v)
     return Route(tuple(reversed(order))), value

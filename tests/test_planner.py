@@ -46,21 +46,36 @@ def test_algorithm1_worked_instance_is_optimal():
     assert result.breakdown.total == exact.breakdown.total
 
 
-# sha256 of the JSON list of (route order, repr of the total) over GOLDEN_CASES
+def alg1_digest(cases):
+    """sha256 of the JSON list of (route order, repr of the total) of alg1
+    on ``generate_instance(t, seed, m, n=100)`` for each (t, seed, m)."""
+    out = []
+    for t, seed, m in cases:
+        result = plan_algorithm1(generate_instance(t, seed=seed, m=m, n=100))
+        out.append((result.route.order, repr(result.breakdown.total)))
+    return hashlib.sha256(json.dumps(out).encode()).hexdigest()
+
+
+M_CYCLE = (60, 120, 80, 180)
 ALG1_GOLDEN_SHA256 = "8bd5d2e560b455740762c937409a1bdaee9d8ad024d2a1d5f120980ba18ff721"
 GOLDEN_CASES = 300
+# past the golden cases' T <= 20: T=24 gives the blossom odd sets of
+# k = 10-20, the sizes the plan_t24 benchmark matches, and T=60 of k = 30-40
+ALG1_PAST_T20_SHA256 = "4ef50bad0ba36ea4c9c1c853954e5f4a758637449591fde29f96af9c21dcc0fb"
+PAST_T20_CASES = [(24, 1000 + i, M_CYCLE[i % 4]) for i in range(60)] + [
+    (60, 2000 + i, M_CYCLE[i % 4]) for i in range(10)
+]
 
 
 def test_algorithm1_routes_and_totals_are_pinned():
     # T runs 2..20 and m cycles over both regimes; any change to a route or
     # to the last bit of a total changes the digest
-    out = []
-    for i in range(GOLDEN_CASES):
-        inst = generate_instance(2 + i % 19, seed=i, m=(60, 120, 80, 180)[i % 4], n=100)
-        result = plan_algorithm1(inst)
-        out.append((result.route.order, repr(result.breakdown.total)))
-    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
-    assert digest == ALG1_GOLDEN_SHA256
+    cases = [(2 + i % 19, i, M_CYCLE[i % 4]) for i in range(GOLDEN_CASES)]
+    assert alg1_digest(cases) == ALG1_GOLDEN_SHA256
+
+
+def test_algorithm1_routes_and_totals_past_t20_are_pinned():
+    assert alg1_digest(PAST_T20_CASES) == ALG1_PAST_T20_SHA256
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
