@@ -28,7 +28,7 @@ if TYPE_CHECKING:
     from .loss import Objective
 
 
-# float64 candidates per block, 512 KiB: (i, j, k) triples in the triangle
+# float64 candidates per block, 512 KiB: (k, i, j) triples in the triangle
 # check, (member, subset, next region) in Held–Karp (shp.py)
 _BLOCK = 1 << 16
 
@@ -189,11 +189,12 @@ def _check_triangle(c: np.ndarray, out: list[str]) -> None:
     c[i, k] + c[k, j], does, so only the first such pair's k are scanned one
     by one. Detours are summed over a copy with +inf on its diagonal, so
     k = i and k = j sum to +inf and need no mask. Rows go in blocks of at
-    most 2^16 sums, one row where a row alone is more. On a symmetric ``c``
-    a block takes the columns after its first row only: the sums are then
-    symmetric bit for bit, so (i, j) with j < i is flagged only after
-    (j, i), and the first violated triple has i < j. Sums may overflow to
-    inf; the caller silences that warning.
+    most 2^16 sums, one row where a row alone is more, laid out as
+    (k, row, j) so the least detour is a reduction over contiguous
+    (row, j) slabs. On a symmetric ``c`` a block takes the columns after
+    its first row only: the sums are then symmetric bit for bit, so (i, j)
+    with j < i is flagged only after (j, i), and the first violated triple
+    has i < j. Sums may overflow to inf; the caller silences that warning.
     """
     t = c.shape[0]
     if t < 3:
@@ -207,10 +208,12 @@ def _check_triangle(c: np.ndarray, out: list[str]) -> None:
     for lo in range(0, t, step):
         rows = np.arange(lo, min(lo + step, t))
         j0 = lo + 1 if half else 0
-        detour = buf[: rows.size * t * (t - j0)].reshape(rows.size, t, t - j0)
-        np.add(e[rows, :, None], e[None, :, j0:], out=detour)  # e[i, k] + e[k, j] at [b, k, j - j0]
+        detour = buf[: t * rows.size * (t - j0)].reshape(t, rows.size, t - j0)
+        # e[i, k] + e[k, j] at [k, b, j - j0]
+        np.add(e[rows].T[:, :, None], e[:, None, j0:], out=detour)
         direct = c[rows, j0:]
-        bad = (direct > detour.min(axis=1) + 1e-12 * direct) & (rows[:, None] != np.arange(j0, t))
+        least = np.minimum.reduce(detour, axis=0)
+        bad = (direct > least + 1e-12 * direct) & (rows[:, None] != np.arange(j0, t))
         if bad.any():
             b, j = np.unravel_index(int(bad.argmax()), bad.shape)
             i, j = int(rows[b]), int(j) + j0
@@ -264,25 +267,62 @@ def metric_closure(costs: np.ndarray) -> np.ndarray:
     the result is exactly idempotent even when different relaxation
     orders round path sums differently. The result satisfies the
     triangle inequality, never exceeds the input entrywise, and keeps
-    symmetry and the zero diagonal.
+    symmetry and the zero diagonal. Raises ParameterError for a matrix
+    that is not square, or holds a NaN or a negative entry; -0.0 and +inf
+    are costs like any other.
 
-    A generated instance takes three passes as a rule: the first closes,
-    the second absorbs rounding (entries move by at most a few ulps), the
-    third confirms. Over generate_instance seeds 0-199 at T=24, 191 took
-    three, 7 two (no rounding showed) and 2 four; seeds 0-19 at T=80 and
-    T=200 took three each.
+    A pass changes no value exactly when no d[i, j] exceeds
+    fl(d[i, k] + d[k, j]). Right after step k of a pass every d[i, j] is
+    at most that sum, and entries only fall afterwards, so at the end of
+    a pass a triple can break only through a d[i, k] or d[k, j] the pass
+    changed. So a pass that changed nothing ends the loop; after any
+    other pass but the first, the closure checks just the triples through
+    the entries it changed, at zero tolerance and in blocks of T entries,
+    and runs another pass only if one breaks. The first pass changes most
+    entries, so the second runs outright. A generated instance takes two
+    passes and a check as a rule: the first closes, the second absorbs
+    rounding (it moves about 80 of 6400 entries at T=80 and 300 of 160000
+    at T=400, each by a few ulps) and the check confirms. Over
+    generate_instance seeds 0-199 at T=24, 191 took that, 7 two passes
+    and no check (no rounding showed) and 2 three passes and a check.
     """
     d = np.array(costs, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ParameterError(f"costs must be a square matrix, got shape {d.shape}")
+    for bad, what in ((np.isnan(d), "must not be NaN"), (d < 0.0, "must be >= 0")):
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ParameterError(f"costs {what}: c_{{{i + 1},{j + 1}}}={d[i, j]:g}")
     t = d.shape[0]
     via = np.empty_like(d)  # reused for every k: a fresh T x T sum per k slows T >= 400
-    while True:
-        before = d.copy()
-        with np.errstate(over="ignore"):  # an infinite path sum never wins the minimum
+    first = True
+    with np.errstate(over="ignore"):  # an infinite path sum never wins the minimum
+        while True:
+            before = d.copy()
             for k in range(t):
                 np.add(d[:, k, None], d[None, k, :], out=via)
                 np.minimum(d, via, out=d)
-        if np.array_equal(d, before):
-            return d
+            a, b = np.nonzero(d != before)
+            if not a.size or (not first and _closed_through(d, a, b, via)):
+                return d
+            first = False
+
+
+def _closed_through(d: np.ndarray, a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> bool:
+    """Whether no d[i, j] exceeds fl(d[i, k] + d[k, j]) on a triple whose
+    (i, k) or (k, j) is one of the entries (a, b); in blocks of T entries,
+    each block's sums in the T x T ``buf``."""
+    t = d.shape[0]
+    for lo in range(0, a.size, t):
+        ra, rb = a[lo : lo + t], b[lo : lo + t]
+        sums = buf[: ra.size]
+        np.add(d[ra, rb, None], d[rb], out=sums)  # (a, b) as (i, k): d[a, b] + d[b, j] at [m, j]
+        if (d[ra] > sums).any():
+            return False
+        np.add(d[:, ra].T, d[ra, rb, None], out=sums)  # as (k, j): d[i, a] + d[a, b] at [m, i]
+        if (d[:, rb].T > sums).any():
+            return False
+    return True
 
 
 def generate_instance(
@@ -347,16 +387,24 @@ def _matrix_text(mat: np.ndarray) -> str:
     """A square matrix laid out as ``json.dumps(indent=2)`` lays out a
     nested list that is a field of a top-level object; a mirror pair whose
     bits agree, which is every pair of a symmetric matrix but ±0.0, is
-    formatted once."""
-    upper = np.triu_indices(mat.shape[0])
-    strings = np.array(_float_strings(mat[upper]), dtype=object)
-    cells = np.empty(mat.shape, dtype=object)
-    cells[upper] = strings
-    cells.T[upper] = strings
+    formatted once.
+
+    Row i starts as i blanks, the diagonal and the row's part of the
+    upper triangle; the blanks then take column i's first i cells, the
+    upper triangle's (j, i) for j < i."""
+    t = mat.shape[0]
+    diagonal = _float_strings(np.diagonal(mat))
+    upper = _float_strings(mat[upper_pairs(t)])
+    cells, lo = [], 0
+    for i in range(t):
+        cells.append([""] * i + [diagonal[i], *upper[lo : lo + t - 1 - i]])
+        lo += t - 1 - i
+    for i, column in enumerate(list(zip(*cells))):
+        cells[i][:i] = column[:i]
     bits = mat.view(np.uint64)
     for i, j in zip(*np.nonzero(bits != bits.T)):
-        cells[i, j] = repr(float(mat[i, j]))
-    rows = "\n    ],\n    [\n      ".join(",\n      ".join(row) for row in cells.tolist())
+        cells[i][j] = repr(float(mat[i, j]))
+    rows = "\n    ],\n    [\n      ".join([",\n      ".join(row) for row in cells])
     return f"[\n    [\n      {rows}\n    ]\n  ]"
 
 
@@ -366,9 +414,10 @@ def write_instance(inst: ProblemInstance, path: str | Path) -> None:
     The file holds the bytes of ``json.dumps(payload, indent=2) + "\\n"``
     for the payload {t, m, n, sigma2, delta, delta0, costs}, which a test
     pins. The scalar head goes through ``json.dumps``; each matrix's upper
-    triangle is formatted by one C-encoder call and each string is written
-    at (i, j) and (j, i), a mirror whose bits differ formatted on its own;
-    the indented layout is joined from fixed separators.
+    triangle and its diagonal are formatted by one C-encoder call each and
+    each string is placed at (i, j) and (j, i), a mirror whose bits differ
+    formatted on its own; the indented layout is joined from fixed
+    separators.
     """
     head = json.dumps(
         {"t": inst.t_regions, "m": inst.m_features, "n": inst.n_samples, "sigma2": inst.sigma2},

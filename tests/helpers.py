@@ -288,6 +288,41 @@ def sorted_kruskal(costs: np.ndarray) -> tuple[tuple[tuple[int, int], ...], floa
     return tuple(chosen), weight
 
 
+def closure_by_full_passes(costs) -> tuple[np.ndarray, int]:
+    """Floyd–Warshall passes over every pivot until a pass changes no
+    value, and the number of passes run, the last one included.
+
+    The reference for ``metric_closure``, which must return these bits:
+    the same additions and minima in the same order, its fixed point
+    learned by running the pass that confirms it.
+    """
+    d = np.array(costs, dtype=float)
+    via = np.empty_like(d)
+    passes = 0
+    with np.errstate(over="ignore"):
+        while True:
+            before = d.copy()
+            passes += 1
+            for k in range(d.shape[0]):
+                np.add(d[:, k, None], d[None, k, :], out=via)
+                np.minimum(d, via, out=d)
+            if np.array_equal(d, before):
+                return d, passes
+
+
+def generated_raw_costs(t: int, seed: int) -> np.ndarray:
+    """The raw costs ``generate_instance(t, seed)`` closes, drawn as it
+    draws them: delta's upper triangle, delta0, then the costs' upper
+    triangle, each uniform on [1, 10]."""
+    rng = np.random.default_rng(seed)
+    pairs = t * (t - 1) // 2
+    rng.uniform(1.0, 10.0, pairs)
+    rng.uniform(1.0, 10.0, t)
+    raw = np.zeros((t, t))
+    raw[np.triu_indices(t, 1)] = rng.uniform(1.0, 10.0, pairs)
+    return raw + raw.T
+
+
 def scalar_triangle_violation(c: np.ndarray) -> str | None:
     """The first violated ordered triple of distinct regions, as a scalar
     loop over i, then j, then k in Python floats; None when there is none.

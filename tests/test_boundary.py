@@ -27,6 +27,7 @@ from clroute import (
     generate_instance,
     held_karp_min_path,
     loss_upper,
+    metric_closure,
     plan,
     plan_exact,
     read_instance,
@@ -238,6 +239,17 @@ LIBRARY_ROWS = {  # id: (call, exception, message)
     "instance-costs-shape": (
         lambda: ProblemInstance(2, np.zeros((2, 2)), np.zeros(2), np.zeros((3, 2)), 4, 10, 1.0),
         ParameterError, "costs must be 2x2, got (3, 2)"),
+    "closure-not-square": (
+        lambda: metric_closure(np.zeros((2, 3))), ParameterError,
+        "costs must be a square matrix, got shape (2, 3)"),
+    # a NaN entry never compares equal, so no pass would end the closure
+    "closure-nan": (
+        lambda: metric_closure([[0, 1, NAN], [1, 0, 1], [NAN, 1, 0]]), ParameterError,
+        "costs must not be NaN: c_{1,3}=nan"),
+    # a negative entry would drive every distance to -inf
+    "closure-negative": (
+        lambda: metric_closure([[0, 1, 2], [1, 0, -1], [2, -1, 0]]), ParameterError,
+        "costs must be >= 0: c_{2,3}=-1"),
     "generate-t-one": (
         lambda: generate_instance(1, seed=0), ParameterError, "t must be >= 2, got 1"),
     **{

@@ -4,6 +4,7 @@ import hashlib
 import math
 import sys
 import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from clroute import (
 )
 from clroute.instance import _check_square_metric_free
 from helpers import (
+    closure_by_full_passes,
+    generated_raw_costs,
     instance_json_oracle,
     manual_instance,
     scalar_triangle_violation,
@@ -195,6 +198,49 @@ def test_metric_closure_properties_random():
         assert np.all(np.diagonal(closed) == 0.0)
         # idempotence
         assert np.array_equal(metric_closure(closed), closed)
+
+
+def closure_inputs():
+    """Named inputs for the bit-for-bit closure test: raw costs
+    generate_instance closes, asymmetric uniform matrices, matrices holding
+    +inf or signed zeros, and already-closed matrices."""
+    rng = np.random.default_rng(3)
+    # seeds 0-2 at every T from 2 to 40 take one to four full passes (four
+    # at T=16, 24, 34 and 36); T=28 seed 32 takes five
+    for t, seed in [*((t, seed) for t in range(2, 41) for seed in range(3)), (28, 32)]:
+        yield f"generated T={t} seed={seed}", generated_raw_costs(t, seed)
+    # on an asymmetric matrix the triples through a moved d[i, k] and
+    # through a moved d[k, j] are different sets, and a check that skips
+    # either set returns early on some of these
+    for t in range(3, 41):
+        mat = rng.uniform(0.0, 10.0, (t, t))
+        np.fill_diagonal(mat, 0.0)
+        yield f"asymmetric T={t}", mat
+        holes = mat.copy()
+        holes[rng.random((t, t)) < 0.3] = np.inf
+        np.fill_diagonal(holes, 0.0)
+        yield f"+inf T={t}", holes
+        zeros = rng.choice([0.0, -0.0, 1.0, 2.5, np.inf], (t, t))
+        yield f"signed zeros T={t}", zeros
+        yield f"closed T={t}", closure_by_full_passes(mat)[0]
+    yield "closed generated T=24", generate_instance(24, seed=2).costs
+
+
+def test_metric_closure_matches_full_passes_bit_for_bit():
+    # the closure skips the pass that would only confirm its fixed point,
+    # checking the triples through the entries the last pass moved instead
+    passes = Counter()
+    for name, costs in closure_inputs():
+        expected, n = closure_by_full_passes(costs)
+        passes[n] += name.startswith("generated")
+        assert metric_closure(costs).tobytes() == expected.tobytes(), name
+    assert all(passes[n] for n in range(1, 6)), passes
+
+
+def test_generated_raw_costs_are_what_generate_instance_closes():
+    for t, seed in ((2, 0), (16, 1), (24, 2), (80, 0)):
+        closed, _ = closure_by_full_passes(generated_raw_costs(t, seed))
+        assert generate_instance(t, seed).costs.tobytes() == closed.tobytes()
 
 
 def test_generate_smallest_instance():
