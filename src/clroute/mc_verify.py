@@ -223,37 +223,30 @@ def _openblas():
     return blas
 
 
-# _losses calls running now, and the BLAS thread count the first of them found
+# held by a _losses call from saving the BLAS thread count until restoring it
 _blas_lock = threading.Lock()
-_blas_users = 0
-_blas_threads = 0
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body with numpy's bundled OpenBLAS on one thread, process-wide.
 
-    Calls may overlap, from threads: the first one in saves the count and
-    sets it to 1, and the last one out restores what the first one saved,
-    after a return or a raise. Where numpy links another BLAS, nothing is set.
+    The body runs under one lock, held from saving the count and setting it
+    to 1 until the count is restored, after a return or a raise; so calls
+    from several threads run one after another. Where numpy links another
+    BLAS, nothing is set and nothing is locked.
     """
-    global _blas_users, _blas_threads
     blas = _openblas()
     if blas is None:
         yield
         return
     with _blas_lock:
-        if _blas_users == 0:
-            _blas_threads = blas.scipy_openblas_get_num_threads64_()
-            blas.scipy_openblas_set_num_threads64_(1)
-        _blas_users += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_users -= 1
-            if _blas_users == 0:
-                blas.scipy_openblas_set_num_threads64_(_blas_threads)
+        threads = blas.scipy_openblas_get_num_threads64_()
+        blas.scipy_openblas_set_num_threads64_(1)
+        try:
+            yield
+        finally:
+            blas.scipy_openblas_set_num_threads64_(threads)
 
 
 def _losses(
@@ -280,11 +273,11 @@ def _losses(
     another BLAS, nothing is set and its thread count is an input of the
     losses too.
 
-    Calls from several threads may overlap. The count stays at one from
-    the first call in to the last call out, which restores the count the
-    first call found, so each call's losses are those it gives alone.
-    Other BLAS work in the process runs on one thread meanwhile, and a
-    count it sets then is overwritten when the last call ends.
+    Calls from several threads run one after another, each holding the
+    count at one for its whole run, so each call's losses are those it
+    gives alone; each call already has a worker per usable CPU. Other BLAS
+    work in the process runs on one thread meanwhile, and a count it sets
+    then is overwritten when the call ends.
     """
     # imported here so that commands which never simulate do not pay for it
     from concurrent.futures import ThreadPoolExecutor
@@ -340,9 +333,10 @@ def verify_closed_form(
     the route, ``n_samples``, ``trials`` and the state of ``rng`` for one numpy
     build (its generators and its BLAS), the same at any core count: the
     chunks run with numpy's bundled OpenBLAS on one thread. Where numpy links
-    another BLAS, its thread count is an input too. Calls may overlap from
-    threads with the same report; meanwhile the process's other BLAS work
-    runs on one thread too (``_losses``).
+    another BLAS, its thread count is an input too. Calls from several
+    threads run their simulations one after another, each with the report
+    it gives alone; meanwhile the process's other BLAS work runs on one
+    thread too (``_losses``).
 
     The z-score needs a finite per-trial variance, which by the
     inverse-Wishart second moments holds only for |n − m| >= 4. At the

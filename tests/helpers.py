@@ -1,8 +1,9 @@
 """Shared instance builders and independent oracles.
 
-The oracles are deliberately naive — full permutation scans and recursive
-matching enumeration, with the objective formulas written out on their own
-— so they cannot share a bug with the package's optimized implementations.
+The oracles are deliberately naive — full permutation scans and plain
+scalar loops over every state, with the objective formulas written out on
+their own — so they cannot share a bug with the package's optimized
+implementations.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def scale_costs(inst: ProblemInstance, k: int) -> ProblemInstance:
 
 
 @st.composite
-def edge_corpus_instances(draw, kinds=EDGE_KINDS, max_t=12):
+def edge_corpus_instances(draw, max_t=12):
     """Valid instances at the edges of cost scale and geometry, T from 3 to
     max_t, either regime. The costs are of one of four kinds:
 
@@ -172,7 +173,7 @@ def edge_corpus_instances(draw, kinds=EDGE_KINDS, max_t=12):
 
     The dissimilarities are uniform on [1, 10].
     """
-    kind = draw(st.sampled_from(kinds))
+    kind = draw(st.sampled_from(EDGE_KINDS))
     t = draw(st.integers(3, max_t))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "scaled":
@@ -464,24 +465,6 @@ def bitmask_matching(
         pairs.append((odd[i], odd[j]))
         mask ^= (1 << i) | (1 << j)
     return tuple(pairs), dp[full]
-
-
-def all_perfect_matchings(verts: tuple[int, ...]):
-    """Every perfect matching of an even-sized vertex tuple."""
-    if not verts:
-        yield ()
-        return
-    a = verts[0]
-    for i in range(1, len(verts)):
-        b = verts[i]
-        rest = verts[1:i] + verts[i + 1 :]
-        for sub in all_perfect_matchings(rest):
-            yield ((a, b),) + sub
-
-
-def brute_min_matching_weight(w: np.ndarray, odd: tuple[int, ...]) -> float:
-    """The least weight over all perfect matchings, each summed exactly."""
-    return min(math.fsum(w[a, b] for a, b in pairing) for pairing in all_perfect_matchings(odd))
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:

@@ -8,7 +8,6 @@ import pytest
 
 import clroute
 from clroute import (
-    LossBreakdown,
     Route,
     TaskGroundTruth,
     best_final_region,
@@ -162,40 +161,9 @@ def test_constant_part_is_route_independent():
         assert len(constants) == 1
 
 
-def test_forgetting_weight_sum_decreases_in_r():
-    # total position weight is (1 - r^T)/T; strictly decreasing in r
-    t = 6
-    values = []
-    for r in np.linspace(0.05, 0.99, 40):
-        powers = r_powers(float(r), t)
-        values.append(sum((1 - r) * powers[t - p] / t for p in range(1, t + 1)))
-    diffs = np.diff(values)
-    assert np.all(diffs < 0)
-    assert values[-1] == pytest.approx((1 - 0.99**t) / t, rel=1e-9)
-
-
 def test_r_powers_matches_pow():
     powers = r_powers(0.6, 5)
     np.testing.assert_allclose(powers, [0.6**k for k in range(6)], rtol=1e-15)
-
-
-def test_breakdown_total_and_csv_row():
-    b = LossBreakdown(1.25, 0.5, 0.8)
-    assert b.total == pytest.approx(2.55, rel=1e-12)
-
-
-def test_parts_nonnegative_on_valid_instances():
-    rng = np.random.default_rng(23)
-    for m in (80, 120):
-        for _ in range(5):
-            t = int(rng.integers(2, 8))
-            inst = generate_instance(t, seed=int(rng.integers(1 << 30)), m=m, n=100)
-            for _ in range(3):
-                order = tuple(int(v) for v in rng.permutation(t))
-                b = loss_upper(inst, Route(order))
-                assert b.forgetting_part >= 0
-                assert b.travel_part >= 0
-                assert b.constant_part >= 0
 
 
 def _closed_form(w_star, w0, sigma2: float, n: int) -> float:

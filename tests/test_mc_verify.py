@@ -246,63 +246,20 @@ def test_losses_run_on_one_blas_thread_and_restore_the_count(blas_threads, monke
     assert counts == [1, 1, 1]
 
 
-@pytest.mark.parametrize("first_out", [10, 12], ids=["first-in-ends-first", "nested"])
-def test_overlapping_losses_calls_keep_one_blas_thread_and_restore_the_count(
-    first_out, blas_threads, monkeypatch
-):
-    # the call at n=12 starts while the call at n=10 runs, and either may end
-    # first; each chunk waits for its release. The count stays 1 until the last
-    # call ends and then is the caller's again, and each call's losses are the
-    # bytes it gives alone
-    get, set_threads = blas_threads
-    truth, regions = simplex_ground_truth(4, 40, sigma2=0.5), (3, 0, 2, 1)
-    ns = (10, 12)
-    alone = {n: mc_verify._losses(truth, regions, n, 200, np.random.default_rng(n)) for n in ns}
-    entered = {n: threading.Event() for n in ns}
-    release = {n: threading.Event() for n in ns}
-    counts, results = {}, {}
-
-    def chunk_losses(truth, regions, n, b, rng):
-        entered[n].set()
-        if release[n].wait(10):
-            counts[n] = get()
-        return _chunk_losses(truth, regions, n, b, rng)
-
-    def run(n):
-        results[n] = mc_verify._losses(truth, regions, n, 200, np.random.default_rng(n))
-
-    monkeypatch.setattr(mc_verify, "_chunk_losses", chunk_losses)
-    workers = {n: threading.Thread(target=run, args=(n,)) for n in ns}
-    set_threads(3)
-    try:
-        for n in ns:
-            workers[n].start()
-            assert entered[n].wait(10)
-        last_out = ns[1] if first_out == ns[0] else ns[0]
-        release[first_out].set()
-        workers[first_out].join(10)
-        assert not workers[first_out].is_alive()
-        assert get() == 1
-        release[last_out].set()
-        workers[last_out].join(10)
-        assert not workers[last_out].is_alive()
-        assert get() == 3
-    finally:
-        for n in ns:
-            release[n].set()
-            workers[n].join(10)
-    assert counts == {10: 1, 12: 1}
-    assert all(results[n].tobytes() == alone[n].tobytes() for n in ns)
-
-
-def test_many_overlapping_losses_calls_restore_the_blas_count(blas_threads):
-    # more callers than cores, switching threads often: a lost update to the
-    # count of running calls would leave the process on one BLAS thread, or
-    # restore the count while another call still runs
+def test_many_overlapping_losses_calls_restore_the_blas_count(blas_threads, monkeypatch):
+    # more callers than cores, switching threads often: every chunk runs on
+    # one BLAS thread, and the caller's count comes back once all have ended.
+    # Without the lock one call would restore the count while another runs
     get, set_threads = blas_threads
     truth, regions = simplex_ground_truth(3, 12, sigma2=0.5), (2, 0, 1)
     expected = mc_verify._losses(truth, regions, 4, 100, np.random.default_rng(5)).tobytes()
-    same = []
+    same, counts = [], []
+
+    def chunk_losses(*args):
+        counts.append(get())
+        return _chunk_losses(*args)
+
+    monkeypatch.setattr(mc_verify, "_chunk_losses", chunk_losses)
 
     def run():
         for _ in range(20):
@@ -323,6 +280,7 @@ def test_many_overlapping_losses_calls_restore_the_blas_count(blas_threads):
     finally:
         sys.setswitchinterval(interval)
     assert same == [True] * 20 * len(callers)
+    assert counts == [1] * 20 * len(callers)
 
 
 @pytest.mark.parametrize(

@@ -98,17 +98,6 @@ def test_verdict_and_routes_do_not_depend_on_the_unit_of_cost(inst):
         assert held_karp_min_path(travel_only(scaled))[0] == exact
 
 
-def test_algorithm1_route_ends_at_best_final_region():
-    rng = np.random.default_rng(3)
-    for m in (80, 120):
-        for _ in range(20):
-            t = int(rng.integers(2, 12))
-            inst = generate_instance(t, seed=int(rng.integers(1 << 30)), m=m, n=100)
-            result = plan_algorithm1(inst)
-            assert result.route.final_region == best_final_region(inst)
-            assert sorted(result.route.order) == list(range(t))
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(inst=tie_heavy_instances(max_t=10))
 def test_every_route_is_a_permutation_and_alg1_and_forgetting_end_best(inst):
@@ -118,34 +107,6 @@ def test_every_route_is_a_permutation_and_alg1_and_forgetting_end_best(inst):
         assert sorted(order) == list(range(inst.t_regions))
         if strategy in (Strategy.ALGORITHM1, Strategy.FORGETTING):
             assert order[-1] == best_final_region(inst)
-
-
-def test_algorithm1_is_deterministic():
-    inst = generate_instance(9, seed=77)
-    a = plan_algorithm1(inst)
-    b = plan_algorithm1(inst)
-    assert a.route.order == b.route.order
-
-
-def test_algorithm1_two_regions_matches_exact_route():
-    rng = np.random.default_rng(5)
-    for m in (80, 120):
-        for _ in range(25):
-            inst = generate_instance(2, seed=int(rng.integers(1 << 30)), m=m, n=100)
-            approx = plan_algorithm1(inst)
-            exact = plan_exact(inst)
-            assert approx.route.order == exact.route.order
-            assert approx.breakdown.total == exact.breakdown.total
-
-
-def test_algorithm1_ratio_bound_small_ensemble():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        t = int(rng.integers(4, 10))
-        inst = generate_instance(t, seed=int(rng.integers(1 << 30)), m=80, n=100)
-        approx = plan_algorithm1(inst)
-        exact = plan_exact(inst)
-        assert approx.breakdown.total <= 1.5 * exact.breakdown.total
 
 
 def test_plan_exact_minimizes_travel_when_delta_zero():
@@ -245,16 +206,6 @@ def ratio(inst, strategy, seed=None, include_constant=True):
     return num / plan_exact(inst).breakdown.effective_total(include_constant)
 
 
-def test_ratio_worked_instance_and_t2():
-    inst = worked_under()
-    assert ratio(inst, Strategy.ALGORITHM1) == 1.0
-
-    rng = np.random.default_rng(11)
-    for m in (80, 120):
-        inst2 = generate_instance(2, seed=int(rng.integers(1 << 30)), m=m, n=100)
-        assert ratio(inst2, Strategy.ALGORITHM1) == 1.0
-
-
 def test_ratio_at_least_one_for_every_strategy():
     rng = np.random.default_rng(13)
     for m in (80, 120):
@@ -264,16 +215,6 @@ def test_ratio_at_least_one_for_every_strategy():
             for strategy in Strategy:
                 r = ratio(inst, strategy, seed=2)
                 assert r >= 1.0
-
-
-def test_ratio_over_regime_bound_small_ensemble():
-    rng = np.random.default_rng(17)
-    r_param = 1 - 100 / 120
-    for _ in range(50):
-        t = int(rng.integers(4, 10))
-        inst = generate_instance(t, seed=int(rng.integers(1 << 30)), m=120, n=100)
-        bound = 1.5 + r_param ** (1 - t)
-        assert ratio(inst, Strategy.ALGORITHM1) <= bound
 
 
 def test_ratio_exclude_constant_flag():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import minimum_spanning_tree as scipy_mst
 
 from clroute import (
     InvariantViolation,
@@ -29,9 +28,7 @@ from clroute.shp import (
     shortcut_to_hamiltonian,
 )
 from helpers import (
-    EDGE_KINDS,
     bitmask_matching,
-    brute_min_matching_weight,
     circuit_edge_multiset,
     edge_corpus_instances,
     fsum_travel,
@@ -64,16 +61,6 @@ def test_mst_tie_break_is_lexicographic():
     edges, weight = minimum_spanning_tree(costs)
     assert weight == 15.0
     assert set(edges) == {(0, 1), (0, 2), (0, 3)}
-
-
-def test_mst_weight_matches_reference_on_random_instances():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        t = int(rng.integers(2, 12))
-        inst = generate_instance(t, seed=int(rng.integers(1 << 30)))
-        _, weight = minimum_spanning_tree(inst.costs)
-        ref = scipy_mst(inst.costs).sum()
-        assert weight == pytest.approx(ref, rel=1e-9)
 
 
 def test_mst_matches_the_sorted_edge_loop_bit_for_bit():
@@ -132,32 +119,6 @@ def test_matching_empty_set():
     assert min_weight_perfect_matching(np.zeros((4, 4)), ()) == ((), 0.0)
 
 
-def test_matching_equals_brute_force_on_random_graphs():
-    rng = np.random.default_rng(4)
-    for _ in range(60):
-        t = int(rng.integers(2, 10))
-        inst = generate_instance(t, seed=int(rng.integers(1 << 30)))
-        w = np.pad(inst.costs, (0, 1))
-        verts = list(range(t + 1))  # include the dummy
-        rng.shuffle(verts)
-        k = 2 * int(rng.integers(1, (t + 1) // 2 + 1))
-        odd = tuple(sorted(verts[:k]))
-        pairs, weight = min_weight_perfect_matching(w, odd)
-        assert weight == pytest.approx(brute_min_matching_weight(w, odd), rel=1e-12)
-        matched = sorted(v for pair in pairs for v in pair)
-        assert matched == sorted(odd)
-    # small non-metric integer weights: odd cycles of tight edges, so blossoms
-    # form inside blossoms and the augmenting path passes through them
-    for _ in range(300):
-        k = 2 * int(rng.integers(2, 6))
-        w = np.triu(rng.integers(0, 4, (k, k)).astype(float), 1)
-        w += w.T
-        odd = tuple(int(v) for v in rng.permutation(k))
-        pairs, weight = min_weight_perfect_matching(w, odd)
-        assert weight == brute_min_matching_weight(w, odd)
-        assert sorted(v for pair in pairs for v in pair) == sorted(odd)
-
-
 def test_matching_takes_vertices_in_the_order_given():
     # all-zero costs: every matching weighs 0, so any perfect matching is
     # optimal; each pair is listed from its vertex that comes first in the
@@ -203,21 +164,27 @@ def test_matching_weight_equals_the_bitmask_oracle(case):
     assert weight == pytest.approx(bitmask_matching(w, odd)[1], rel=1e-12)
 
 
-@pytest.mark.parametrize("kind", EDGE_KINDS)
-@settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(data=st.data())
-def test_matching_weight_equals_the_bitmask_oracle_on_the_edge_corpus(kind, data):
-    # both sides summed exactly: near 1e16 the order of a float sum alone
-    # moves its last bit. The blossom's float duals may still settle a tie
-    # that rounding split by an ulp (closure sums and zero-cost copies make
-    # such ties) the other way, hence the relative tolerance; an offset that
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(inst=edge_corpus_instances(max_t=14), dummy=st.booleans(), data=st.data())
+def test_matching_weight_equals_the_bitmask_oracle_on_the_edge_corpus(inst, dummy, data):
+    # with the dummy, alg1's own odd set, where the zero-cost dummy is the
+    # hub; without it, an even set of regions alone in any order, where the
+    # hub is whichever region is most often another's nearest. Both sides
+    # are summed exactly: near 1e16 the order of a float sum alone moves its
+    # last bit. The blossom's float duals may still settle a tie that
+    # rounding split by an ulp (closure sums and zero-cost copies make such
+    # ties) the other way, hence the relative tolerance; an offset that
     # loses low bits misses by far more
-    inst = data.draw(edge_corpus_instances((kind,), max_t=14))
-    s = fixed_end_path(inst.costs, best_final_region(inst))
-    w = np.pad(inst.costs, (0, 1))
-    oracle, _ = bitmask_matching(w, s.odd)
-    assert sorted(v for pair in s.pairs for v in pair) == sorted(s.odd)
-    weight = math.fsum(w[a, b] for a, b in s.pairs)
+    if dummy:
+        s = fixed_end_path(inst.costs, best_final_region(inst))
+        w, odd, pairs = np.pad(inst.costs, (0, 1)), s.odd, s.pairs
+    else:
+        t = inst.t_regions
+        w, odd = inst.costs, tuple(data.draw(st.permutations(range(t)))[: t - t % 2])
+        pairs, _ = min_weight_perfect_matching(w, odd)
+    oracle, _ = bitmask_matching(w, odd)
+    assert sorted(v for pair in pairs for v in pair) == sorted(odd)
+    weight = math.fsum(w[a, b] for a, b in pairs)
     assert weight == pytest.approx(math.fsum(w[a, b] for a, b in oracle), rel=1e-12)
 
 
@@ -280,19 +247,6 @@ def test_matching_through_nested_blossoms_equals_the_bitmask_oracle(k, high, see
     assert sorted(v for pair in pairs for v in pair) == list(range(k))
     oracle, _ = bitmask_matching(w, tuple(range(k)))
     assert math.fsum(w[a, b] for a, b in pairs) == math.fsum(w[a, b] for a, b in oracle)
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(inst=edge_corpus_instances(max_t=14), data=st.data())
-def test_matching_without_the_dummy_equals_the_bitmask_oracle_on_the_edge_corpus(inst, data):
-    # the regions alone, with no zero-cost dummy: the hub is whichever
-    # region is most often another's nearest
-    t = inst.t_regions
-    odd = tuple(data.draw(st.permutations(range(t)))[: t - t % 2])
-    pairs, _ = min_weight_perfect_matching(inst.costs, odd)
-    oracle, _ = bitmask_matching(inst.costs, odd)
-    weight = math.fsum(inst.costs[a, b] for a, b in pairs)
-    assert weight == pytest.approx(math.fsum(inst.costs[a, b] for a, b in oracle), rel=1e-12)
 
 
 @pytest.mark.parametrize("t", [24, 40, 80, 120, 200])
