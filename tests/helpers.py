@@ -158,7 +158,7 @@ def scale_costs(inst: ProblemInstance, k: int) -> ProblemInstance:
 
 
 @st.composite
-def edge_corpus_instances(draw, max_t=12):
+def edge_corpus_instances(draw, kinds=EDGE_KINDS, max_t=12):
     """Valid instances at the edges of cost scale and geometry, T from 3 to
     max_t, either regime. The costs are of one of four kinds:
 
@@ -173,7 +173,7 @@ def edge_corpus_instances(draw, max_t=12):
 
     The dissimilarities are uniform on [1, 10].
     """
-    kind = draw(st.sampled_from(EDGE_KINDS))
+    kind = draw(st.sampled_from(kinds))
     t = draw(st.integers(3, max_t))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "scaled":

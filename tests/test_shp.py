@@ -28,6 +28,7 @@ from clroute.shp import (
     shortcut_to_hamiltonian,
 )
 from helpers import (
+    EDGE_KINDS,
     bitmask_matching,
     circuit_edge_multiset,
     edge_corpus_instances,
@@ -164,27 +165,21 @@ def test_matching_weight_equals_the_bitmask_oracle(case):
     assert weight == pytest.approx(bitmask_matching(w, odd)[1], rel=1e-12)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=600)
-@given(inst=edge_corpus_instances(max_t=14), dummy=st.booleans(), data=st.data())
-def test_matching_weight_equals_the_bitmask_oracle_on_the_edge_corpus(inst, dummy, data):
-    # with the dummy, alg1's own odd set, where the zero-cost dummy is the
-    # hub; without it, an even set of regions alone in any order, where the
-    # hub is whichever region is most often another's nearest. Both sides
-    # are summed exactly: near 1e16 the order of a float sum alone moves its
-    # last bit. The blossom's float duals may still settle a tie that
-    # rounding split by an ulp (closure sums and zero-cost copies make such
-    # ties) the other way, hence the relative tolerance; an offset that
+@pytest.mark.parametrize("kind", EDGE_KINDS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_matching_weight_equals_the_bitmask_oracle_on_the_edge_corpus(kind, data):
+    # both sides summed exactly: near 1e16 the order of a float sum alone
+    # moves its last bit. The blossom's float duals may still settle a tie
+    # that rounding split by an ulp (closure sums and zero-cost copies make
+    # such ties) the other way, hence the relative tolerance; an offset that
     # loses low bits misses by far more
-    if dummy:
-        s = fixed_end_path(inst.costs, best_final_region(inst))
-        w, odd, pairs = np.pad(inst.costs, (0, 1)), s.odd, s.pairs
-    else:
-        t = inst.t_regions
-        w, odd = inst.costs, tuple(data.draw(st.permutations(range(t)))[: t - t % 2])
-        pairs, _ = min_weight_perfect_matching(w, odd)
-    oracle, _ = bitmask_matching(w, odd)
-    assert sorted(v for pair in pairs for v in pair) == sorted(odd)
-    weight = math.fsum(w[a, b] for a, b in pairs)
+    inst = data.draw(edge_corpus_instances((kind,), max_t=14))
+    s = fixed_end_path(inst.costs, best_final_region(inst))
+    w = np.pad(inst.costs, (0, 1))
+    oracle, _ = bitmask_matching(w, s.odd)
+    assert sorted(v for pair in s.pairs for v in pair) == sorted(s.odd)
+    weight = math.fsum(w[a, b] for a, b in s.pairs)
     assert weight == pytest.approx(math.fsum(w[a, b] for a, b in oracle), rel=1e-12)
 
 
@@ -247,6 +242,19 @@ def test_matching_through_nested_blossoms_equals_the_bitmask_oracle(k, high, see
     assert sorted(v for pair in pairs for v in pair) == list(range(k))
     oracle, _ = bitmask_matching(w, tuple(range(k)))
     assert math.fsum(w[a, b] for a, b in pairs) == math.fsum(w[a, b] for a, b in oracle)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(inst=edge_corpus_instances(max_t=14), data=st.data())
+def test_matching_without_the_dummy_equals_the_bitmask_oracle_on_the_edge_corpus(inst, data):
+    # the regions alone, with no zero-cost dummy: the hub is whichever
+    # region is most often another's nearest
+    t = inst.t_regions
+    odd = tuple(data.draw(st.permutations(range(t)))[: t - t % 2])
+    pairs, _ = min_weight_perfect_matching(inst.costs, odd)
+    oracle, _ = bitmask_matching(inst.costs, odd)
+    weight = math.fsum(inst.costs[a, b] for a, b in pairs)
+    assert weight == pytest.approx(math.fsum(inst.costs[a, b] for a, b in oracle), rel=1e-12)
 
 
 @pytest.mark.parametrize("t", [24, 40, 80, 120, 200])
