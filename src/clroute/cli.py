@@ -235,6 +235,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if not math.isfinite(args.threshold):
         raise ParameterError(f"threshold must be finite, got {args.threshold}")
+    if args.threshold < 0.0:  # no |z| could meet it
+        raise ParameterError(f"threshold must be >= 0, got {args.threshold}")
     if args.t < 1:
         raise ParameterError(f"t must be >= 1, got {args.t}")
     slots = (("under", args.under_m, args.under_n), ("over", args.over_m, args.over_n))
@@ -345,7 +347,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"error: out of memory: {exc}", file=sys.stderr)
+        reason = f": {exc}" if str(exc) else ""  # a bare MemoryError() has no text
+        print(f"error: out of memory{reason}", file=sys.stderr)
         return 2
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

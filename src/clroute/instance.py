@@ -145,41 +145,36 @@ class ProblemInstance:
         object.__setattr__(self, "objective", Objective.of(self))
 
 
-def _finite(name: str, arr: np.ndarray, out: list[str]) -> bool:
-    """Report the first non-finite entry of ``arr``; True when there is none."""
-    bad = ~np.isfinite(arr)
+def _at(name: str, arr: np.ndarray, index: tuple[int, ...]) -> str:
+    """``name_{i,j}=value``: the entry of ``arr`` at ``index``, 1-based."""
+    return f"{name}_{{{','.join(str(i + 1) for i in index)}}}={arr[index]:g}"
+
+
+def _first(bad: np.ndarray) -> tuple[int, ...] | None:
+    """The index of the first True entry of ``bad`` in row-major order; None if none."""
     if not bad.any():
-        return True
-    idx = tuple(int(i) + 1 for i in np.argwhere(bad)[0])
-    out.append(f"{name} must be finite: {name}_{{{','.join(map(str, idx))}}}={arr[bad][0]:g}")
-    return False
+        return None
+    return tuple(int(i) for i in np.unravel_index(bad.argmax(), bad.shape))
 
 
-def _check_square_metric_free(name: str, mat: np.ndarray, out: list[str]) -> bool:
-    """Shared finiteness / symmetry / diagonal / nonnegativity checks for delta
-    and costs. A non-finite entry skips the rest, as NaN is unequal to itself;
-    returns whether every entry is finite."""
-    if not _finite(name, mat, out):
-        return False
-    if not np.array_equal(mat, mat.T):
-        bad = np.argwhere(mat != mat.T)
-        i, j = bad[0]
-        out.append(
-            f"{name} not symmetric: {name}_{{{i + 1},{j + 1}}}={mat[i, j]:g} "
-            f"!= {name}_{{{j + 1},{i + 1}}}={mat[j, i]:g}"
-        )
-    diag = np.diagonal(mat)
-    if np.any(diag != 0.0):
-        i = int(np.argmax(diag != 0.0))
-        out.append(f"{name} diagonal must be zero: {name}_{{{i + 1},{i + 1}}}={diag[i]:g}")
-    if np.any(mat < 0.0):
-        i, j = np.argwhere(mat < 0.0)[0]
-        out.append(f"{name} must be >= 0: {name}_{{{i + 1},{j + 1}}}={mat[i, j]:g}")
-    return True
+def _entry_faults(name: str, arr: np.ndarray) -> list[str]:
+    """The first non-finite entry of a matrix or vector alone, as NaN is
+    unequal to itself; else its first asymmetric pair, first nonzero
+    diagonal entry (a matrix's) and first negative entry, in that order."""
+    if (i := _first(~np.isfinite(arr))) is not None:
+        return [f"{name} must be finite: {_at(name, arr, i)}"]
+    faults = []
+    if (i := _first(arr != arr.T)) is not None:
+        faults.append(f"{name} not symmetric: {_at(name, arr, i)} != {_at(name, arr, i[::-1])}")
+    if arr.ndim == 2 and (i := _first(np.diagonal(arr) != 0.0)) is not None:
+        faults.append(f"{name} diagonal must be zero: {_at(name, arr, i + i)}")  # (k, k)
+    if (i := _first(arr < 0.0)) is not None:
+        faults.append(f"{name} must be >= 0: {_at(name, arr, i)}")
+    return faults
 
 
-def _check_triangle(c: np.ndarray, out: list[str]) -> None:
-    """Report the first violated ordered triple of distinct regions.
+def _check_triangle(c: np.ndarray) -> str | None:
+    """The first violated ordered triple of distinct regions; None if none.
 
     Triple (i, j, k) is violated when
     ``c[i, j] > (c[i, k] + c[k, j]) + 1e-12 * c[i, j]``, a tolerance relative
@@ -198,7 +193,7 @@ def _check_triangle(c: np.ndarray, out: list[str]) -> None:
     """
     t = c.shape[0]
     if t < 3:
-        return  # no triple of distinct regions
+        return None  # no triple of distinct regions
     e = c.copy()
     np.fill_diagonal(e, np.inf)
     half = np.array_equal(c, c.T)
@@ -214,37 +209,37 @@ def _check_triangle(c: np.ndarray, out: list[str]) -> None:
         direct = c[rows, j0:]
         least = np.minimum.reduce(detour, axis=0)
         bad = (direct > least + 1e-12 * direct) & (rows[:, None] != np.arange(j0, t))
-        if bad.any():
-            b, j = np.unravel_index(int(bad.argmax()), bad.shape)
-            i, j = int(rows[b]), int(j) + j0
+        if (first := _first(bad)) is not None:
+            b, j = first
+            i, j = int(rows[b]), j + j0
             k = int(np.argmax(c[i, j] > e[i] + e[:, j] + 1e-12 * c[i, j]))
-            out.append(
-                f"triangle inequality: c_{{{i + 1},{j + 1}}}={c[i, j]:g} > "
+            return (
+                f"triangle inequality: {_at('c', c, (i, j))} > "
                 f"c_{{{i + 1},{k + 1}}}+c_{{{k + 1},{j + 1}}}={c[i, k] + c[k, j]:g}"
             )
-            return
+    return None
 
 
 def validate_instance(inst: ProblemInstance) -> None:
     """Check every instance invariant; run by ProblemInstance construction.
 
-    Raises ValidationError listing every violation, joined by "; ". The
-    triangle-inequality check is exhaustive over ordered triples of
-    distinct regions; the first violated triple is reported verbatim.
+    Raises ValidationError listing every violation, joined by "; ". A bad
+    entry is named as ``name_{i,j}=value`` (``delta0_{i}=value``), its
+    indices 1-based and its value in ``:g`` format. Each of delta, delta0
+    and c reports its first non-finite entry alone, or else its first
+    asymmetric pair, nonzero diagonal entry and negative entry, each first
+    in row-major order. The triangle-inequality check runs on finite costs
+    only and is exhaustive over ordered triples of distinct regions; the
+    first violated triple is reported verbatim.
     """
-    violations: list[str] = []
     t = inst.t_regions
-
-    if t < 2:
-        violations.append(f"t must be >= 2, got {t}")
-
-    _check_square_metric_free("delta", inst.delta, violations)
-    if _finite("delta0", inst.delta0, violations) and np.any(inst.delta0 < 0.0):
-        i = int(np.argmax(inst.delta0 < 0.0))
-        violations.append(f"delta0 must be >= 0: delta0_{{{i + 1}}}={inst.delta0[i]:g}")
-    if _check_square_metric_free("c", inst.costs, violations):
+    violations = [f"t must be >= 2, got {t}"] if t < 2 else []
+    violations += _entry_faults("delta", inst.delta) + _entry_faults("delta0", inst.delta0)
+    violations += _entry_faults("c", inst.costs)
+    if np.isfinite(inst.costs).all():
         with np.errstate(over="ignore"):  # an infinite sum bounds any cost
-            _check_triangle(inst.costs, violations)
+            if (fault := _check_triangle(inst.costs)) is not None:
+                violations.append(fault)
 
     if not np.isfinite(inst.sigma2):
         violations.append(f"sigma2 must be finite, got {inst.sigma2:g}")
@@ -290,9 +285,8 @@ def metric_closure(costs: np.ndarray) -> np.ndarray:
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ParameterError(f"costs must be a square matrix, got shape {d.shape}")
     for bad, what in ((np.isnan(d), "must not be NaN"), (d < 0.0, "must be >= 0")):
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise ParameterError(f"costs {what}: c_{{{i + 1},{j + 1}}}={d[i, j]:g}")
+        if (i := _first(bad)) is not None:
+            raise ParameterError(f"costs {what}: {_at('c', d, i)}")
     t = d.shape[0]
     via = np.empty_like(d)  # reused for every k: a fresh T x T sum per k slows T >= 400
     first = True

@@ -349,6 +349,58 @@ def scalar_triangle_violation(c: np.ndarray) -> str | None:
     return None
 
 
+def scalar_entry_faults(name: str, mat: np.ndarray) -> list[str]:
+    """The entry faults of a square matrix, as plain loops over its entries
+    in Python floats, row by row: the first non-finite entry alone, else
+    the first asymmetric pair, the first nonzero diagonal entry and the
+    first negative entry, each as ``name_{i,j}=value``, 1-based.
+
+    The reference for the entry checks of ``validate_instance``: the same
+    messages in the same order.
+    """
+    t = mat.shape[0]
+    m = mat.tolist()
+    cells = [(i, j) for i in range(t) for j in range(t)]
+
+    def at(i: int, j: int) -> str:
+        return f"{name}_{{{i + 1},{j + 1}}}={m[i][j]:g}"
+
+    for i, j in cells:
+        if not math.isfinite(m[i][j]):
+            return [f"{name} must be finite: {at(i, j)}"]
+    faults = []
+    for i, j in cells:
+        if m[i][j] != m[j][i]:
+            faults.append(f"{name} not symmetric: {at(i, j)} != {at(j, i)}")
+            break
+    for i in range(t):
+        if m[i][i] != 0.0:
+            faults.append(f"{name} diagonal must be zero: {at(i, i)}")
+            break
+    for i, j in cells:
+        if m[i][j] < 0.0:
+            faults.append(f"{name} must be >= 0: {at(i, j)}")
+            break
+    return faults
+
+
+def line_instance(t: int) -> ProblemInstance:
+    """T regions at unit spacing on a line, costs |x_i - x_j|, with region 0
+    in the middle, at (T - 1) // 2; no dissimilarity and no noise, m=80 and
+    n=100, so the objective is the raw travel over T. Every row sum is 0,
+    so alg1's path ends at region 0, the lowest index.
+
+    The optimum runs from one end to the other: T - 1. A path that ends in
+    the middle covers its shorter side twice: 1.5(T - 1) at odd T and
+    1.5(T - 1) - 0.5 at even T, the most the 3/2 bound allows.
+    """
+    x = np.arange(t, dtype=float)
+    mid = (t - 1) // 2
+    x[[0, mid]] = x[[mid, 0]]
+    costs = np.abs(x[:, None] - x[None, :])
+    return manual_instance(np.zeros((t, t)), np.zeros(t), costs, 80, 100, sigma2=0.0)
+
+
 def scan_all_routes(inst: ProblemInstance, objective: str) -> tuple[float, tuple[int, ...]]:
     """Minimum objective over all T! routes, formulas written out directly."""
     t = inst.t_regions

@@ -143,9 +143,8 @@ MUTANTS = [
     ("msg-not-finite", INSTANCE, "{name} must be finite: ", "{name} must be finite, "),
     ("msg-not-symmetric", INSTANCE, "{name} not symmetric:", "{name} asymmetric:"),
     ("msg-negative-entry", INSTANCE, 'f"{name} must be >= 0: ', 'f"{name} must be > 0: '),
-    ("msg-negative-delta0", INSTANCE, "delta0 must be >= 0: delta0_",
-     "delta0 must be > 0: delta0_"),
-    ("msg-triangle", INSTANCE, 'f"triangle inequality: c_', 'f"triangle: c_'),
+    ("msg-diagonal-zero", INSTANCE, "diagonal must be zero", "diagonal must be 0"),
+    ("msg-triangle", INSTANCE, 'f"triangle inequality: {_at(', 'f"triangle: {_at('),
     ("msg-sigma2-finite", INSTANCE, 'f"sigma2 must be finite, got {inst',
      'f"sigma2 not finite, got {inst'),
     ("msg-sigma2-negative", INSTANCE, 'f"sigma2 must be >= 0, got {inst',

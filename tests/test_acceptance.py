@@ -25,6 +25,7 @@ from clroute import (
     generate_instance,
     metric_closure,
     plan_algorithm1,
+    plan_exact,
     simplex_ground_truth,
     verify_closed_form,
 )
@@ -35,6 +36,7 @@ from helpers import (
     correlated_ground_truth,
     fsum_travel,
     graph_edge_multiset,
+    line_instance,
 )
 
 
@@ -305,4 +307,36 @@ def test_acceptance_10_deterministic_artifacts(
         "deterministic artifacts",
         not differing,
         f"6 CSV artifacts match their pinned sha256 (differing: {differing or 'none'})",
+    )
+
+
+def test_acceptance_11_line_family_known_optimum():
+    # the optimum is known at any T and the travel is all of the objective,
+    # so a heavier tree or matching shows in alg1's path itself; the
+    # integer costs sum exactly, while R, a ratio of totals over T, may
+    # round an ulp past 1.5 (it reads 1.5000000000000002 at T=7 and T=17)
+    t0 = time.perf_counter()
+    failures: Counter = Counter()
+    ratios = []
+    for t in [*range(3, 21), 100, 400]:
+        inst = line_instance(t)
+        approx = plan_algorithm1(inst)
+        if fsum_travel(inst, approx.route) != 1.5 * (t - 1) - 0.5 * (t % 2 == 0):
+            failures["alg1 travel"] += 1
+        if t > 20:
+            continue
+        exact = plan_exact(inst)
+        if fsum_travel(inst, exact.route) != t - 1:
+            failures["exact travel"] += 1
+        ratios.append(approx.breakdown.total / exact.breakdown.total)
+        if not EXACT_FLOOR <= ratios[-1] <= 1.5 * (1 + 1e-12):
+            failures["ratio"] += 1
+    elapsed = time.perf_counter() - t0
+    _report(
+        11,
+        "line family with a known optimum",
+        not failures,
+        f"T in 3..20, 100, 400: alg1 travel 1.5(T-1), less 0.5 at even T, exact travel "
+        f"T-1 to T=20, R in [{min(ratios):.17g}, {max(ratios):.17g}] (bound 1.5(1 + 1e-12)), "
+        f"failures: {dict(failures) or 'none'}, {elapsed:.1f}s",
     )

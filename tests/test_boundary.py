@@ -206,6 +206,9 @@ LIBRARY_ROWS = {  # id: (call, exception, message)
     "build-asymmetric": (
         unit_t3([[0, 1, 2], [3, 0, 1], [2, 1, 0]]), ValidationError,
         "c not symmetric: c_{1,2}=1 != c_{2,1}=3"),
+    "build-nonzero-diagonal": (
+        unit_t3([[0, 1, 2], [1, 0.5, 1], [2, 1, 0]]), ValidationError,
+        "c diagonal must be zero: c_{2,2}=0.5"),
     "build-m-equals-n": (unit_t3(METRIC_T3, 100), ValidationError, UNDEFINED.format(100, 100)),
     "build-m-overflow": (
         unit_t3(METRIC_T3, 10**400), ValidationError,

@@ -64,6 +64,17 @@ def test_gen_and_experiment_exit_2_when_memory_runs_out(tmp_path, capsys, monkey
     assert captured.out == "" and not out.exists()
 
 
+def test_verify_exits_2_when_memory_runs_out_without_a_reason(capsys, monkeypatch):
+    # as `verify --t 1000000000000` does, whose route raises a bare MemoryError()
+    def refuse(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(clroute.cli, "Route", refuse)
+    assert main(["verify", "--trials", "200"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory\n" and captured.out == ""
+
+
 def test_gen_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["gen", "--t", "5", "--seed", "9", "--out", str(a)])
@@ -419,6 +430,7 @@ FLAG_ROWS = [  # test_verify_rejects_negative_and_non_finite_inputs, below
         for name, flag in (("negative", "-1"), ("nan", "nan"), ("inf", "inf"))
     ),
     row("threshold-nan", f"{VERIFY} --threshold nan", 2, "threshold must be finite, got nan"),
+    row("threshold-negative", f"{VERIFY} --threshold -1", 2, "threshold must be >= 0, got -1.0"),
     row("t-negative", f"{VERIFY} --t -1", 2, "t must be >= 1, got -1"),
     row("seed-negative", f"{VERIFY} --seed -2", 2, "--seed must be >= 0, got -2"),
 ]

@@ -23,12 +23,12 @@ from clroute import (
     validate_instance,
     write_instance,
 )
-from clroute.instance import _check_square_metric_free
 from helpers import (
     closure_by_full_passes,
     generated_raw_costs,
     instance_json_oracle,
     manual_instance,
+    scalar_entry_faults,
     scalar_triangle_violation,
     special_float_instances,
 )
@@ -93,11 +93,10 @@ def corrupted_costs(draw):
 
 
 def assert_message_matches_the_scalar_loop(costs):
-    """The full message: the asymmetry, diagonal and sign faults the triangle
-    check does not report, then the scalar loop's first violated triple."""
+    """The full message, from the scalar loops alone: the asymmetry, diagonal
+    and sign faults, then the first violated triple."""
     t = costs.shape[0]
-    expected: list[str] = []
-    _check_square_metric_free("c", costs, expected)
+    expected = scalar_entry_faults("c", costs)
     violation = scalar_triangle_violation(costs)
     if violation is not None:
         expected.append(violation)
