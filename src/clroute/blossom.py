@@ -32,9 +32,9 @@ def max_weight_mates(p: np.ndarray) -> list[int]:
     two others and y_h covers h's edges, so every slack is at or above zero
     whatever the signs, and every mutually heaviest pair outside h starts
     matched. The plain start, y_v = max_u p_uv / 2, would put the dual of
-    every region in an alg1 odd set at 0 and match only the dummy's pair;
-    two vertices keep it. An alternating tree is rooted at each unmatched
-    vertex: S blossoms at even depth, T at odd.
+    every region in an alg1 odd set at 0 and match only the dummy's pair.
+    Two vertices return their one matching first. An alternating tree is
+    rooted at each unmatched vertex: S blossoms at even depth, T at odd.
     Each step moves the duals of the trees by the least amount that makes
     one of these happen:
 
@@ -64,22 +64,21 @@ def max_weight_mates(p: np.ndarray) -> list[int]:
     only on ``p``; among equally heavy matchings it is one of them.
     """
     n = len(p)
+    if n == 2:
+        return [1, 0]  # the one perfect matching
     inf = np.inf
     size = 2 * n  # vertices are 0..n-1, blossoms n..2n-1
     ar = np.arange(n)
     p = p.copy()
     p[ar, ar] = -inf  # no vertex pairs with itself
     near = p.argmax(axis=1)
-    if n > 2:  # the hub h takes its dual last
-        h = np.bincount(near).argmax()
-        q = p.copy()
-        q[:, h] = -inf
-        near = q.argmax(axis=1)
-        yb = q[ar, near] / 2.0
-        near[h] = (p[h] - yb).argmax()
-        yb[h] = p[h, near[h]] - yb[near[h]]
-    else:
-        yb = p[ar, near] / 2.0
+    h = np.bincount(near).argmax()  # the hub h takes its dual last
+    q = p.copy()
+    q[:, h] = -inf
+    near = q.argmax(axis=1)
+    yb = q[ar, near] / 2.0
+    near[h] = (p[h] - yb).argmax()
+    yb[h] = p[h, near[h]] - yb[near[h]]
     free = near[near] != ar  # mutually heaviest pairs are tight at these duals
     mate = np.where(free, -1, near).tolist()
     parent = [-1] * size  # the enclosing blossom; -1 at the top level

@@ -15,9 +15,9 @@ Four subcommands:
 Exit codes: 0 success, 2 usage (bad parameters such as a negative
 ``--seed``, a repeated sweep value or strategy or ``--instances 0``,
 undefined regime, an invalid instance, one whose loss does not fit a
-float included, and a ``--t`` too large to allocate), 3 I/O or
-file-format failure (undecodable bytes included), 4 exact-solver size
-limit, 5 verification failure.
+float included, a simulated loss that does not fit one, and a ``--t``
+too large to allocate), 3 I/O or file-format failure (undecodable bytes
+included), 4 exact-solver size limit, 5 verification failure.
 """
 
 from __future__ import annotations

@@ -176,43 +176,39 @@ def _entry_faults(name: str, arr: np.ndarray) -> list[str]:
 def _check_triangle(c: np.ndarray) -> str | None:
     """The first violated ordered triple of distinct regions; None if none.
 
-    Triple (i, j, k) is violated when
+    Run only on costs with no entry fault: finite, symmetric, nonnegative,
+    with a ±0.0 diagonal. Triple (i, j, k) is violated when
     ``c[i, j] > (c[i, k] + c[k, j]) + 1e-12 * c[i, j]``, a tolerance relative
     to the direct cost alone, so costs of every scale are checked; the first
     in (i, j, k) order is reported. As x -> fl(x + a) is monotone, a pair
     (i, j) has a violated triple exactly when its least detour, the least
     c[i, k] + c[k, j], does, so only the first such pair's k are scanned one
-    by one. Detours are summed over a copy with +inf on its diagonal, so
-    k = i and k = j sum to +inf and need no mask. Rows go in blocks of at
+    by one. k = i or j sums to the direct cost and j = i has a direct cost
+    of 0, neither ever flagged, so none is masked. Rows go in blocks of at
     most 2^16 sums, one row where a row alone is more, laid out as
-    (k, row, j) so the least detour is a reduction over contiguous
-    (row, j) slabs. On a symmetric ``c`` a block takes the columns after
-    its first row only: the sums are then symmetric bit for bit, so (i, j)
-    with j < i is flagged only after (j, i), and the first violated triple
-    has i < j. Sums may overflow to inf; the caller silences that warning.
+    (k, row, j) so the least detour is a reduction over contiguous (row, j)
+    slabs. A block takes the columns after its first row only: the sums
+    are symmetric bit for bit, so (i, j) with j < i is flagged only after
+    (j, i). Sums may overflow to inf; the caller silences that warning.
     """
     t = c.shape[0]
     if t < 3:
         return None  # no triple of distinct regions
-    e = c.copy()
-    np.fill_diagonal(e, np.inf)
-    half = np.array_equal(c, c.T)
     step = max(1, _BLOCK // (t * t))
     # reused for every block: fresh temporaries double the time at T >= 400
     buf = np.empty(step * t * t)
     for lo in range(0, t, step):
         rows = np.arange(lo, min(lo + step, t))
-        j0 = lo + 1 if half else 0
+        j0 = lo + 1
         detour = buf[: t * rows.size * (t - j0)].reshape(t, rows.size, t - j0)
-        # e[i, k] + e[k, j] at [k, b, j - j0]
-        np.add(e[rows].T[:, :, None], e[:, None, j0:], out=detour)
+        # c[i, k] + c[k, j] at [k, b, j - j0]
+        np.add(c[rows].T[:, :, None], c[:, None, j0:], out=detour)
         direct = c[rows, j0:]
         least = np.minimum.reduce(detour, axis=0)
-        bad = (direct > least + 1e-12 * direct) & (rows[:, None] != np.arange(j0, t))
-        if (first := _first(bad)) is not None:
+        if (first := _first(direct > least + 1e-12 * direct)) is not None:
             b, j = first
             i, j = int(rows[b]), j + j0
-            k = int(np.argmax(c[i, j] > e[i] + e[:, j] + 1e-12 * c[i, j]))
+            k = int(np.argmax(c[i, j] > c[i] + c[:, j] + 1e-12 * c[i, j]))
             return (
                 f"triangle inequality: {_at('c', c, (i, j))} > "
                 f"c_{{{i + 1},{k + 1}}}+c_{{{k + 1},{j + 1}}}={c[i, k] + c[k, j]:g}"
@@ -228,15 +224,15 @@ def validate_instance(inst: ProblemInstance) -> None:
     indices 1-based and its value in ``:g`` format. Each of delta, delta0
     and c reports its first non-finite entry alone, or else its first
     asymmetric pair, nonzero diagonal entry and negative entry, each first
-    in row-major order. The triangle-inequality check runs on finite costs
-    only and is exhaustive over ordered triples of distinct regions; the
-    first violated triple is reported verbatim.
+    in row-major order. Costs with none of these faults, and only those,
+    are checked for the triangle inequality over every ordered triple of
+    distinct regions; the first violated triple is reported verbatim.
     """
     t = inst.t_regions
     violations = [f"t must be >= 2, got {t}"] if t < 2 else []
     violations += _entry_faults("delta", inst.delta) + _entry_faults("delta0", inst.delta0)
-    violations += _entry_faults("c", inst.costs)
-    if np.isfinite(inst.costs).all():
+    violations += (cost_faults := _entry_faults("c", inst.costs))
+    if not cost_faults:
         with np.errstate(over="ignore"):  # an infinite sum bounds any cost
             if (fault := _check_triangle(inst.costs)) is not None:
                 violations.append(fault)

@@ -108,9 +108,10 @@ class Objective:
         is not finite or cannot be converted to a float.
         """
         kind = classify_regime(m, n)
-        rows = tuple(
-            _finite(f"row sum of region {i + 1}", float(x)) for i, x in enumerate(row_sums)
-        )
+        sums = np.asarray(row_sums, dtype=float)
+        for i in np.flatnonzero(~np.isfinite(sums))[:1]:  # the first, if any
+            _finite(f"row sum of region {i + 1}", float(sums[i]))
+        rows = tuple(sums.tolist())
         t = len(rows)
         try:
             if kind is RegimeKind.UNDER:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import ParameterError, RegimeKind, Route, classify_regime
-from .loss import Objective
+from .loss import Objective, _finite
 
 _log = logging.getLogger(__name__)
 
@@ -288,7 +288,8 @@ def _losses(
 
     def chunk(c: int) -> np.ndarray:
         b = min(_CHUNK, trials - c * _CHUNK)
-        return _chunk_losses(truth, regions, n, b, np.random.default_rng(seeds[c]))
+        with np.errstate(over="ignore"):  # per thread; the caller reports an overflow
+            return _chunk_losses(truth, regions, n, b, np.random.default_rng(seeds[c]))
 
     with _one_blas_thread():
         with ThreadPoolExecutor(min(len(seeds), cpus or 1)) as pool:
@@ -336,7 +337,8 @@ def verify_closed_form(
     another BLAS, its thread count is an input too. Calls from several
     threads run their simulations one after another, each with the report
     it gives alone; meanwhile the process's other BLAS work runs on one
-    thread too (``_losses``).
+    thread too (``_losses``). Raises ValidationError when the closed form
+    (built first), the mean or its standard error does not fit a float.
 
     The z-score needs a finite per-trial variance, which by the
     inverse-Wishart second moments holds only for |n − m| >= 4. At the
@@ -349,11 +351,12 @@ def verify_closed_form(
     if len(route) != truth.t_regions:
         raise ParameterError(f"route length {len(route)} != regions {truth.t_regions}")
 
-    simulate = _under_losses if kind is RegimeKind.UNDER else _over_losses
-    losses = simulate(truth, route, n_samples, trials, rng)
     rows, delta0_sum = delta_matrix(truth).sum(axis=1), float(delta0_vector(truth).sum())
     objective = Objective.build(rows, delta0_sum, truth.m_features, n_samples, truth.sigma2)
     closed = objective.forgetting(route.order) + objective.noise
-    mean = float(losses.mean())
-    std_error = float(losses.std(ddof=1) / math.sqrt(trials))
-    return McReport(mean, closed, std_error, trials)
+    simulate = _under_losses if kind is RegimeKind.UNDER else _over_losses
+    losses = simulate(truth, route, n_samples, trials, rng)
+    with np.errstate(over="ignore"):  # _finite reports an overflow
+        mean = _finite("mean simulated loss", float(losses.mean()))
+        std_error = float(losses.std(ddof=1) / math.sqrt(trials))
+    return McReport(mean, closed, _finite("standard error of the mean", std_error), trials)

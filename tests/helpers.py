@@ -401,6 +401,23 @@ def line_instance(t: int) -> ProblemInstance:
     return manual_instance(np.zeros((t, t)), np.zeros(t), costs, 80, 100, sigma2=0.0)
 
 
+def pair_instance(t: int, m: int) -> ProblemInstance:
+    """T regions at zero travel cost, where only regions 1 and 4 (2 and 5,
+    1-based) are dissimilar, delta 1; no delta0 and no noise, n=100 and
+    m >= 102, so the regime is overparameterized with r = 1 - 100/m.
+
+    The region visited p-th (1-based) weighs (1 - r) r^(T - p) / T, so the
+    optimum visits the pair first, at positions 1 and 2. alg1 orders the
+    regions by travel alone, here all tied, and puts the pair at positions
+    T - 2 and T - 1 at even T, a ratio of r^(3 - T), and at T - 4 and
+    T - 1 at odd T, r^(3 - T) (1 - r + r^2): within the paper's
+    1.5 + r^(1 - T) by about a factor r^2.
+    """
+    delta = np.zeros((t, t))
+    delta[1, 4] = delta[4, 1] = 1.0
+    return manual_instance(delta, np.zeros(t), np.zeros((t, t)), m, 100, sigma2=0.0)
+
+
 def scan_all_routes(inst: ProblemInstance, objective: str) -> tuple[float, tuple[int, ...]]:
     """Minimum objective over all T! routes, formulas written out directly."""
     t = inst.t_regions

@@ -46,6 +46,11 @@ SHP = "src/clroute/shp.py"
 KRUSKAL_SORT = 'order = np.argsort(weights, kind="stable")'
 CLOSURE_END = "if not a.size or (not first and _closed_through(d, a, b, via)):"
 HK_TABLES = "@functools.cache\ndef _held_karp_tables(t: int)"
+VERIFY_END = (
+    '        mean = _finite("mean simulated loss", float(losses.mean()))\n'
+    "        std_error = float(losses.std(ddof=1) / math.sqrt(trials))\n"
+    '    return McReport(mean, closed, _finite("standard error of the mean", std_error), trials)'
+)
 
 MUTANTS = [
     # tie rules
@@ -102,10 +107,8 @@ MUTANTS = [
     ("triangle-tolerance-x10", INSTANCE, "least + 1e-12 * direct", "least + 1e-11 * direct"),
     ("triangle-tolerance-div10", INSTANCE, "least + 1e-12 * direct", "least + 1e-13 * direct"),
     ("triangle-tolerance-from-detour", INSTANCE, "least + 1e-12 * direct", "least + 1e-12 * least"),
-    ("triangle-half-scan-start", INSTANCE, "j0 = lo + 1 if half else 0",
-     "j0 = lo + 2 if half else 0"),
-    ("triangle-no-inf-diagonal", INSTANCE, "np.fill_diagonal(e, np.inf)", "pass"),
-    ("triangle-no-j-ne-i-mask", INSTANCE, " & (rows[:, None] != np.arange(j0, t))", ""),
+    ("triangle-half-scan-start", INSTANCE, "j0 = lo + 1", "j0 = lo + 2"),
+    ("triangle-on-faulty-costs", INSTANCE, "if not cost_faults:", "if True:"),
     ("closure-one-pass", INSTANCE, CLOSURE_END, "if True:"),
     ("closure-returns-after-pass-2", INSTANCE, CLOSURE_END, "if not a.size or not first:"),
     ("closure-check-skips-i-k", INSTANCE, "if (d[ra] > sums).any():", "if False:"),
@@ -123,6 +126,10 @@ MUTANTS = [
     ("chunk-255", MC, "_CHUNK = 256", "_CHUNK = 255"),
     ("sigma-x1.001", MC, "sig = math.sqrt(truth.sigma2)", "sig = math.sqrt(truth.sigma2) * 1.001"),
     ("std-error-ddof-0", MC, "losses.std(ddof=1)", "losses.std(ddof=0)"),
+    ("verify-no-loss-overflow-check", MC, VERIFY_END,
+     "        mean = float(losses.mean())\n"
+     "        std_error = float(losses.std(ddof=1) / math.sqrt(trials))\n"
+     "    return McReport(mean, closed, std_error, trials)"),
     ("z-edge-1e-10", MC, "abs(diff) <= 1e-12 * max(", "abs(diff) <= 1e-10 * max("),
     ("z-edge-without-max", MC, "1e-12 * max(1.0, abs(self.closed_form))",
      "1e-12 * abs(self.closed_form)"),

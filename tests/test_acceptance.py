@@ -37,6 +37,7 @@ from helpers import (
     fsum_travel,
     graph_edge_multiset,
     line_instance,
+    pair_instance,
 )
 
 
@@ -338,5 +339,40 @@ def test_acceptance_11_line_family_known_optimum():
         not failures,
         f"T in 3..20, 100, 400: alg1 travel 1.5(T-1), less 0.5 at even T, exact travel "
         f"T-1 to T=20, R in [{min(ratios):.17g}, {max(ratios):.17g}] (bound 1.5(1 + 1e-12)), "
+        f"failures: {dict(failures) or 'none'}, {elapsed:.1f}s",
+    )
+
+
+def test_acceptance_12_pair_family_known_optimum():
+    # the travel is zero and one pair of regions is dissimilar, so R is
+    # alg1's forgetting over the optimum's, in closed form at any T and r
+    t0 = time.perf_counter()
+    failures: Counter = Counter()
+    ratios = []
+    for m in (120, 200, 400):  # r = 1/6, 1/2 and 3/4
+        r = 1.0 - 100 / m
+        for t in range(5, 15):
+            inst = pair_instance(t, m)
+            approx, exact = plan_algorithm1(inst), plan_exact(inst)
+            if set(exact.route.order[:2]) != {1, 4}:
+                failures["exact route"] += 1
+            odd = t % 2
+            positions = sorted(approx.route.order.index(v) + 1 for v in (1, 4))  # 1-based
+            if positions != [t - 2 - 2 * odd, t - 1]:
+                failures["alg1 positions"] += 1
+            closed = r ** (3 - t) * (1.0 - r + r * r if odd else 1.0)
+            ratios.append(approx.breakdown.total / exact.breakdown.total)
+            if not abs(ratios[-1] - closed) <= 1e-12 * closed:
+                failures["closed form"] += 1
+            if not ratios[-1] <= 1.5 + r ** (1 - t):
+                failures["ratio bound"] += 1
+    elapsed = time.perf_counter() - t0
+    _report(
+        12,
+        "pair family with a known optimum",
+        not failures,
+        f"T in 5..14, r in 1/6, 1/2, 3/4: exact starts with the pair, alg1 puts it at "
+        f"T-2, T-1 (T-4, T-1 at odd T), R = r^(3-T) (times 1-r+r^2 at odd T) to 1e-12 "
+        f"relative, R in [{min(ratios):.6g}, {max(ratios):.6g}] (bound 1.5 + r^(1-T)), "
         f"failures: {dict(failures) or 'none'}, {elapsed:.1f}s",
     )

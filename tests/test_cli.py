@@ -429,6 +429,17 @@ FLAG_ROWS = [  # test_verify_rejects_negative_and_non_finite_inputs, below
         )
         for name, flag in (("negative", "-1"), ("nan", "nan"), ("inf", "inf"))
     ),
+    row(  # the closed form is built before any trial runs: no numpy warning from the pool
+        "sigma2-overflow", f"{VERIFY} --sigma2 1e308", 2, "noise constant does not fit a float: inf"
+    ),
+    row(  # the squared losses overflow, which would leave z at 0
+        "sigma2-loss-overflow", f"{VERIFY} --sigma2 1e200 --seed 1", 2,
+        "standard error of the mean does not fit a float: inf",
+    ),
+    row(  # the losses themselves overflow, though the closed form fits
+        "sigma2-mean-overflow", f"{VERIFY} --sigma2 1e307 --seed 1", 2,
+        "mean simulated loss does not fit a float: inf",
+    ),
     row("threshold-nan", f"{VERIFY} --threshold nan", 2, "threshold must be finite, got nan"),
     row("threshold-negative", f"{VERIFY} --threshold -1", 2, "threshold must be >= 0, got -1.0"),
     row("t-negative", f"{VERIFY} --t -1", 2, "t must be >= 1, got -1"),
