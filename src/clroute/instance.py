@@ -102,15 +102,15 @@ class Route:
         return tuple(i + 1 for i in self.order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """Immutable, valid problem data; matrices are read-only numpy arrays.
 
-    Construction raises ParameterError for a matrix of the wrong shape, then
-    runs :func:`validate_instance` and builds ``objective``, the route
-    objective of the instance's regime, once. So every instance that
-    exists is finite, symmetric, metric, of a defined regime and has a
-    loss that fits a float; :meth:`clroute.loss.Objective.of` raises
+    Compares and hashes by identity. Construction raises ParameterError for
+    a matrix of the wrong shape, then runs :func:`validate_instance` and builds
+    ``objective``, the route objective of the instance's regime, once. So every
+    instance that exists is finite, symmetric, metric, of a defined regime and
+    has a loss that fits a float; :meth:`clroute.loss.Objective.of` raises
     ValidationError for one that does not.
     """
 
@@ -121,7 +121,7 @@ class ProblemInstance:
     m_features: int
     n_samples: int
     sigma2: float
-    objective: Objective = field(init=False, repr=False, compare=False)
+    objective: Objective = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         t = self.t_regions
@@ -274,8 +274,8 @@ def metric_closure(costs: np.ndarray) -> np.ndarray:
     passes and a check as a rule: the first closes, the second absorbs
     rounding (it moves about 80 of 6400 entries at T=80 and 300 of 160000
     at T=400, each by a few ulps) and the check confirms. Over
-    generate_instance seeds 0-199 at T=24, 191 took that, 7 two passes
-    and no check (no rounding showed) and 2 three passes and a check.
+    generate_instance seeds 0-199 at T=24, 191 took that, 7 two passes and no
+    check (no rounding showed), 2 three passes and two checks (the first failed).
     """
     d = np.array(costs, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:

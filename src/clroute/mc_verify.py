@@ -47,12 +47,12 @@ _log = logging.getLogger(__name__)
 _CHUNK = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaskGroundTruth:
     """Actual region parameter vectors, initial predictor, and noise level.
 
     ``w_star`` has one row per region; ``w0`` is where the overparameterized
-    learner starts. Arrays become read-only on construction.
+    learner starts. Arrays are read-only; the record compares by identity.
     """
 
     w_star: np.ndarray

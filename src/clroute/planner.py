@@ -36,8 +36,10 @@ class Strategy(str, Enum):
     RANDOM = "random"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanResult:
+    """One strategy's route, loss and wall time; compares and hashes by identity."""
+
     route: Route
     breakdown: LossBreakdown
     strategy: Strategy
@@ -52,8 +54,7 @@ def _finish(
     t0: float,
     stages: shp.PathStages | None = None,
 ) -> PlanResult:
-    breakdown = loss_upper(inst, route)
-    return PlanResult(route, breakdown, strategy, time.perf_counter() - t0, stages)
+    return PlanResult(route, loss_upper(inst, route), strategy, time.perf_counter() - t0, stages)
 
 
 def plan_algorithm1(inst: ProblemInstance) -> PlanResult:
@@ -95,8 +96,7 @@ def plan_forgetting_baseline(inst: ProblemInstance) -> PlanResult:
 
 def plan_random(inst: ProblemInstance, seed: int) -> PlanResult:
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    route = Route(tuple(int(i) for i in rng.permutation(inst.t_regions)))
+    route = Route(tuple(np.random.default_rng(seed).permutation(inst.t_regions).tolist()))
     return _finish(inst, route, Strategy.RANDOM, t0)
 
 

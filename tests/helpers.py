@@ -548,6 +548,13 @@ def circuit_edge_multiset(circuit: tuple[int, ...]) -> Counter:
     return Counter(edge_key(a, b) for a, b in zip(circuit[:-1], circuit[1:]))
 
 
+def assert_compared_by_identity(a, b) -> None:
+    """Two records built alike are unequal, without raising, and each
+    equals itself and hashes, so a set of the two has two members."""
+    assert not a == b and a != b
+    assert a == a and b == b and len({a, b}) == 2
+
+
 # Rejected CLI inputs. tests/test_cli.py holds the tables of file faults and
 # of negative or non-finite flags, tests/test_boundary.py the rest; their rows
 # are built by row and file_row, and every row goes through assert_cli_rejects.

@@ -24,6 +24,7 @@ from clroute import (
     write_instance,
 )
 from helpers import (
+    assert_compared_by_identity,
     closure_by_full_passes,
     generated_raw_costs,
     instance_json_oracle,
@@ -164,6 +165,10 @@ def test_problem_instance_arrays_read_only():
         inst.delta[0, 1] = 99.0
     with pytest.raises(ValueError):
         inst.costs[0, 1] = 99.0
+
+
+def test_instances_built_alike_compare_by_identity():
+    assert_compared_by_identity(generate_instance(4, 1), generate_instance(4, 1))
 
 
 def test_metric_closure_shortest_paths_by_hand():

@@ -22,7 +22,7 @@ from clroute.mc_verify import (
     simplex_ground_truth,
     verify_closed_form,
 )
-from helpers import planner_closed_form
+from helpers import assert_compared_by_identity, planner_closed_form
 
 
 def test_ground_truth_validation():
@@ -30,6 +30,10 @@ def test_ground_truth_validation():
     assert truth.t_regions == 2 and truth.m_features == 4
     with pytest.raises(ValueError):
         truth.w_star[0, 0] = 1.0
+
+
+def test_ground_truths_built_alike_compare_by_identity():
+    assert_compared_by_identity(simplex_ground_truth(3, 4), simplex_ground_truth(3, 4))
 
 
 def test_simplex_ground_truth_distances_are_exact():

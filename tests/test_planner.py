@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -27,6 +28,7 @@ from clroute.planner import (
     plan_random,
 )
 from helpers import (
+    assert_compared_by_identity,
     edge_corpus_instances,
     manual_instance,
     scale_costs,
@@ -44,6 +46,11 @@ def test_algorithm1_worked_instance_is_optimal():
     assert result.breakdown.total == pytest.approx(8 / 3 + 0.8, rel=1e-12)
     exact = plan_exact(inst)
     assert result.breakdown.total == exact.breakdown.total
+
+
+def test_plans_compare_by_identity():
+    p = plan_algorithm1(generate_instance(4, 1))
+    assert_compared_by_identity(p, dataclasses.replace(p))
 
 
 def alg1_digest(cases):
