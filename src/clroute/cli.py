@@ -40,6 +40,7 @@ from .instance import (
     Route,
     classify_regime,
     generate_instance,
+    overwrite,
     read_instance,
     write_instance,
 )
@@ -154,8 +155,7 @@ def _write_text(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        overwrite(out, text)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -122,6 +122,8 @@ MUTANTS = [
     ("validate-returns-false", INSTANCE,
      '        raise ValidationError("; ".join(violations))\n',
      '        raise ValidationError("; ".join(violations))\n    return False\n'),
+    # the writer of every --out
+    ("overwrite-keeps-tail", INSTANCE, "fh.truncate()", "pass"),
     # Monte Carlo
     ("chunk-255", MC, "_CHUNK = 256", "_CHUNK = 255"),
     ("sigma-x1.001", MC, "sig = math.sqrt(truth.sigma2)", "sig = math.sqrt(truth.sigma2) * 1.001"),

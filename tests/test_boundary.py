@@ -85,6 +85,11 @@ CLI_ROWS = [  # test_cli_rejects_bad_input, below
     file_row("plan-missing-file", 3, "No such file or directory", fault=Path.unlink),
     # flags and paths
     row("gen-t-one", "gen --t 1 --out x.json", 2, "t must be >= 2, got 1"),
+    row("gen-out-directory", "gen --t 3 --out .", 3, "error: .: Is a directory"),
+    row(
+        "gen-out-missing-parent", "gen --t 3 --out missing/x.json", 3,
+        "error: missing/x.json: No such file or directory",
+    ),
     row("plan-exact-size-limit", "plan <oversized-file> --strategy exact", 4, SIZE_LIMIT),
     row(
         "experiment-size-limit", f"experiment --sweep t --values 3,{HELD_KARP_MAX_T + 1} "

@@ -83,6 +83,37 @@ def test_gen_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+REWRITES = {  # each writes fewer bytes than the T=10 file it overwrites
+    "gen": ["gen", "--t", "3", "--seed", "5"],
+    "experiment": ["experiment", "--sweep", "t", "--values", "3", "--instances", "1"],
+    "verify": ["verify", "--trials", "200", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("command", REWRITES)
+def test_out_over_a_longer_file_holds_the_bytes_of_a_fresh_write(tmp_path, capsys, command):
+    fresh, rewritten = tmp_path / "fresh", tmp_path / "rewritten"
+    main(["gen", "--t", "10", "--out", str(rewritten)])
+    old = rewritten.stat()
+    argv = REWRITES[command]
+    assert main([*argv, "--out", str(fresh)]) == main([*argv, "--out", str(rewritten)]) == 0
+    capsys.readouterr()
+    assert rewritten.read_bytes() == fresh.read_bytes()
+    assert fresh.stat().st_size < old.st_size
+    assert rewritten.stat().st_ino == old.st_ino  # rewritten in place, not replaced
+
+
+def test_out_through_a_symlink_rewrites_its_target(tmp_path, capsys):
+    target, link, fresh = tmp_path / "target.json", tmp_path / "link.json", tmp_path / "fresh.json"
+    main(["gen", "--t", "10", "--out", str(target)])
+    link.symlink_to(target.name)
+    for out in (link, fresh):
+        assert main([*REWRITES["gen"], "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == fresh.read_bytes()
+
+
 def test_plan_text_worked_example(tmp_path, capsys):
     path = _worked_file(tmp_path)
     assert main(["plan", path]) == 0
